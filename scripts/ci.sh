@@ -10,7 +10,8 @@
 # in the CI log even when stage 1 already caught it; stage 4 re-runs the
 # parallel-execution differential suite with real worker processes
 # (REPRO_TEST_JOBS=2: parallel==serial bit-identity, cache behaviour,
-# vectorized-vs-legacy coarsening) so a determinism break is named even
+# vectorized-vs-legacy coarsening, the multilevel driver corpus on all
+# three engines) so a determinism break is named even
 # when stage 1 already caught it; stage 5 runs the evolutionary-search
 # suite with real workers plus the X12 equal-budget smoke benchmark
 # (evolve vs restart-only GP vs portfolio on LU + multicast synthetics;
@@ -71,7 +72,8 @@ python -m pytest -q \
 echo "== stage 4: parallel differential suite (n_jobs=2) =="
 REPRO_TEST_JOBS=2 python -m pytest -q \
   tests/test_parallel_portfolio.py \
-  tests/test_coarsen_vectorized.py
+  tests/test_coarsen_vectorized.py \
+  tests/test_multilevel.py
 
 echo "== stage 5: evolutionary search suite + equal-budget smoke =="
 REPRO_TEST_JOBS=2 python -m pytest -q \

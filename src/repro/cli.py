@@ -58,7 +58,7 @@ import numpy as np
 import repro.obs as _obs
 from repro.bench.experiments import paper_experiment_table
 from repro.bench.figures import write_figure_artifacts
-from repro.core.api import partition_graph
+from repro.core.api import _JOBS_METHODS, partition_graph
 from repro.evolve.ea import (
     EvolveConfig,
     clear_evolve_cache,
@@ -174,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes racing the method's independent "
                         "randomized work (-1 = all CPUs; results are "
                         "bit-identical to --jobs 1, only faster; --method "
-                        "gp with --model graph, or --method evolve with "
-                        "either model)")
+                        "gp, hyper or evolve)")
     p.add_argument("--generations", type=int, default=None, metavar="G",
                    help="evolve: generation cap (--method evolve only)")
     p.add_argument("--time-budget", type=float, default=None, metavar="S",
@@ -453,11 +452,6 @@ def _run_partition(args: argparse.Namespace) -> int:
                 f"--model hypergraph supports --method gp/hyper/evolve, "
                 f"got {args.method!r}"
             )
-        if args.jobs not in (None, 1) and args.method != "evolve":
-            raise ReproError(
-                "--jobs applies to --method gp with --model graph, "
-                "or --method evolve with either model"
-            )
         if args.dot:
             raise ReproError(
                 "--dot renders 2-pin graphs only; re-run with "
@@ -482,7 +476,9 @@ def _run_partition(args: argparse.Namespace) -> int:
                 n_jobs=args.jobs, cache=not args.no_cache,
             )
         else:
-            result = hyper_partition(hg, args.k, constraints, seed=args.seed)
+            result = hyper_partition(
+                hg, args.k, constraints, seed=args.seed, n_jobs=args.jobs
+            )
         results = [result]
         if args.compare:
             # the 2-pin edge-cut baseline: GP on the per-consumer star
@@ -516,8 +512,8 @@ def _run_partition(args: argparse.Namespace) -> int:
             print(f"wrote {args.assign_out}")
         return 0 if result.feasible or constraints.unconstrained else 2
     g = _load_graph(args.input)
-    if args.jobs not in (None, 1) and args.method not in ("gp", "evolve"):
-        raise ReproError("--jobs applies to --method gp or evolve only")
+    if args.jobs not in (None, 1) and args.method not in _JOBS_METHODS:
+        raise ReproError("--jobs applies to --method gp, hyper or evolve only")
     result = partition_graph(
         g, args.k, bmax=args.bmax, rmax=rmax,
         method=args.method, seed=args.seed, config=evolve_cfg,

@@ -124,7 +124,7 @@ def disable_disk_cache() -> None:
 _METHODS = ("gp", "mlkp", "spectral", "exact", "hyper", "evolve")
 _MODELS = ("graph", "hypergraph")
 #: Methods with independent randomized work to race across processes.
-_JOBS_METHODS = ("gp", "evolve")
+_JOBS_METHODS = ("gp", "hyper", "evolve")
 #: Methods that can partition under vector resource budgets.
 _VECTOR_METHODS = ("gp", "evolve")
 #: Methods with a pluggable refinement stage (refine="flow"/"fm+flow").
@@ -259,10 +259,11 @@ def partition_graph(
     methods reject it, as does a vector *rmax* without the matrix.
 
     *n_jobs* races the method's independent randomized work across worker
-    processes (``-1`` = all CPUs): GP's retry cycles (scalar or vector),
-    or evolve's seeding members and offspring batches; results are
-    bit-identical for every value (see ``docs/parallel.md``).  It is
-    honoured by ``"gp"`` and ``"evolve"`` — the other methods are
+    processes (``-1`` = all CPUs): GP's retry cycles (scalar, vector or
+    hypergraph), or evolve's seeding members and offspring batches;
+    results are bit-identical for every value (see ``docs/parallel.md``).
+    It is honoured by ``"gp"``, ``"hyper"`` and ``"evolve"`` — the other
+    methods are
     deterministic single-pass algorithms with nothing independent to
     race — and rejected with any other method to keep the knob honest.
     *cache* belongs to the memoised methods — ``"evolve"``, and ``"gp"``
@@ -390,7 +391,8 @@ def partition_graph(
                 f"{type(config).__name__}"
             )
         return hyper_partition(
-            HGraph.from_wgraph(g), k, constraints, config=config, seed=seed
+            HGraph.from_wgraph(g), k, constraints, config=config, seed=seed,
+            n_jobs=n_jobs,
         )
     raise PartitionError(
         f"unknown method {method!r}; valid methods: {_METHODS}"
@@ -463,7 +465,8 @@ def partition_ppn(
 
     *n_jobs* and *cache* are forwarded to the partitioner under
     :func:`partition_graph`'s rules — ``n_jobs`` needs a method with
-    independent randomized work (``"gp"`` / ``"evolve"``), ``cache``
+    independent randomized work (``"gp"`` / ``"hyper"`` / ``"evolve"``),
+    ``cache``
     belongs to the memoised methods; both are rejected elsewhere to keep
     the knobs honest.  *refine* follows the same discipline
     (``docs/refinement.md``): with ``model="graph"`` it is forwarded to
@@ -527,18 +530,15 @@ def partition_ppn(
                 "model='hypergraph' takes a HyperConfig, got "
                 f"{type(config).__name__}"
             )
-        if n_jobs not in (None, 1):
-            raise PartitionError(
-                "n_jobs needs a method with independent randomized work; "
-                "with model='hypergraph' that is method='evolve'"
-            )
         if cache is not True:
             raise PartitionError(
                 "cache is only supported by method='evolve', "
                 f"got method={method!r}"
             )
         hg, names = ppn.to_hypergraph(bandwidth_scale=bandwidth_scale)
-        result = hyper_partition(hg, k, constraints, config=config, seed=seed)
+        result = hyper_partition(
+            hg, k, constraints, config=config, seed=seed, n_jobs=n_jobs
+        )
         return result, hg, names
     g, names = ppn_to_mapped_graph(
         ppn, mode=bandwidth_mode, scale=bandwidth_scale

@@ -10,9 +10,10 @@ matchings restricted to pairs both parents agree on, refine, project
 back — the V-cycle machinery turned into a crossover operator) and by
 perturb/walk mutations, with goodness-ranked, diversity-aware replacement.
 
-* :mod:`repro.evolve.engines` — one adapter surface over the graph
-  (edge-cut) and hypergraph ((λ−1) connectivity) substrates; everything
-  else is engine-agnostic.
+* :mod:`repro.partition.engine` (re-exported here) — one adapter surface
+  over the graph (edge-cut), hypergraph ((λ−1) connectivity) and
+  vector-resource substrates, shared with the multilevel driver;
+  everything else is engine-agnostic.
 * :mod:`repro.evolve.population` — fixed-size pool, Hamming-distance
   diversity tie-breaking, stagnation detection.
 * :mod:`repro.evolve.operators` — recombination (child never worse than
@@ -34,7 +35,7 @@ from repro.evolve.ea import (
     evolve_cache,
     evolve_partition,
 )
-from repro.evolve.engines import (
+from repro.partition.engine import (
     GraphEngine,
     HyperEngine,
     VectorGraphEngine,

@@ -39,12 +39,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.evolve.engines import make_engine
 from repro.partition.flow_refine import check_refine_mode
 from repro.evolve.operators import mutate_perturb, mutate_walk, recombine
 from repro.evolve.population import Individual, Population
 from repro.graph.wgraph import WGraph
 from repro.partition.base import PartitionResult
+from repro.partition.engine import make_engine
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import gp_partition
 from repro.partition.metrics import ConstraintSpec

@@ -28,7 +28,7 @@
 
 Mutations may return worse partitions (that is their job — diversity);
 the population's replacement rules decide survival.  All operators work
-identically on either engine adapter (:mod:`repro.evolve.engines`).
+identically on either engine adapter (:mod:`repro.partition.engine`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Multilevel k-way hypergraph partitioning under the paper's constraints.
 
-The pipeline mirrors :func:`~repro.partition.gp.gp_partition` phase for
-phase, with the connectivity objective in place of the edge cut:
+The pipeline is GP's own — :func:`~repro.partition.multilevel.
+multilevel_partition` run on the hypergraph engine
+(:class:`~repro.partition.engine.HyperEngine`) — with the connectivity
+objective in place of the edge cut:
 
 1. **Coarsening** — heavy-edge contraction with identical-net detection
    down to ``coarsen_to`` nodes (:mod:`repro.hypergraph.coarsen`).
@@ -21,20 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.hypergraph.coarsen import HyperHierarchy, build_hyper_hierarchy
 from repro.hypergraph.hgraph import HGraph
-from repro.hypergraph.metrics import evaluate_hyper_partition
-from repro.hypergraph.refine import constrained_hyper_fm
-from repro.hypergraph.refine_state import HyperRefinementState
 from repro.partition.base import PartitionResult
-from repro.partition.goodness import goodness_key
-from repro.partition.initial import greedy_initial_partition
 from repro.partition.metrics import ConstraintSpec
-import repro.obs as _obs
-from repro.util.errors import InfeasibleError, PartitionError
-from repro.util.rng import as_rng, spawn_seeds
+from repro.partition.multilevel import check_cycle_knobs, multilevel_partition
 
 __all__ = ["HyperConfig", "hyper_partition"]
 
@@ -58,74 +50,7 @@ class HyperConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.coarsen_to < 1:
-            raise PartitionError("coarsen_to must be >= 1")
-        if self.restarts < 1:
-            raise PartitionError("restarts must be >= 1")
-        if self.max_cycles < 1:
-            raise PartitionError("max_cycles must be >= 1")
-        if self.level_candidates < 1:
-            raise PartitionError("level_candidates must be >= 1")
-        if self.refine_passes < 1:
-            raise PartitionError("refine_passes must be >= 1")
-        if self.on_infeasible not in ("return", "raise"):
-            raise PartitionError(
-                f"on_infeasible must be 'return' or 'raise', "
-                f"got {self.on_infeasible!r}"
-            )
-
-
-def _refine_best(
-    hg: HGraph,
-    assign: np.ndarray,
-    k: int,
-    constraints: ConstraintSpec,
-    config: HyperConfig,
-    rng,
-) -> np.ndarray:
-    """Race ``level_candidates`` Φ-engine FM runs; goodness picks the winner."""
-    cand_seeds = spawn_seeds(rng, config.level_candidates)
-    with _obs.trace_span(
-        "hyper.refine_level", nodes=hg.n, nets=hg.n_nets
-    ) as sp:
-        base = HyperRefinementState(hg, assign, k)
-        if _obs.tracing_on():
-            sp.set(cut_before=base.metrics(constraints).cut)
-        best, best_key, best_cut = None, None, None
-        for s in cand_seeds:
-            st = base.copy()
-            cand = constrained_hyper_fm(
-                hg, assign, k, constraints,
-                max_passes=config.refine_passes, seed=s, state=st,
-            )
-            m = st.metrics(constraints)
-            key = goodness_key(m, constraints)
-            if best_key is None or key < best_key:
-                best, best_key, best_cut = cand, key, m.cut
-        sp.set(cut_after=best_cut)
-    return best
-
-
-def _uncoarsen(
-    hier: HyperHierarchy,
-    assign_coarsest: np.ndarray,
-    k: int,
-    constraints: ConstraintSpec,
-    config: HyperConfig,
-    seed,
-) -> np.ndarray:
-    """Refine at the coarsest level, then project + refine down to level 0."""
-    rng = as_rng(seed)
-    assign = _refine_best(
-        hier.coarsest, np.asarray(assign_coarsest, dtype=np.int64),
-        k, constraints, config, rng,
-    )
-    for level in range(hier.depth - 1, 0, -1):
-        assign = hier.project(assign, level)
-        assign = _refine_best(
-            hier.levels[level - 1].hgraph, assign, k, constraints, config, rng
-        )
-    return assign
+        check_cycle_knobs(self)
 
 
 def hyper_partition(
@@ -134,6 +59,7 @@ def hyper_partition(
     constraints: ConstraintSpec | None = None,
     config: HyperConfig | None = None,
     seed=None,
+    n_jobs: int | None = 1,
 ) -> PartitionResult:
     """Partition *hg* into *k* parts minimising (λ−1) connectivity under
     the paper's ``Bmax``/``Rmax`` constraints.
@@ -143,6 +69,10 @@ def hyper_partition(
     net has 2 pins) and whose ``info`` carries ``cycles``, ``levels`` and
     ``model="hypergraph"``.
 
+    *n_jobs* races the retry cycles across worker processes exactly as
+    :func:`~repro.partition.gp.gp_partition` does (``-1`` = all CPUs);
+    the result is bit-identical for every value.
+
     Raises
     ------
     InfeasibleError
@@ -150,72 +80,21 @@ def hyper_partition(
         ``config.on_infeasible == "raise"`` (least-violating result in
         ``.best``).
     """
-    constraints = constraints or ConstraintSpec()
+    # the engine module imports this package, so import it at call time
+    from repro.partition.engine import HyperEngine
+    from repro.partition.gp import GPConfig
+
     config = config or HyperConfig()
-    if k < 1:
-        raise PartitionError(f"k must be >= 1, got {k}")
-    if k > hg.n:
-        raise PartitionError(f"k={k} exceeds node count {hg.n}")
-    rng = as_rng(seed if seed is not None else config.seed)
-
-    with _obs.timed_span("hyper", nodes=hg.n, nets=hg.n_nets, k=k) as sw:
-        best_assign: np.ndarray | None = None
-        best_key = None
-        cycles_used = 0
-        levels_last = 1
-
-        for cycle in range(config.max_cycles):
-            cycles_used = cycle + 1
-            s_hier, s_init, s_unc = spawn_seeds(rng, 3)
-            with _obs.trace_span("hyper.cycle", cycle=cycle, k=k) as csp:
-                hier = build_hyper_hierarchy(
-                    hg, coarsen_to=max(config.coarsen_to, 2 * k), seed=s_hier
-                )
-                levels_last = hier.depth
-                # seed the coarsest level with the graph machinery on the
-                # clique expansion (exact on 2-pin nets), then refine
-                # against Φ
-                with _obs.trace_span("hyper.initial",
-                                     nodes=hier.coarsest.n):
-                    assign_c = greedy_initial_partition(
-                        hier.coarsest.clique_expansion(), k, constraints,
-                        restarts=config.restarts, seed=s_init,
-                    )
-                assign = _uncoarsen(
-                    hier, assign_c, k, constraints, config, s_unc
-                )
-                metrics = evaluate_hyper_partition(hg, assign, k, constraints)
-                csp.set(levels=hier.depth, cut=metrics.cut,
-                        feasible=metrics.feasible)
-            key = goodness_key(metrics, constraints)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_assign = assign
-            if metrics.feasible:
-                break
-
-    assert best_assign is not None
-    metrics = evaluate_hyper_partition(hg, best_assign, k, constraints)
-    result = PartitionResult(
-        assign=best_assign,
-        k=k,
-        metrics=metrics,
-        algorithm="GP-hyper",
-        runtime=sw.elapsed,
-        constraints=constraints,
-        info={
-            "cycles": cycles_used,
-            "levels": levels_last,
-            "max_cycles": config.max_cycles,
-            "model": "hypergraph",
-        },
+    driver_config = GPConfig(
+        coarsen_to=config.coarsen_to,
+        restarts=config.restarts,
+        max_cycles=config.max_cycles,
+        level_candidates=config.level_candidates,
+        refine_passes=config.refine_passes,
+        on_infeasible=config.on_infeasible,
+        seed=config.seed,
     )
-    if not metrics.feasible and config.on_infeasible == "raise":
-        raise InfeasibleError(
-            f"no partitioning met Bmax={constraints.bmax}, "
-            f"Rmax={constraints.rmax} within {config.max_cycles} cycles "
-            f"(best violation: bandwidth {metrics.bandwidth_violation:g}, "
-            f"resource {metrics.resource_violation:g})",
-            best=result,
-        )
-    return result
+    return multilevel_partition(
+        HyperEngine(hg, k), constraints or ConstraintSpec(), driver_config,
+        seed=seed, n_jobs=n_jobs,
+    )

@@ -388,6 +388,13 @@ def coarsen_once(
     return coarse, node_map, name
 
 
+#: Un-coarsening levels with at least this many nodes refine locally: the
+#: FM frontier is seeded from the nodes the projection just un-contracted
+#: instead of the whole boundary (n-level style).  Set above every pinned
+#: corpus so small runs keep the historical global sweep.
+LOCAL_REFINE_FROM = 200_000
+
+
 @dataclass
 class CoarseLevel:
     """One level of the multilevel hierarchy."""
@@ -420,6 +427,17 @@ class Hierarchy:
             raise PartitionError(f"cannot project from level {level}")
         node_map = self.levels[level].node_map
         return np.asarray(assign_coarse, dtype=np.int64)[node_map]
+
+    def uncontracted_nodes(self, level: int) -> np.ndarray | None:
+        """Locality seeds for refining ``levels[level-1]`` after projecting
+        from ``levels[level]``: the fine nodes whose coarse parent merged
+        ≥2 nodes.  ``None`` (refine the whole boundary) when the fine
+        level has fewer than :data:`LOCAL_REFINE_FROM` nodes."""
+        if self.levels[level - 1].graph.n < LOCAL_REFINE_FROM:
+            return None
+        node_map = self.levels[level].node_map
+        members = np.bincount(node_map, minlength=self.levels[level].graph.n)
+        return np.nonzero(members[node_map] >= 2)[0]
 
     def project_to_finest(self, assign_coarse: np.ndarray, level: int) -> np.ndarray:
         out = np.asarray(assign_coarse, dtype=np.int64)

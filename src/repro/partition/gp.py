@@ -17,28 +17,26 @@ Pipeline (mirrors the paper's phases):
    After ``max_cycles`` without a feasible partitioning the run reports
    infeasibility (raise or return, caller's choice), matching the paper's
    "either impossible or we have to give the tool more time".
+
+The pipeline itself is :func:`~repro.partition.multilevel.
+multilevel_partition`, shared with the hypergraph and vector-resource
+partitioners; this module holds GP's knobs and runs the driver on the
+graph engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-import repro.obs as _obs
 from repro.graph.wgraph import WGraph
 from repro.partition.base import PartitionResult
-from repro.partition.coarsen import Hierarchy, build_hierarchy
+from repro.partition.coarsen import MATCHING_METHODS
 from repro.partition.conn_store import check_conn_format
-from repro.partition.flow_refine import check_refine_mode, run_flow_refine
-from repro.partition.goodness import goodness_key
-from repro.partition.initial import greedy_initial_partition
-from repro.partition.kway_refine import constrained_kway_fm
-from repro.partition.metrics import ConstraintSpec, evaluate_partition
-from repro.partition.refine_state import RefinementState
-from repro.util.errors import InfeasibleError, PartitionError
-from repro.util.parallel import parallel_map
-from repro.util.rng import as_rng, spawn_seeds
+from repro.partition.engine import GraphEngine
+from repro.partition.flow_refine import check_refine_mode
+from repro.partition.metrics import ConstraintSpec
+from repro.partition.multilevel import check_cycle_knobs, multilevel_partition
+from repro.util.errors import PartitionError
 
 __all__ = ["GPConfig", "gp_partition"]
 
@@ -82,13 +80,6 @@ class GPConfig:
         slices sized by degree (the million-node setting); ``"auto"``
         (default) — sparse iff ``k·n`` crosses the module threshold.
         Dense and sparse are bit-identical under integer-valued weights.
-    local_refine_from:
-        Localised refinement threshold: on un-coarsening levels with at
-        least this many nodes the FM frontier is seeded from the
-        recently-uncontracted nodes (those whose coarse parent merged
-        ≥2 nodes) intersected with the boundary, n-level style, instead
-        of the whole boundary.  The default sits above every pinned
-        differential corpus, so small-instance results are unchanged.
     on_infeasible:
         ``"return"`` — give back the least-violating partition with
         ``feasible=False``; ``"raise"`` — raise :class:`InfeasibleError`.
@@ -114,7 +105,6 @@ class GPConfig:
     matchings: tuple[str, ...] = ("random", "hem", "kmeans")
     refine: str = "fm"
     conn_format: str = "auto"
-    local_refine_from: int = 200_000
     on_infeasible: str = "return"
     seed: int | None = None
 
@@ -122,158 +112,19 @@ class GPConfig:
         # normalise matchings to a tuple so configs stay hashable (cache
         # keys) and equality-comparable however the caller spelled them
         object.__setattr__(self, "matchings", tuple(self.matchings))
-        if self.coarsen_to < 1:
-            raise PartitionError("coarsen_to must be >= 1")
+        check_cycle_knobs(self)
         if self.vcycles < 0:
             raise PartitionError("vcycles must be >= 0")
-        if self.restarts < 1:
-            raise PartitionError("restarts must be >= 1")
-        if self.max_cycles < 1:
-            raise PartitionError("max_cycles must be >= 1")
-        if self.level_candidates < 1:
-            raise PartitionError("level_candidates must be >= 1")
-        if self.refine_passes < 1:
-            raise PartitionError("refine_passes must be >= 1")
         check_refine_mode(self.refine)
         check_conn_format(self.conn_format)
-        if self.local_refine_from < 1:
-            raise PartitionError("local_refine_from must be >= 1")
-        if self.on_infeasible not in ("return", "raise"):
-            raise PartitionError(
-                f"on_infeasible must be 'return' or 'raise', "
-                f"got {self.on_infeasible!r}"
-            )
         if not self.matchings:
             raise PartitionError("at least one matching method required")
-
-
-def _uncoarsen(
-    hier: Hierarchy,
-    assign_coarsest: np.ndarray,
-    k: int,
-    constraints: ConstraintSpec,
-    config: GPConfig,
-    seed,
-) -> np.ndarray:
-    """Project + refine from the coarsest level to the finest.
-
-    At each level, ``level_candidates`` independent refinement runs produce
-    different intermediate clusterings; the goodness function picks the one
-    "nearest to meeting the constraints" before descending further.
-
-    Levels with at least ``config.local_refine_from`` nodes refine
-    *locally* (n-level style): the FM frontier is seeded from the nodes
-    the projection just un-contracted (coarse parents that merged ≥2
-    nodes) instead of the whole boundary — the move frontier then grows
-    outward through neighbourhoods on its own.
-    """
-    rng = as_rng(seed)
-    assign = np.asarray(assign_coarsest, dtype=np.int64)
-
-    def refine_best(
-        graph: WGraph,
-        a: np.ndarray,
-        level: int,
-        seed_nodes: np.ndarray | None = None,
-    ) -> np.ndarray:
-        cand_seeds = spawn_seeds(rng, config.level_candidates)
-        with _obs.trace_span(
-            "gp.refine_level", level=level, nodes=graph.n, edges=graph.m,
-            local=seed_nodes is not None,
-        ) as sp:
-            # one engine build per level; each candidate run works on a copy
-            # and its goodness comes from the incrementally-tracked metrics
-            base = RefinementState(graph, a, k, conn_format=config.conn_format)
-            if _obs.tracing_on():
-                sp.set(cut_before=base.metrics(constraints).cut)
-            if config.refine == "flow":
-                # flow passes are deterministic — one candidate tells all
-                # (the candidate seeds above are still drawn, keeping the
-                # rng stream aligned with the FM modes)
-                st = base.copy()
-                best = run_flow_refine(st, constraints)
-                best_cut = st.metrics(constraints).cut
-                sp.set(cut_after=best_cut)
-                return best
-            best, best_key, best_cut = None, None, None
-            for s in cand_seeds:
-                st = base.copy()
-                cand = constrained_kway_fm(
-                    graph, a, k, constraints,
-                    max_passes=config.refine_passes, seed=s, state=st,
-                    seed_nodes=seed_nodes,
-                )
-                m = st.metrics(constraints)
-                key = goodness_key(m, constraints)
-                if best_key is None or key < best_key:
-                    best, best_key, best_cut = cand, key, m.cut
-            sp.set(cut_after=best_cut)
-        return best
-
-    def uncontracted_nodes(level: int) -> np.ndarray | None:
-        """Fine nodes whose coarse parent merged ≥2 nodes — the locality
-        seeds — when the fine level is big enough to bother."""
-        fine = hier.levels[level - 1].graph
-        if fine.n < config.local_refine_from:
-            return None
-        node_map = hier.levels[level].node_map
-        members = np.bincount(node_map, minlength=hier.levels[level].graph.n)
-        return np.nonzero(members[node_map] >= 2)[0]
-
-    with _obs.trace_span("uncoarsen", levels=hier.depth):
-        for level in range(hier.depth - 1, 0, -1):
-            assign = hier.project(assign, level)
-            assign = refine_best(
-                hier.levels[level - 1].graph, assign, level - 1,
-                seed_nodes=uncontracted_nodes(level),
+        unknown = [m for m in self.matchings if m not in MATCHING_METHODS]
+        if unknown:
+            raise PartitionError(
+                f"unknown matching method(s) {unknown}; "
+                f"valid: {sorted(MATCHING_METHODS)}"
             )
-        if hier.depth == 1:
-            assign = refine_best(hier.levels[0].graph, assign, 0)
-    return assign
-
-
-def _run_gp_cycle(context, seeds) -> tuple[np.ndarray, "PartitionMetrics", int]:
-    """One coarsen/partition/un-coarsen cycle (a parallel_map worker).
-
-    Independent of every other cycle given its four pre-spawned seeds, so
-    cycles race across processes without changing any result.  The
-    instance travels in the shared *context* (shipped once per worker);
-    only the seed quadruple is per-task.  Returns ``(assign, metrics,
-    hierarchy_depth)``.
-    """
-    g, k, constraints, config = context
-    s_hier, s_init, s_unc, s_vc = seeds
-    with _obs.trace_span("gp.cycle", nodes=g.n, k=k) as sp:
-        # Re-coarsening each cycle realises the paper's "go back to
-        # coarsening phase ... (randomly), cyclically".
-        # never coarsen below 2k nodes: a halving step from just above the
-        # threshold must still leave enough nodes to seed k partitions
-        hier = build_hierarchy(
-            g,
-            coarsen_to=max(config.coarsen_to, 2 * k),
-            seed=s_hier,
-            methods=config.matchings,
-        )
-        with _obs.trace_span("gp.initial", nodes=hier.coarsest.n):
-            assign_c = greedy_initial_partition(
-                hier.coarsest, k, constraints,
-                restarts=config.restarts, seed=s_init,
-            )
-        assign = _uncoarsen(hier, assign_c, k, constraints, config, s_unc)
-        if config.vcycles:
-            from repro.partition.vcycle import vcycle_refine
-
-            assign = vcycle_refine(
-                g, assign, k, constraints,
-                rounds=config.vcycles,
-                refine_passes=config.refine_passes,
-                seed=s_vc,
-                refine="fm" if config.refine == "fm+flow" else config.refine,
-                conn_format=config.conn_format,
-            )
-        metrics = evaluate_partition(g, assign, k, constraints)
-        sp.set(levels=hier.depth, cut=metrics.cut, feasible=metrics.feasible)
-    return assign, metrics, hier.depth
 
 
 def gp_partition(
@@ -312,7 +163,7 @@ def gp_partition(
     -------
     PartitionResult
         With ``info`` containing ``cycles`` (cycles consumed), ``levels``
-        (hierarchy depth of the last cycle) and ``feasible``.
+        (hierarchy depth of the last cycle) and ``max_cycles``.
 
     Raises
     ------
@@ -322,66 +173,9 @@ def gp_partition(
         least-violating :class:`PartitionResult` in ``.best``.
     """
     config = config or GPConfig()
-    if k < 1:
-        raise PartitionError(f"k must be >= 1, got {k}")
-    if k > g.n:
-        raise PartitionError(f"k={k} exceeds node count {g.n}")
-    rng = as_rng(seed if seed is not None else config.seed)
-
-    with _obs.timed_span("gp", nodes=g.n, k=k) as sw:
-        # all cycle seeds up front (the same rng stream the serial loop drew
-        # from, one quadruple per cycle) — what makes the cycles independent
-        cycle_seeds = [spawn_seeds(rng, 4) for _ in range(config.max_cycles)]
-        results = parallel_map(
-            _run_gp_cycle,
-            cycle_seeds,
-            n_jobs=n_jobs,
-            stop=lambda r: r[1].feasible,
-            context=(g, k, constraints, config),
-        )
-
-        best_assign: np.ndarray | None = None
-        best_key = None
-        for assign, metrics, _depth in results:
-            key = goodness_key(metrics, constraints)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_assign = assign
-        cycles_used = len(results)
-        levels_last = results[-1][2]
-
-        assert best_assign is not None
-        if config.refine == "fm+flow":
-            # one guarded flow stage on the race winner.  Placed *after*
-            # the race on purpose: the cycle loop stops at the first
-            # feasible cycle, so refining inside a cycle could change
-            # which cycle wins; refining the winner leaves the race
-            # untouched and (with the pass's never-worse guard) makes
-            # "fm+flow" ≤ "fm" in (violation, cut) under the same seeds.
-            st = RefinementState(g, best_assign, k, conn_format=config.conn_format)
-            best_assign = run_flow_refine(st, constraints)
-
-    metrics = evaluate_partition(g, best_assign, k, constraints)
-    result = PartitionResult(
-        assign=best_assign,
-        k=k,
-        metrics=metrics,
-        algorithm="GP",
-        runtime=sw.elapsed,
-        constraints=constraints,
-        info={
-            "cycles": cycles_used,
-            "levels": levels_last,
-            "max_cycles": config.max_cycles,
-        },
+    engine = GraphEngine(
+        g, k, refine=config.refine, conn_format=config.conn_format
     )
-    if not metrics.feasible and config.on_infeasible == "raise":
-        raise InfeasibleError(
-            f"no partitioning met Bmax={constraints.bmax}, "
-            f"Rmax={constraints.rmax} within {config.max_cycles} cycles "
-            f"(best violation: bandwidth {metrics.bandwidth_violation:g}, "
-            f"resource {metrics.resource_violation:g}); the instance is "
-            f"either impossible or needs more iterations",
-            best=result,
-        )
-    return result
+    return multilevel_partition(
+        engine, constraints, config, seed=seed, n_jobs=n_jobs
+    )

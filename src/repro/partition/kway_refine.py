@@ -75,7 +75,6 @@ def rebalance_pass(
     assign: np.ndarray,
     k: int,
     max_part_weight: float,
-    seed=None,
     state: RefinementState | None = None,
 ) -> np.ndarray:
     """Explicit balance phase (kmetis style).
@@ -92,11 +91,9 @@ def rebalance_pass(
     ``4·n`` guess and did O(n·k) Python work per move; candidate scoring is
     now one vectorized lexsort over the source part's members).
 
-    *seed* is accepted for signature stability but unused: the eviction
-    choice minimises the deterministic key ``(cut damage, -weight, node,
-    dest)``, so no random tie-breaking remains.
+    The eviction choice minimises the deterministic key ``(cut damage,
+    -weight, node, dest)``, so no random tie-breaking is involved.
     """
-    del seed  # selection is deterministic; kept for API compatibility
     a = check_assignment(g, assign, k)
     st = _as_state(g, a, k, state)
     node_w = g.node_weights

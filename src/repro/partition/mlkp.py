@@ -37,12 +37,6 @@ __all__ = ["mlkp_partition", "recursive_bisection"]
 #: METIS's default load-imbalance tolerance for k-way (ufactor=30 -> 1.03).
 DEFAULT_BALANCE = 1.03
 
-#: Levels with at least this many nodes refine locally: the FM frontier is
-#: seeded from the just-uncontracted boundary nodes instead of the full
-#: boundary (n-level style).  Set above every pinned corpus so small runs
-#: are bit-identical to the historical global sweep.
-LOCAL_REFINE_FROM = 200_000
-
 
 def _grow_bisection(
     g: WGraph, target0: float, rng: np.random.Generator
@@ -197,17 +191,9 @@ def mlkp_partition(
                 state = RefinementState(
                     level_graph, assign, k, conn_format=conn_format
                 )
-                seed_nodes = None
-                if level_graph.n >= LOCAL_REFINE_FROM:
-                    node_map = hier.levels[level].node_map
-                    members = np.bincount(
-                        node_map, minlength=hier.levels[level].graph.n
-                    )
-                    seed_nodes = np.nonzero(members[node_map] >= 2)[0]
                 # kmetis order: restore balance first, then chase the cut
                 assign = rebalance_pass(
-                    level_graph, assign, k, max_part_weight,
-                    seed=refine_seeds[level - 1], state=state,
+                    level_graph, assign, k, max_part_weight, state=state,
                 )
                 assign = greedy_kway_refine(
                     level_graph,
@@ -217,7 +203,7 @@ def mlkp_partition(
                     max_passes=refine_passes,
                     seed=refine_seeds[level - 1],
                     state=state,
-                    seed_nodes=seed_nodes,
+                    seed_nodes=hier.uncontracted_nodes(level),
                 )
         if hier.depth == 1:
             with _obs.trace_span(
@@ -225,8 +211,7 @@ def mlkp_partition(
             ):
                 state = RefinementState(g, assign, k, conn_format=conn_format)
                 assign = rebalance_pass(
-                    g, assign, k, max_part_weight,
-                    seed=refine_seeds[0], state=state,
+                    g, assign, k, max_part_weight, state=state
                 )
                 assign = greedy_kway_refine(
                     g, assign, k,

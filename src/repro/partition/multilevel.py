@@ -1,0 +1,203 @@
+"""The multilevel pipeline of the paper's Section IV, written once.
+
+One cycle worker and one driver run GP on every substrate through the
+engine adapters of :mod:`repro.partition.engine`:
+
+1. **Coarsening** (IV.A) — ``engine.coarsen`` builds the hierarchy down to
+   ``max(coarsen_to, 2k)`` nodes and returns one structure per level.
+2. **Initial partitioning** (IV.B) — ``engine.initial`` seeds the coarsest
+   level.  An engine whose seed comes from a proxy structure (the
+   hypergraph's clique expansion) has its coarsest level refined too.
+3. **Un-coarsening** (IV.C) — project level by level; per level
+   ``level_candidates`` FM runs race and the goodness function keeps the
+   one "nearest to meeting the constraints".  Optional V-cycles follow.
+4. **Cyclic retry** — cycles race through
+   :func:`~repro.util.parallel.parallel_map` until the first feasible one;
+   the goodness winner gets the ``fm+flow`` polish, and an infeasible
+   outcome is returned or raised as ``on_infeasible`` asks.
+
+Every cycle draws four seeds (hierarchy, initial, un-coarsening, V-cycle)
+up front, so cycles are independent of each other and the result is
+bit-identical for every ``n_jobs``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+import repro.obs as _obs
+from repro.partition.flow_refine import run_flow_refine
+from repro.partition.goodness import goodness_key
+from repro.util.errors import InfeasibleError, PartitionError
+from repro.util.parallel import parallel_map
+from repro.util.rng import as_rng, spawn_seeds
+
+__all__ = ["check_cycle_knobs", "multilevel_partition", "raise_if_infeasible"]
+
+
+def check_cycle_knobs(config) -> None:
+    """Validate the driver knobs every config class shares."""
+    for name in ("coarsen_to", "restarts", "max_cycles", "level_candidates",
+                 "refine_passes"):
+        if getattr(config, name) < 1:
+            raise PartitionError(f"{name} must be >= 1")
+    if config.on_infeasible not in ("return", "raise"):
+        raise PartitionError(
+            f"on_infeasible must be 'return' or 'raise', "
+            f"got {config.on_infeasible!r}"
+        )
+
+
+def _refine_level(engine, structure, assign, constraints, config, rng,
+                  level: int, seed_nodes=None) -> np.ndarray:
+    """Race ``level_candidates`` FM runs on one level; goodness picks."""
+    cand_seeds = spawn_seeds(rng, config.level_candidates)
+    with _obs.trace_span(
+        f"{engine.span}.refine_level", level=level,
+        **engine.sizes(structure), local=seed_nodes is not None,
+    ) as sp:
+        # one engine build per level; each candidate run works on a copy
+        # and its goodness comes from the incrementally-tracked metrics
+        base = engine.make_state(structure, assign)
+        if _obs.tracing_on():
+            sp.set(cut_before=base.metrics(constraints).cut)
+        if config.refine == "flow":
+            # flow passes are deterministic — one candidate tells all
+            # (the candidate seeds above are still drawn, keeping the
+            # rng stream aligned with the FM modes)
+            st = base.copy()
+            best = run_flow_refine(st, constraints)
+            sp.set(cut_after=st.metrics(constraints).cut)
+            return best
+        best, best_key, best_cut = None, None, None
+        for s in cand_seeds:
+            st = base.copy()
+            cand = engine.level_fm(
+                structure, assign, constraints, config.refine_passes, s, st,
+                seed_nodes,
+            )
+            m = st.metrics(constraints)
+            key = goodness_key(m, constraints)
+            if best_key is None or key < best_key:
+                best, best_key, best_cut = cand, key, m.cut
+        sp.set(cut_after=best_cut)
+    return best
+
+
+def _run_cycle(context, seeds):
+    """One coarsen/partition/un-coarsen cycle (a parallel_map worker).
+
+    Independent of every other cycle given its four pre-spawned seeds, so
+    cycles race across processes without changing any result.  The engine
+    travels in the shared *context* (shipped once per worker); only the
+    seed quadruple is per-task.  Returns ``(assign, metrics, depth)``.
+    """
+    engine, constraints, config = context
+    s_hier, s_init, s_unc, s_vc = seeds
+    k = engine.k
+    with _obs.trace_span(
+        f"{engine.span}.cycle", nodes=engine.structure.n, k=k
+    ) as sp:
+        # Re-coarsening each cycle realises the paper's "go back to
+        # coarsening phase ... (randomly), cyclically".  Never coarsen
+        # below 2k nodes: a halving step from just above the threshold
+        # must still leave enough nodes to seed k partitions.
+        hier, levels = engine.coarsen(
+            max(config.coarsen_to, 2 * k), config.matchings, constraints,
+            s_hier,
+        )
+        with _obs.trace_span(f"{engine.span}.initial", nodes=levels[-1].n):
+            assign = engine.initial(
+                levels[-1], constraints, config.restarts, s_init
+            )
+        rng = as_rng(s_unc)
+        with _obs.trace_span("uncoarsen", levels=hier.depth):
+            assign = np.asarray(assign, dtype=np.int64)
+            if engine.refines_coarsest or hier.depth == 1:
+                assign = _refine_level(
+                    engine, levels[-1], assign, constraints, config, rng,
+                    hier.depth - 1,
+                )
+            for level in range(hier.depth - 1, 0, -1):
+                assign = hier.project(assign, level)
+                assign = _refine_level(
+                    engine, levels[level - 1], assign, constraints, config,
+                    rng, level - 1,
+                    seed_nodes=engine.locality_seeds(hier, level),
+                )
+        if config.vcycles:
+            assign = engine.vcycle(assign, constraints, config, s_vc)
+        metrics = engine.evaluate(assign, constraints)
+        sp.set(levels=hier.depth, cut=metrics.cut, feasible=metrics.feasible)
+    return assign, metrics, hier.depth
+
+
+def raise_if_infeasible(result, config):
+    """Raise :class:`InfeasibleError` (carrying *result*) when *result*
+    missed the constraints and ``config.on_infeasible == "raise"``."""
+    m = result.metrics
+    if not m.feasible and config.on_infeasible == "raise":
+        c = result.constraints
+        raise InfeasibleError(
+            f"no partitioning met Bmax={c.bmax}, Rmax={c.rmax} within "
+            f"{config.max_cycles} cycles (best violation: bandwidth "
+            f"{m.bandwidth_violation:g}, resource {m.resource_violation:g}); "
+            f"the instance is either impossible or needs more iterations",
+            best=result,
+        )
+    return result
+
+
+def multilevel_partition(engine, constraints, config, seed=None,
+                         n_jobs: int | None = 1):
+    """Run GP's cycles on *engine* under *config* (a
+    :class:`~repro.partition.gp.GPConfig`) and return the engine's result.
+
+    *seed* overrides ``config.seed`` when given.  The returned ``info``
+    holds ``cycles`` (cycles consumed), ``levels`` (hierarchy depth of the
+    last cycle) and ``max_cycles``.
+    """
+    k = engine.k
+    n = engine.structure.n
+    if k < 1:
+        raise PartitionError(f"k must be >= 1, got {k}")
+    if k > n:
+        raise PartitionError(f"k={k} exceeds node count {n}")
+    rng = as_rng(seed if seed is not None else config.seed)
+
+    with _obs.timed_span(engine.span, nodes=n, k=k) as sw:
+        # all cycle seeds up front (the same rng stream the serial loop drew
+        # from, one quadruple per cycle) — what makes the cycles independent
+        cycle_seeds = [spawn_seeds(rng, 4) for _ in range(config.max_cycles)]
+        results = parallel_map(
+            _run_cycle,
+            cycle_seeds,
+            n_jobs=n_jobs,
+            stop=lambda r: r[1].feasible,
+            context=(engine, constraints, config),
+        )
+        best_assign, best_key = None, None
+        for assign, metrics, _depth in results:
+            key = goodness_key(metrics, constraints)
+            if best_key is None or key < best_key:
+                best_key, best_assign = key, assign
+        if config.refine == "fm+flow":
+            # one guarded flow stage on the race winner.  Placed *after*
+            # the race on purpose: the cycle loop stops at the first
+            # feasible cycle, so refining inside a cycle could change
+            # which cycle wins; refining the winner leaves the race
+            # untouched and (with the pass's never-worse guard) makes
+            # "fm+flow" ≤ "fm" in (violation, cut) under the same seeds.
+            st = engine.make_state(engine.structure, best_assign)
+            best_assign = run_flow_refine(st, constraints)
+
+    result = engine.result(
+        best_assign, engine.evaluate(best_assign, constraints), constraints,
+        sw.elapsed,
+        {
+            "cycles": len(results),
+            "levels": results[-1][2],
+            "max_cycles": config.max_cycles,
+        },
+    )
+    return raise_if_infeasible(result, config)

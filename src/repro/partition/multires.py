@@ -16,14 +16,15 @@ raced across processes — over a multilevel hierarchy whose node-weight
 *matrices* are aggregated through the same contraction maps the scalar
 path uses.
 
-Since the engine unification, the drivers here are thin: the FM pass is
-the engine-agnostic
+The drivers here are thin.  The FM pass is the engine-agnostic
 :func:`~repro.partition.kway_refine.run_constrained_fm` run on a
 :class:`~repro.partition.vector_state.VectorRefinementState` (the ``(k,
-R)`` load matrix tracked incrementally with exact rollback), the retry
-cycles race through :func:`~repro.util.parallel.parallel_map` with
-results bit-identical for every ``n_jobs``, and completed runs are
-memoised in :data:`multires_cache` keyed by the
+R)`` load matrix tracked incrementally with exact rollback).
+:func:`mr_gp_partition` runs GP's own multilevel driver
+(:func:`~repro.partition.multilevel.multilevel_partition`) on the vector
+engine (:class:`~repro.partition.engine.VectorGraphEngine`), so its
+retry cycles race with results bit-identical for every ``n_jobs``.
+Completed runs are memoised in :data:`multires_cache` keyed by the
 :class:`~repro.partition.vector_state.VectorGraph` content digest
 (structure **and** weight matrix).  The pre-unification hand-rolled loop
 is frozen in ``benchmarks/_legacy_multires.py``;
@@ -41,10 +42,12 @@ import numpy as np
 
 from repro.graph.wgraph import WGraph
 from repro.partition.base import PartitionState
-from repro.partition.coarsen import build_hierarchy
-from repro.partition.flow_refine import check_refine_mode, run_flow_refine
 from repro.partition.kway_refine import run_constrained_fm
 from repro.partition.metrics import check_assignment
+from repro.partition.multilevel import (
+    multilevel_partition,
+    raise_if_infeasible,
+)
 from repro.partition.vector_state import (
     MultiResMetrics,
     VectorConstraints,
@@ -52,9 +55,8 @@ from repro.partition.vector_state import (
     VectorRefinementState,
     check_weight_matrix,
 )
-from repro.util.errors import InfeasibleError, PartitionError
-import repro.obs as _obs
-from repro.util.parallel import KeyedCache, parallel_map
+from repro.util.errors import PartitionError
+from repro.util.parallel import KeyedCache
 from repro.util.rng import as_rng, spawn_seeds
 
 __all__ = [
@@ -104,12 +106,6 @@ class MultiResResult:
         return self.metrics.cut
 
 
-def _check_weights(g: WGraph, weights: np.ndarray) -> np.ndarray:
-    # retained name for the module's internal call sites; the validation
-    # itself lives with the engine state
-    return check_weight_matrix(g, weights)
-
-
 def _loads(weights: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros((k, weights.shape[1]))
     np.add.at(out, assign, weights)
@@ -135,7 +131,7 @@ def evaluate_multires(
     Computed from scratch (no incremental state) — the independent
     reference the invariant suite checks the tracked engine against.
     """
-    w = _check_weights(g, weights)
+    w = check_weight_matrix(g, weights)
     _match_resources(w, cons)
     a = check_assignment(g, assign, k)
     state = PartitionState(g, a, k)
@@ -186,7 +182,7 @@ def mr_constrained_fm(
     """
     if max_passes < 1:
         raise PartitionError(f"max_passes must be >= 1, got {max_passes}")
-    w = _check_weights(g, weights)
+    w = check_weight_matrix(g, weights)
     _match_resources(w, cons)
     a = check_assignment(g, assign, k)
     if state is None:
@@ -252,7 +248,7 @@ def mr_greedy_initial(
     """
     if restarts < 1:
         raise PartitionError(f"restarts must be >= 1, got {restarts}")
-    w = _check_weights(g, weights)
+    w = check_weight_matrix(g, weights)
     _match_resources(w, cons)
     rmax = np.asarray(cons.rmax)
     rng = as_rng(seed)
@@ -311,66 +307,6 @@ def mr_greedy_initial(
     return best_assign
 
 
-def _run_mr_cycle(context, seeds):
-    """One coarsen/partition/un-coarsen cycle (a parallel_map worker).
-
-    Independent of every other cycle given its three pre-spawned seeds —
-    the same independence that lets GP's scalar cycles race.  The
-    instance travels in the shared *context* (shipped once per worker).
-    Returns ``(assign, metrics, hierarchy_depth)``.
-    """
-    (g, w, proxy_graph, k, cons, coarsen_to, restarts, refine_passes,
-     refine) = context
-    s_hier, s_init, s_ref = seeds
-    with _obs.trace_span("mr.cycle", nodes=g.n, k=k) as sp:
-        hier = build_hierarchy(
-            proxy_graph, coarsen_to=max(coarsen_to, 2 * k), seed=s_hier
-        )
-        # aggregate the weight matrix down the hierarchy
-        level_weights = [w]
-        for lvl in hier.levels[1:]:
-            prev = level_weights[-1]
-            agg = np.zeros((lvl.graph.n, w.shape[1]))
-            np.add.at(agg, lvl.node_map, prev)
-            level_weights.append(agg)
-
-        with _obs.trace_span("mr.initial", nodes=hier.coarsest.n):
-            assign = mr_greedy_initial(
-                hier.coarsest, level_weights[-1], k, cons,
-                restarts=restarts, seed=s_init,
-            )
-        ref_seeds = spawn_seeds(s_ref, hier.depth)
-
-        def level_refine(lvl_graph, lvl_w, a_level, s):
-            if refine == "flow":
-                st = VectorRefinementState(lvl_graph, lvl_w, a_level, k)
-                return run_flow_refine(st, cons)
-            return mr_constrained_fm(
-                lvl_graph, lvl_w, a_level, k, cons,
-                max_passes=refine_passes, seed=s,
-            )
-
-        for level in range(hier.depth - 1, 0, -1):
-            assign = hier.project(assign, level)
-            lvl_graph = hier.levels[level - 1].graph
-            with _obs.trace_span(
-                "mr.refine_level", level=level - 1,
-                nodes=lvl_graph.n, edges=lvl_graph.m,
-            ):
-                assign = level_refine(
-                    lvl_graph, level_weights[level - 1], assign,
-                    ref_seeds[level - 1],
-                )
-        if hier.depth == 1:
-            with _obs.trace_span(
-                "mr.refine_level", level=0, nodes=g.n, edges=g.m
-            ):
-                assign = level_refine(g, w, assign, ref_seeds[0])
-        m = evaluate_multires(g, w, assign, k, cons)
-        sp.set(levels=hier.depth, cut=m.cut, feasible=m.feasible)
-    return assign, m, hier.depth
-
-
 def _cached_copy(result: MultiResResult) -> MultiResResult:
     """Deliver a cached result without aliasing the stored arrays/info."""
     return dataclasses.replace(
@@ -378,18 +314,6 @@ def _cached_copy(result: MultiResResult) -> MultiResResult:
         assign=result.assign.copy(),
         info={**copy.deepcopy(result.info), "cache_hit": True},
     )
-
-
-def _raise_if_infeasible(
-    result: MultiResResult, max_cycles: int, on_infeasible: str
-) -> MultiResResult:
-    if not result.metrics.feasible and on_infeasible == "raise":
-        raise InfeasibleError(
-            f"no vector-feasible partitioning within {max_cycles} cycles "
-            f"(violation {result.metrics.total_violation:g})",
-            best=result,
-        )
-    return result
 
 
 def mr_gp_partition(
@@ -425,29 +349,34 @@ def mr_gp_partition(
     seed; hits return a fresh copy flagged ``info["cache_hit"]=True``
     (only ``int``/``None`` seeds participate).
 
-    *refine* selects the refinement stage exactly as
-    :class:`~repro.partition.gp.GPConfig` does: ``"flow"`` swaps the
-    per-level FM for corridor flow passes on the vector engine (its
+    The knobs are validated as :class:`~repro.partition.gp.GPConfig`
+    fields (a bad value raises :class:`PartitionError`), with one FM
+    candidate per un-coarsening level.  *refine* selects the refinement
+    stage exactly as :class:`~repro.partition.gp.GPConfig` does:
+    ``"flow"`` swaps the per-level FM for corridor flow passes on the vector engine (its
     componentwise ``key`` drives acceptance), ``"fm+flow"`` adds one
     guarded flow stage on the race winner — never worse than ``"fm"``
     under the same seeds.
     """
-    check_refine_mode(refine)
-    if on_infeasible not in ("return", "raise"):
-        raise PartitionError(
-            f"on_infeasible must be return/raise, got {on_infeasible!r}"
-        )
-    if k < 1 or k > g.n:
-        raise PartitionError(f"bad k={k} for n={g.n}")
-    w = _check_weights(g, weights)
-    _match_resources(w, cons)
+    # the engine module imports this one, so import it at call time
+    from repro.partition.engine import VectorGraphEngine
+    from repro.partition.gp import GPConfig
+
+    # one FM candidate per level: the vector pipeline's historical budget
+    config = GPConfig(
+        coarsen_to=coarsen_to, restarts=restarts, max_cycles=max_cycles,
+        level_candidates=1, refine_passes=refine_passes, refine=refine,
+        on_infeasible=on_infeasible,
+    )
+    vg = VectorGraph(g, weights)
+    _match_resources(vg.weights, cons)
 
     cacheable = cache and (seed is None or isinstance(seed, (int, np.integer)))
     key = None
     if cacheable:
         key = (
             "mr_gp",
-            VectorGraph(g, w).content_digest(),
+            vg.content_digest(),
             k,
             cons,
             coarsen_to,
@@ -462,58 +391,12 @@ def mr_gp_partition(
         # lookup (not get): a cached falsy value must stay a hit
         found, hit = multires_cache.lookup(key)
         if found:
-            return _raise_if_infeasible(
-                _cached_copy(hit), max_cycles, on_infeasible
-            )
+            return raise_if_infeasible(_cached_copy(hit), config)
 
-    rmax = np.asarray(cons.rmax)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scalar_proxy = np.where(rmax > 0, w / rmax, 0.0).sum(axis=1)
-    proxy_graph = g.with_node_weights(scalar_proxy + 1e-9)
-    rng = as_rng(seed)
-
-    with _obs.timed_span("mr_gp", nodes=g.n, k=k) as sw:
-        # all cycle seeds up front (the same stream the serial loop drew
-        # from, one triple per cycle) — what makes the cycles
-        # race-independent
-        cycle_seeds = [spawn_seeds(rng, 3) for _ in range(max_cycles)]
-        results = parallel_map(
-            _run_mr_cycle,
-            cycle_seeds,
-            n_jobs=n_jobs,
-            stop=lambda r: r[1].feasible,
-            context=(g, w, proxy_graph, k, cons, coarsen_to, restarts,
-                     refine_passes, refine),
-        )
-
-        best_assign, best_metrics, best_key = None, None, None
-        for assign, m, _depth in results:
-            cand = (m.total_violation, m.bandwidth_violation, m.cut)
-            if best_key is None or cand < best_key:
-                best_assign, best_metrics, best_key = assign, m, cand
-        cycles_used = len(results)
-
-        if refine == "fm+flow":
-            # guarded flow stage on the race winner — after the race for
-            # the same reason as gp_partition: the first-feasible early
-            # stop must not see flow-modified cycles, so "fm+flow" stays
-            # never worse than "fm" under the same seeds
-            st = VectorRefinementState(g, w, best_assign, k)
-            best_assign = run_flow_refine(st, cons)
-            best_metrics = evaluate_multires(g, w, best_assign, k, cons)
-
-    assert best_assign is not None and best_metrics is not None
-    result = MultiResResult(
-        assign=best_assign,
-        k=k,
-        metrics=best_metrics,
-        constraints=cons,
-        runtime=sw.elapsed,
-        info={
-            "cycles": cycles_used,
-            "max_cycles": max_cycles,
-            "levels": results[-1][2],
-        },
+    result = multilevel_partition(
+        VectorGraphEngine(vg, k, refine=refine), cons,
+        dataclasses.replace(config, on_infeasible="return"),
+        seed=seed, n_jobs=n_jobs,
     )
     if cacheable:
         multires_cache.put(
@@ -524,4 +407,4 @@ def mr_gp_partition(
                 info=copy.deepcopy(result.info),
             ),
         )
-    return _raise_if_infeasible(result, max_cycles, on_infeasible)
+    return raise_if_infeasible(result, config)

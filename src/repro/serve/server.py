@@ -31,7 +31,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import repro.obs as _obs
 from repro import __version__
-from repro.core.api import configure_cache_backend, partition_graph
+from repro.core.api import (
+    _JOBS_METHODS,
+    configure_cache_backend,
+    partition_graph,
+)
 from repro.obs import LATENCY_BUCKETS_MS
 from repro.serve.schema import (
     ServeError,
@@ -265,7 +269,7 @@ class ReproServer:
             method=req.method,
             seed=req.seed,
             # only methods with independent randomized work take the pool
-            n_jobs=self.n_jobs if req.method in ("gp", "evolve") else 1,
+            n_jobs=self.n_jobs if req.method in _JOBS_METHODS else 1,
         )
         return result_payload(req, result)
 

@@ -376,8 +376,6 @@ class TestEndToEnd:
     def test_gpconfig_validates(self):
         with pytest.raises(PartitionError, match="conn_format"):
             GPConfig(conn_format="csr")
-        with pytest.raises(PartitionError, match="local_refine_from"):
-            GPConfig(local_refine_from=0)
 
 
 # --------------------------------------------------------------------- #

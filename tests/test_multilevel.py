@@ -1,0 +1,249 @@
+"""Driver corpus for the one multilevel driver
+(``repro.partition.multilevel``).
+
+``gp_partition``, ``hyper_partition`` and ``mr_gp_partition`` are thin
+wrappers that build an engine adapter (``repro.partition.engine``) and run
+the same cycle worker and driver.  Every case below pins the returned
+partition by a fingerprint: the first 16 hex digits of the sha256 of
+``assign.tobytes()`` (int64) plus the ``(total_violation,
+bandwidth_violation, resource_violation, cut)`` tuple.
+
+* **Scalar GP** — each config variant runs on a feasible instance (first
+  cycle wins) and on an infeasible one that uses every cycle.  The
+  expected values were recorded with the three hand-written pipeline
+  loops the driver replaced, so they prove scalar GP bit-identical.
+* **Hypergraph GP, first cycle feasible** — recorded the same way.  The
+  driver draws four seeds per cycle where the hypergraph loop drew three;
+  the first three of four equal the three, so a run that stops after its
+  first cycle is bit-identical.
+* **Hypergraph GP over several cycles** and **vector GP** — pinned to the
+  driver's own values.  Later cycles of a hypergraph run draw from the
+  four-seed stream, so they differ from the old loop's.  Vector GP now
+  takes its per-level FM seeds from the shared uncoarsening stream (one
+  candidate per level) instead of one pre-spawned seed per level; it
+  makes the same FM calls, but with other seeds.
+
+``n_jobs`` races the cycles of all three engines through one
+``parallel_map`` call; the result and ``info`` must not depend on it
+(worker count from ``REPRO_TEST_JOBS``, default 2).
+"""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+
+from repro.graph import multicast_network, random_process_network
+from repro.hypergraph import HGraph
+from repro.hypergraph.partition import HyperConfig, hyper_partition
+from repro.partition import coarsen
+from repro.partition.gp import GPConfig, gp_partition
+from repro.partition.metrics import ConstraintSpec
+from repro.partition.multires import VectorConstraints, mr_gp_partition
+from repro.util.errors import PartitionError
+
+N_JOBS = int(os.environ.get("REPRO_TEST_JOBS", "2"))
+K = 4
+SEED = 3
+
+
+def fingerprint(res):
+    m = res.metrics
+    digest = hashlib.sha256(
+        np.asarray(res.assign, dtype=np.int64).tobytes()
+    ).hexdigest()[:16]
+    return digest, (
+        m.total_violation, m.bandwidth_violation, m.resource_violation, m.cut,
+    )
+
+
+def _graph():
+    return random_process_network(120, 260, seed=11, node_weight_range=(1, 9))
+
+
+def _rmax(total):
+    return float(round(1.15 * total / K))
+
+
+# --------------------------------------------------------------------- #
+# scalar GP
+# --------------------------------------------------------------------- #
+SCALAR_CONFIGS = {
+    "default": {},
+    "vcycles": {"vcycles": 1},
+    "fm+flow": {"refine": "fm+flow"},
+    "flow": {"refine": "flow"},
+    "hem": {"matchings": ("hem",)},
+    "sparse": {"conn_format": "sparse"},
+    "one-candidate": {"level_candidates": 1},
+}
+#: bmax 40 is met in the first cycle; bmax 22 is missed by every cycle
+SCALAR_BMAX = {"feasible": 40.0, "infeasible": 22.0}
+
+
+def run_scalar(config: str, instance: str, n_jobs=1):
+    g = _graph()
+    cons = ConstraintSpec(
+        bmax=SCALAR_BMAX[instance], rmax=_rmax(g.total_node_weight)
+    )
+    cfg = GPConfig(coarsen_to=30, max_cycles=3, **SCALAR_CONFIGS[config])
+    return gp_partition(g, K, cons, cfg, seed=SEED, n_jobs=n_jobs)
+
+
+SCALAR_EXPECTED = {
+    ('default', 'feasible'): ('5d1204517dc79a1a', (0.0, 0.0, 0.0, 121.0)),
+    ('default', 'infeasible'): ('dc754bc923f558db', (8.0, 8.0, 0.0, 126.0)),
+    ('flow', 'feasible'): ('5c941f33d6b4c426', (0.0, 0.0, 0.0, 117.0)),
+    ('flow', 'infeasible'): ('5d1204517dc79a1a', (9.0, 9.0, 0.0, 121.0)),
+    ('fm+flow', 'feasible'): ('5c941f33d6b4c426', (0.0, 0.0, 0.0, 117.0)),
+    ('fm+flow', 'infeasible'): ('dc754bc923f558db', (8.0, 8.0, 0.0, 126.0)),
+    ('hem', 'feasible'): ('5d507483bb5b538a', (0.0, 0.0, 0.0, 121.0)),
+    ('hem', 'infeasible'): ('1a617238acbbe584', (7.0, 7.0, 0.0, 125.0)),
+    ('one-candidate', 'feasible'): ('5d1204517dc79a1a', (0.0, 0.0, 0.0, 121.0)),
+    ('one-candidate', 'infeasible'): ('dc754bc923f558db', (8.0, 8.0, 0.0, 126.0)),
+    ('sparse', 'feasible'): ('5d1204517dc79a1a', (0.0, 0.0, 0.0, 121.0)),
+    ('sparse', 'infeasible'): ('dc754bc923f558db', (8.0, 8.0, 0.0, 126.0)),
+    ('vcycles', 'feasible'): ('5d1204517dc79a1a', (0.0, 0.0, 0.0, 121.0)),
+    ('vcycles', 'infeasible'): ('ebf516d0324b080f', (6.0, 6.0, 0.0, 131.0)),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(SCALAR_BMAX))
+@pytest.mark.parametrize("config", sorted(SCALAR_CONFIGS))
+def test_scalar_gp_pinned(config, instance):
+    res = run_scalar(config, instance)
+    assert res.info["cycles"] == (1 if instance == "feasible" else 3)
+    assert fingerprint(res) == SCALAR_EXPECTED[config, instance]
+
+
+# --------------------------------------------------------------------- #
+# hypergraph GP
+# --------------------------------------------------------------------- #
+def hyper_instance(name: str):
+    if name == "lift":
+        g = _graph()
+        return HGraph.from_wgraph(g), ConstraintSpec(
+            bmax=40.0, rmax=_rmax(g.total_node_weight)
+        )
+    i = int(name[-1])
+    hg = multicast_network(60, i, fanout=4)
+    bmax = 0.0 if name.startswith("tight") else 60.0
+    return hg, ConstraintSpec(
+        bmax=bmax, rmax=_rmax(float(hg.node_weights.sum()))
+    )
+
+
+def run_hyper(name: str, **kwargs):
+    hg, cons = hyper_instance(name)
+    cfg = HyperConfig(coarsen_to=20, max_cycles=3)
+    return hyper_partition(hg, K, cons, cfg, seed=SEED, **kwargs)
+
+
+HYPER_FIRST_CYCLE = ("multicast0", "multicast1", "multicast2", "lift")
+HYPER_FIRST_CYCLE_EXPECTED = {
+    'multicast0': ('5d5d668b69960293', (0.0, 0.0, 0.0, 132.0)),
+    'multicast1': ('677a1c3ae3d113cb', (0.0, 0.0, 0.0, 105.0)),
+    'multicast2': ('c04c8e3e3a8fd5f0', (0.0, 0.0, 0.0, 124.0)),
+    'lift': ('5b15bbebc72b45a6', (0.0, 0.0, 0.0, 134.0)),
+}
+
+
+@pytest.mark.parametrize("name", HYPER_FIRST_CYCLE)
+def test_hyper_first_cycle_pinned(name):
+    res = run_hyper(name)
+    assert res.info["cycles"] == 1
+    assert fingerprint(res) == HYPER_FIRST_CYCLE_EXPECTED[name]
+
+
+# --------------------------------------------------------------------- #
+# tests that need the driver (not runnable against the old loops)
+# --------------------------------------------------------------------- #
+HYPER_MULTI_CYCLE_EXPECTED = {
+    'tight0': ('44b7dd95e115090f', (132.0, 132.0, 0.0, 132.0)),
+    'tight1': ('72f5d023e1b45fdb', (116.0, 116.0, 0.0, 116.0)),
+}
+
+
+@pytest.mark.parametrize("name", ["tight0", "tight1"])
+def test_hyper_multi_cycle_pinned(name):
+    """Pinned to the driver: cycles 2+ draw from the four-seed stream."""
+    res = run_hyper(name)
+    assert res.info["cycles"] == 3
+    assert fingerprint(res) == HYPER_MULTI_CYCLE_EXPECTED[name]
+
+
+VECTOR_BMAX = {"feasible": 40.0, "infeasible": 0.0}
+
+
+def run_vector(instance: str, n_jobs=1):
+    g = _graph()
+    w = np.random.default_rng(4).integers(1, 10, size=(g.n, 2)).astype(float)
+    cons = VectorConstraints(
+        bmax=VECTOR_BMAX[instance],
+        rmax=tuple(float(round(1.2 * c / K)) for c in w.sum(axis=0)),
+    )
+    return mr_gp_partition(
+        g, w, K, cons, coarsen_to=30, max_cycles=3, seed=SEED,
+        n_jobs=n_jobs, cache=False,
+    )
+
+
+VECTOR_EXPECTED = {
+    'feasible': ('3d7bc8f4923e565c', (0.0, 0.0, 0.0, 128.0)),
+    'infeasible': ('4cc17ae32ff02bdf', (128.0, 128.0, 0.0, 128.0)),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(VECTOR_BMAX))
+def test_vector_gp_pinned(instance):
+    """Pinned to the driver: per-level FM seeds come from the shared
+    uncoarsening stream, so the values differ from the old vector loop."""
+    res = run_vector(instance)
+    assert res.info["cycles"] == (1 if instance == "feasible" else 3)
+    assert fingerprint(res) == VECTOR_EXPECTED[instance]
+
+
+@pytest.mark.parametrize("engine", ["graph", "hypergraph", "vector"])
+def test_n_jobs_identical(engine):
+    run = {
+        "graph": lambda n_jobs: run_scalar("default", "infeasible", n_jobs),
+        "hypergraph": lambda n_jobs: run_hyper("tight0", n_jobs=n_jobs),
+        "vector": lambda n_jobs: run_vector("infeasible", n_jobs),
+    }[engine]
+    serial, parallel = run(1), run(N_JOBS)
+    assert np.array_equal(serial.assign, parallel.assign)
+    assert serial.info == parallel.info
+    assert fingerprint(serial) == fingerprint(parallel)
+
+
+class TestValidation:
+    def test_vector_max_cycles_zero(self):
+        g = _graph()
+        w = np.ones((g.n, 1))
+        cons = VectorConstraints(bmax=40.0, rmax=(60.0,))
+        with pytest.raises(PartitionError, match="max_cycles"):
+            mr_gp_partition(g, w, K, cons, max_cycles=0)
+
+    @pytest.mark.parametrize("coarsen_to", [0, -5])
+    def test_vector_coarsen_to(self, coarsen_to):
+        g = _graph()
+        w = np.ones((g.n, 1))
+        cons = VectorConstraints(bmax=40.0, rmax=(60.0,))
+        with pytest.raises(PartitionError, match="coarsen_to"):
+            mr_gp_partition(g, w, K, cons, coarsen_to=coarsen_to)
+
+    def test_unknown_matching_rejected_by_config(self):
+        with pytest.raises(PartitionError, match="bogus"):
+            GPConfig(matchings=("bogus",))
+
+
+def test_uncontracted_nodes_are_merged_parents_children(monkeypatch):
+    g = _graph()
+    hier = coarsen.build_hierarchy(g, coarsen_to=30, seed=0)
+    assert hier.uncontracted_nodes(1) is None  # below the locality size
+    monkeypatch.setattr(coarsen, "LOCAL_REFINE_FROM", 1)
+    seeds = hier.uncontracted_nodes(1)
+    node_map = hier.levels[1].node_map
+    merged = [u for u in range(g.n) if (node_map == node_map[u]).sum() >= 2]
+    assert seeds.tolist() == merged

@@ -17,21 +17,21 @@ class TestRebalancePass:
         g = random_process_network(30, 60, seed=0, node_weight_range=(1, 4))
         a = np.zeros(30, dtype=np.int64)  # everything in part 0
         cap = 1.1 * g.total_node_weight / 3
-        out = rebalance_pass(g, a, 3, cap, seed=0)
+        out = rebalance_pass(g, a, 3, cap)
         assert part_weights(g, out, 3).max() <= cap
 
     def test_balanced_input_untouched(self):
         g = random_process_network(12, 24, seed=1, node_weight_range=(1, 3))
         a = np.arange(12) % 4
         cap = part_weights(g, a, 4).max()
-        out = rebalance_pass(g, a, 4, cap, seed=0)
+        out = rebalance_pass(g, a, 4, cap)
         assert np.array_equal(out, a)
 
     def test_gives_up_gracefully_on_impossible_cap(self):
         """A node heavier than the cap cannot be placed anywhere: the pass
         must terminate and return a best effort, not loop."""
         g = WGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], node_weights=[100, 1, 1])
-        out = rebalance_pass(g, np.zeros(3, dtype=np.int64), 2, 50.0, seed=0)
+        out = rebalance_pass(g, np.zeros(3, dtype=np.int64), 2, 50.0)
         assert out.shape == (3,)
 
     def test_prefers_low_cut_damage(self):
@@ -44,7 +44,7 @@ class TestRebalancePass:
             node_weights=[10, 10, 10],
         )
         a = np.zeros(3, dtype=np.int64)
-        out = rebalance_pass(g, a, 2, 25.0, seed=0)
+        out = rebalance_pass(g, a, 2, 25.0)
         # node 2 (cheap to cut) must be the evicted one
         assert out[2] == 1 and out[1] == 0 and out[0] == 0
         assert cut_value(g, out) == 1.0
@@ -63,7 +63,7 @@ class TestRebalancePass:
         a = np.zeros(n, dtype=np.int64)
         cap = g.total_node_weight / 2
         start = time.perf_counter()
-        out = rebalance_pass(g, a, 2, cap, seed=0)
+        out = rebalance_pass(g, a, 2, cap)
         elapsed = time.perf_counter() - start
         assert part_weights(g, out, 2).max() <= cap
         assert elapsed < 10.0, f"star-graph rebalance took {elapsed:.1f}s"
@@ -79,7 +79,7 @@ class TestRebalancePass:
         a = np.zeros(40, dtype=np.int64)
         cap = 1.05 * g.total_node_weight / 4
         state = RefinementState(g, a, 4)
-        out = rebalance_pass(g, a, 4, cap, seed=0, state=state)
+        out = rebalance_pass(g, a, 4, cap, state=state)
         assert state.epoch <= 40
         assert part_weights(g, out, 4).max() <= cap + 1e-9
 
@@ -95,5 +95,5 @@ class TestRebalancePass:
             w = part_weights(g, assign, 3)
             return float(np.maximum(w - cap, 0).sum())
 
-        out = rebalance_pass(g, a, 3, cap, seed=seed)
+        out = rebalance_pass(g, a, 3, cap)
         assert overflow(out) <= overflow(a) + 1e-9

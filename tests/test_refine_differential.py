@@ -132,7 +132,7 @@ class TestRebalanceDifferential:
         g = random_process_network(30, 60, seed=s, node_weight_range=(1, 4))
         a = np.zeros(30, dtype=np.int64)
         cap = 1.15 * g.total_node_weight / 3
-        out = rebalance_pass(g, a, 3, cap, seed=s)
+        out = rebalance_pass(g, a, 3, cap)
         _check(f"rebal/rpn30/s{s}", g, out, 3, ConstraintSpec(rmax=cap))
 
 
@@ -170,7 +170,7 @@ class TestDeterminism:
         for fn in (
             lambda: constrained_kway_fm(g, a, 3, cons, seed=5),
             lambda: greedy_kway_refine(g, a, 3, seed=5),
-            lambda: rebalance_pass(g, a, 3, 1.1 * g.total_node_weight / 3, seed=5),
+            lambda: rebalance_pass(g, a, 3, 1.1 * g.total_node_weight / 3),
             lambda: fm_refine_bisection(g, np.asarray(a > 1, dtype=np.int64)),
             lambda: kl_bisection(g, seed=5),
         ):

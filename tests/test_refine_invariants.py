@@ -239,7 +239,7 @@ class TestPassesNeverWorsen:
         def overflow(assign):
             return float(np.maximum(part_weights(g, assign, k) - cap, 0.0).sum())
 
-        out = rebalance_pass(g, a, k, cap, seed=seed)
+        out = rebalance_pass(g, a, k, cap)
         assert out.shape == (n,) and out.min() >= 0 and out.max() < k
         assert overflow(out) <= overflow(a) + 1e-9
         # the kmetis rule: no part may be emptied by rebalancing
