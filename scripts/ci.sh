@@ -49,7 +49,12 @@
 # stage 11 runs the million-node-scale track (`repro bench --suite
 # x15_scale`): the sparse connectivity store at k=64 — the dense/sparse
 # footprint ratio is gated (a shrinking ratio past the band exits 3),
-# exercised exactly like stage 10 with a perturbed-copy trip check.
+# exercised exactly like stage 10 with a perturbed-copy trip check;
+# stage 12 runs the repository benchmark's batch workloads (ring1500,
+# tight400, multicast120; perfbench/run.py, 5 s each): each run
+# recomputes every cut and violation independently and checks that
+# repeated calls return identical answers, and the stage fails unless
+# the result line reports "correct": true and "failed": 0.
 #
 # Usage: scripts/ci.sh [extra pytest args passed to stage 1]
 set -euo pipefail
@@ -193,5 +198,20 @@ else
 fi
 rm -f benchmarks/artifacts/BENCH_x15_scale_perturbed.json
 echo "x15 scale gate trips correctly"
+
+echo "== stage 12: repository benchmark correctness (batch workloads) =="
+for w in ring1500 tight400 multicast120; do
+  python3 perfbench/run.py --workload "$w" --seed 0 --seconds 5 \
+    | tail -n 1 \
+    | python -c '
+import json, sys
+w = sys.argv[1]
+doc = json.loads(sys.stdin.read())
+correct, failed = doc.get("correct"), doc.get("failed")
+if correct is not True or failed != 0:
+    sys.exit(f"perfbench {w}: correct={correct} failed={failed}")
+print(f"perfbench {w}: correct, 0 failed")
+' "$w"
+done
 
 echo "CI OK"

@@ -399,11 +399,15 @@ class HyperRefinementState:
         """Best ``(violation_delta, cut_delta, dest)`` for node *u* under
         the graph engine's candidate and tie-breaking rules."""
         src = int(self.assign[u])
-        cu = self.connection_vector(u)
-        escape = bool(self.overloaded_mask(constraints)[src])
         dv, dc = self.move_deltas(u, constraints)
+        dv, dc = dv.tolist(), dc.tolist()
+        if self.overloaded_mask(constraints)[src]:
+            dests = [d for d in range(self.k) if d != src]  # the escape rule
+        else:
+            cu = self.connection_vector(u).tolist()
+            dests = [d for d in range(self.k) if d != src and cu[d] > 0.0]
         return select_best_move(
-            self.k, dv.tolist(), dc.tolist(), cu.tolist(), src, escape
+            [dv[d] for d in dests], [dc[d] for d in dests], dests
         )
 
     def best_moves(

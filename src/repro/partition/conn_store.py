@@ -145,6 +145,25 @@ class DenseConnStore:
         """Node *u*'s dense connectivity column, shape ``(k,)`` (a copy)."""
         return self.conn[:, u].copy()
 
+    def entries(
+        self, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, parts, weights)`` of the positive entries of *nodes*'
+        columns; ``rows`` index into *nodes*, sorted by ``(row, part)``."""
+        cols = self.gather_cols(nodes)
+        rows, parts = np.nonzero(cols > 0.0)
+        return rows, parts, cols[rows, parts]
+
+    def count_entries(self, nodes: np.ndarray) -> int:
+        """Size of :meth:`entries` of *nodes*."""
+        return int(np.count_nonzero(self.gather_cols(nodes) > 0.0))
+
+    def node_entries(self, u: int) -> list[tuple[int, float]]:
+        """:meth:`entries` of the single node *u*, as ``(part, weight)``."""
+        col = self.conn[:, u]
+        nz = (col > 0.0).nonzero()[0]
+        return list(zip(nz.tolist(), col[nz].tolist()))
+
     def gain_pair(self, u: int, src: int, dest: int) -> float:
         return float(self.conn[dest, u] - self.conn[src, u])
 
@@ -264,6 +283,31 @@ class SparseConnStore:
         sl = self._slice(u)
         out[self.parts[sl]] = self.weights[sl]
         return out
+
+    def entries(
+        self, nodes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, parts, weights)`` of the positive entries of *nodes*'
+        slices; ``rows`` index into *nodes*, sorted by ``(row, part)``
+        (slices are unsorted, so this matches the dense store's order)."""
+        rows, flat = _flat_slice_indices(self.indptr[nodes], self.nnz[nodes])
+        live = self.weights[flat] > 0.0  # zero-weight edges stay live
+        rows, flat = rows[live], flat[live]
+        parts = self.parts[flat].astype(np.int64)
+        order = np.lexsort((parts, rows))
+        return rows[order], parts[order], self.weights[flat[order]]
+
+    def count_entries(self, nodes: np.ndarray) -> int:
+        """Upper bound on the size of :meth:`entries` of *nodes* (counts
+        zero-weight live entries too)."""
+        return int(self.nnz[nodes].sum())
+
+    def node_entries(self, u: int) -> list[tuple[int, float]]:
+        """:meth:`entries` of the single node *u*, as ``(part, weight)``."""
+        lo = int(self.indptr[u])
+        hi = lo + int(self.nnz[u])
+        live = zip(self.parts[lo:hi].tolist(), self.weights[lo:hi].tolist())
+        return sorted(e for e in live if e[1] > 0.0)
 
     def gain_pair(self, u: int, src: int, dest: int) -> float:
         sl = self._slice(u)

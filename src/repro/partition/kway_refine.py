@@ -244,16 +244,16 @@ def greedy_kway_refine(
             src = int(st.assign[u])
             if st.part_size[src] <= 1:
                 continue  # kmetis rule: never empty a part
-            cu = st.connection_vector(u)
+            entries = st.conn_entries(u)  # ascending part order
+            cu_src = next((x for p, x in entries if p == src), 0.0)
             w_u = float(g.node_weights[u])
             best_dest, best_gain = -1, _EPS
-            for dest in np.nonzero(cu > 0)[0]:
-                dest = int(dest)
+            for dest, x in entries:
                 if dest == src:
                     continue
                 if st.part_weight[dest] + w_u > max_part_weight:
                     continue
-                gain = float(cu[dest] - cu[src])
+                gain = x - cu_src
                 if gain > best_gain + _EPS:
                     best_dest, best_gain = dest, gain
                 elif (
@@ -433,7 +433,7 @@ def run_constrained_fm(
     # metrics are off.
     rec = _obs.metrics_on()
     engine = type(st).__name__ if rec else ""
-    passes = tried = escape_seeds = 0
+    passes = tried = escape_seeds = revalidations = repushed = 0
     gains: list | None = [] if rec else None
 
     st.clear_trail()
@@ -498,8 +498,8 @@ def run_constrained_fm(
         queue = BucketQueue()
 
         def push_all(nodes: np.ndarray) -> None:
-            # one batched gain evaluation for the whole group; queue order
-            # matches the given node order (FIFO within equal keys)
+            # queue order matches the given node order (FIFO within
+            # equal keys)
             epoch = st.epoch
             for u, mv in zip(nodes, st.best_moves(nodes, constraints)):
                 if mv is not None:
@@ -525,10 +525,12 @@ def run_constrained_fm(
                 continue
             if entry_epoch != st.epoch:
                 # something moved since this entry was computed: revalidate
+                revalidations += 1
                 fresh = st.best_move(u, constraints)
                 if fresh is None:
                     continue
                 if fresh != (dv, dc, dest):
+                    repushed += 1
                     queue.push((fresh[0], fresh[1]), (u, fresh[2], st.epoch))
                     continue
             if dv > _EPS:
@@ -565,6 +567,8 @@ def run_constrained_fm(
         _obs.add("fm.moves_tried", tried, engine=engine)
         _obs.add("fm.moves_kept", kept, engine=engine)
         _obs.add("fm.moves_rolled_back", tried - kept, engine=engine)
+        _obs.add("fm.revalidations", revalidations, engine=engine)
+        _obs.add("fm.repushed", repushed, engine=engine)
         if escape_seeds:
             _obs.add("fm.escape_seeds", escape_seeds, engine=engine)
         if gains:

@@ -34,13 +34,14 @@ Data-structure invariants are documented in ``docs/refinement.md``.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 
 import numpy as np
 
 from repro.graph.wgraph import WGraph
 from repro.obs.memory import note_bytes
-from repro.partition.conn_store import make_conn_store
+from repro.partition.conn_store import _flat_slice_indices, make_conn_store
 from repro.partition.metrics import (
     ConstraintSpec,
     PartitionMetrics,
@@ -55,14 +56,6 @@ __all__ = [
     "constrained_key",
     "metrics_from_matrices",
 ]
-
-_EPS = 1e-12
-
-#: Chunk bound for the batched (nb, k, k) bandwidth-delta tensor: batches
-#: beyond this many cells are processed in row-chunks (rows independent ⇒
-#: floats identical), capping that tensor near 32 MB instead of letting a
-#: 100k-node boundary at k=64 allocate gigabytes transiently.
-_BATCH_TENSOR_CELLS = 4_000_000
 
 
 def constrained_key(
@@ -116,30 +109,80 @@ def metrics_from_matrices(
 
 
 def select_best_move(
-    k: int,
-    dv_row: list[float],
-    dc_row: list[float],
-    cu_row: list[float],
-    src: int,
-    escape: bool,
+    dv: list[float], dc: list[float], dests: list[int]
 ) -> tuple[float, float, int] | None:
-    """Min ``(dv, dc, dest)`` over one node's candidate destinations.
+    """Min ``(dv[i], dc[i], dests[i])`` — one node's best move.
 
-    Candidates are the parts the node already connects to (``cu_row > 0``),
-    widened to every part when *escape* is set (the over-``Rmax`` rule).
-    Shared by the graph engine and the hypergraph Φ engine so both pick
-    moves under exactly the same lexicographic tie-breaking.
+    *dests* are the candidate destinations (never the node's own part),
+    *dv*/*dc* their deltas in the same order.  Shared by the graph engine
+    and the hypergraph Φ engine so both pick moves under exactly the same
+    lexicographic tie-breaking.  ``None`` when there is no candidate.
     """
-    best = None
-    for dest in range(k):
-        if dest == src:
-            continue
-        if not escape and cu_row[dest] <= 0.0:
-            continue
-        key = (dv_row[dest], dc_row[dest], dest)
-        if best is None or key < best:
-            best = key
-    return best
+    return min(zip(dv, dc, dests), default=None)
+
+
+#: :meth:`RefinementState.best_moves` scores a batch with one numpy pass
+#: from this many live connectivity entries on; below it, a Python loop
+#: per node is cheaper than the pass's fixed cost (nodes on a
+#: bounded-degree graph touch few parts, so neighbour batches rarely
+#: reach it).
+_VECTOR_MIN_ENTRIES = 32
+
+
+def _node_bandwidth_deltas(
+    view: "_EpochView",
+    src: int,
+    cu_src: float,
+    dests: list[int],
+    cus: list[float],
+    bmax: float,
+) -> list[float]:
+    """One node's :meth:`RefinementState._bandwidth_deltas`, in Python
+    floats, term for term."""
+    bsrc = view.bw_row(src)
+    shed = []
+    for c, x in zip(dests, cus):
+        t, o = bsrc[c] - x - bmax, bsrc[c] - bmax
+        shed.append((t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0))
+    total = 0.0
+    for v in shed:
+        total += v
+    out = []
+    for i, d in enumerate(dests):
+        bd = view.bw_row(d)
+        add = 0.0
+        for c, x in zip(dests, cus):
+            if c != d:
+                t, o = bd[c] + x - bmax, bd[c] - bmax
+                add += (t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)
+        t, o = bsrc[d] - cus[i] + cu_src - bmax, bsrc[d] - bmax
+        sd = (t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)
+        out.append(((total - shed[i]) + add) + sd)
+    return out
+
+
+class _EpochView:
+    """Python-float copies of what the per-node evaluator reads, valid for
+    one ``(epoch, constraints)`` pair: nothing moves between two
+    evaluations at one epoch, so the overloaded-part mask, the part
+    weights and each bandwidth row are converted once per move instead of
+    once per node."""
+
+    __slots__ = ("epoch", "constraints", "over", "pw", "_bw", "_rows")
+
+    def __init__(self, state: "RefinementState", constraints) -> None:
+        self.epoch = state.epoch
+        self.constraints = constraints
+        self.over = state.overloaded_mask(constraints).tolist()
+        self.pw = state.part_weight.tolist()
+        self._bw = state.bw
+        self._rows: dict[int, list[float]] = {}
+
+    def bw_row(self, p: int) -> list[float]:
+        row = self._rows.get(p)
+        if row is None:
+            row = self._rows[p] = self._bw[p].tolist()
+        return row
 
 
 class BucketQueue:
@@ -223,6 +266,7 @@ class RefinementState:
         "_iu",
         "_epoch",
         "_relu_cache",
+        "_view_cache",
     )
 
     def __init__(
@@ -267,6 +311,7 @@ class RefinementState:
         self._iu = np.triu_indices(self.k, k=1)
         self._epoch = 0  # bumped on every move; keys the relu cache
         self._relu_cache: tuple[int, float, np.ndarray] | None = None
+        self._view_cache: _EpochView | None = None
 
     # ------------------------------------------------------------------ #
     # queries
@@ -304,6 +349,11 @@ class RefinementState:
     def connection_vector(self, u: int) -> np.ndarray:
         """Weight of *u*'s edges into each part, shape ``(k,)`` (a copy)."""
         return self._store.col(u)
+
+    def conn_entries(self, u: int) -> list[tuple[int, float]]:
+        """``(part, weight)`` for every part *u* has positive-weight edges
+        into, in ascending part order — O(deg), independent of k."""
+        return self._store.node_entries(u)
 
     def conn_at(self, parts: np.ndarray) -> np.ndarray:
         """``out[i] = conn[parts[i], i]`` — one weight gather per node.
@@ -467,14 +517,15 @@ class RefinementState:
         out._iu = self._iu
         out._epoch = 0
         out._relu_cache = None
+        out._view_cache = None
         return out
 
     # ------------------------------------------------------------------ #
-    # vectorized move evaluation
+    # move evaluation
     # ------------------------------------------------------------------ #
     def _relu_bw(self, bmax: float) -> np.ndarray:
         """``max(bw - bmax, 0)``, cached per move epoch (bw is fixed between
-        moves, and gain evaluation asks for this for every candidate node)."""
+        moves, and every evaluation in between reads it)."""
         cached = self._relu_cache
         if cached is not None and cached[0] == self._epoch and cached[1] == bmax:
             return cached[2]
@@ -482,29 +533,81 @@ class RefinementState:
         self._relu_cache = (self._epoch, bmax, relu)
         return relu
 
+    def _view(self, constraints) -> _EpochView:
+        view = self._view_cache
+        if (
+            view is None
+            or view.epoch != self._epoch
+            or (view.constraints is not constraints
+                and view.constraints != constraints)
+        ):
+            view = self._view_cache = _EpochView(self, constraints)
+        return view
+
+    def _resource_deltas(
+        self,
+        nodes: np.ndarray,
+        srcs: np.ndarray,
+        rows: np.ndarray,
+        dests: np.ndarray,
+        constraints,
+    ) -> np.ndarray | None:
+        """Resource-violation delta of moving ``nodes[rows[i]]`` from its
+        part ``srcs[rows[i]]`` to ``dests[i]``, for every *i*; ``None``
+        when resources are unconstrained.
+
+        The evaluator's per-destination hook: the vector-resource state
+        overrides it with the componentwise load term and inherits
+        everything else.
+        """
+        rmax = constraints.rmax
+        if not math.isfinite(rmax):
+            return None
+        pw = self.part_weight
+        w = self.g.node_weights[nodes]
+        ps = pw[srcs]
+        shed = np.maximum(ps - w - rmax, 0.0) - np.maximum(ps - rmax, 0.0)
+        pd = pw[dests]
+        return shed[rows] + (
+            np.maximum(pd + w[rows] - rmax, 0.0) - np.maximum(pd - rmax, 0.0)
+        )
+
+    def _node_resource_deltas(
+        self, u: int, src: int, dests: list[int], constraints, view
+    ) -> list[float] | None:
+        """:meth:`_resource_deltas` of the single node *u*, in Python
+        floats, term for term (the second half of the hook)."""
+        rmax = constraints.rmax
+        if not math.isfinite(rmax):
+            return None
+        pw = view.pw
+        w_u = float(self.g.node_weights[u])
+        shed = max(pw[src] - w_u - rmax, 0.0) - max(pw[src] - rmax, 0.0)
+        out = []
+        for d in dests:
+            t, o = pw[d] + w_u - rmax, pw[d] - rmax
+            out.append(shed + ((t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)))
+        return out
+
     def move_deltas(
         self, u: int, constraints: ConstraintSpec
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(violation_delta, cut_delta)`` of moving *u* to every part.
 
         Shape ``(k,)`` each; entries at ``assign[u]`` are zero.  Negative
-        values are improvements.  O(k²) numpy, no Python loop over parts.
-        The arithmetic mirrors :meth:`move_deltas_batch` expression for
-        expression so single-node revalidation reproduces batch-computed
-        keys bit for bit.
+        values are improvements.  O(k²) numpy over the whole row — the
+        escape path of :meth:`best_moves`, and the reference the tests
+        hold the degree-local evaluator to.
         """
         src = int(self.assign[u])
         cu = self._store.col(u)
         k = self.k
-        dv = np.zeros(k, dtype=np.float64)
-        rmax, bmax = constraints.rmax, constraints.bmax
-        pw = self.part_weight
-        if np.isfinite(rmax):
-            w_u = float(self.g.node_weights[u])
-            shed = max(0.0, pw[src] - w_u - rmax) - max(0.0, pw[src] - rmax)
-            dv += shed + (
-                np.maximum(pw + w_u - rmax, 0.0) - np.maximum(pw - rmax, 0.0)
-            )
+        res = self._resource_deltas(
+            np.array([u]), np.array([src]), np.zeros(k, dtype=np.int64),
+            np.arange(k), constraints,
+        )
+        dv = np.zeros(k) if res is None else res
+        bmax = constraints.bmax
         if np.isfinite(bmax):
             relu_bw = self._relu_bw(bmax)
             bws = self.bw[src]
@@ -524,85 +627,6 @@ class RefinementState:
         dc[src] = 0.0
         return dv, dc
 
-    def move_deltas_batch(
-        self, nodes: np.ndarray, constraints: ConstraintSpec
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`move_deltas`: ``(dv, dc)`` of shape ``(len(nodes),
-        k)`` in one tensor evaluation.
-
-        Amortises numpy dispatch overhead across a whole neighbourhood (or
-        the whole boundary): ~15 array operations for the batch instead of
-        ~15 per node.  Expression structure matches :meth:`move_deltas`
-        element for element, so the two produce identical floats.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        nb = nodes.size
-        k = self.k
-        # the bandwidth branch builds an (nb, k, k) tensor; rows are
-        # independent, so chunking the batch reproduces the unchunked
-        # floats exactly while bounding peak memory at scale.  The
-        # unbound call skips subclass overrides — their extra terms are
-        # added once, after this returns.
-        if nb * k * k > _BATCH_TENSOR_CELLS and np.isfinite(constraints.bmax):
-            step = max(1, _BATCH_TENSOR_CELLS // (k * k))
-            chunks = [
-                RefinementState.move_deltas_batch(
-                    self, nodes[i : i + step], constraints
-                )
-                for i in range(0, nb, step)
-            ]
-            return (
-                np.concatenate([c[0] for c in chunks]),
-                np.concatenate([c[1] for c in chunks]),
-            )
-        srcs = self.assign[nodes]
-        rows = np.arange(nb)
-        cu_b = self._store.gather_cols(nodes)  # (nb, k) contiguous gather
-        cu_src = cu_b[rows, srcs]
-        dv = np.zeros((nb, k), dtype=np.float64)
-        rmax, bmax = constraints.rmax, constraints.bmax
-        pw = self.part_weight
-        if np.isfinite(rmax):
-            w_b = self.g.node_weights[nodes]
-            pw_src = pw[srcs]
-            shed = np.maximum(pw_src - w_b - rmax, 0.0) - np.maximum(
-                pw_src - rmax, 0.0
-            )
-            dv += shed[:, None] + (
-                np.maximum(pw[None, :] + w_b[:, None] - rmax, 0.0)
-                - np.maximum(pw - rmax, 0.0)[None, :]
-            )
-        if np.isfinite(bmax):
-            relu_bw = self._relu_bw(bmax)
-            bws = self.bw[srcs]  # (nb, k)
-            relu_src = relu_bw[srcs]  # == max(bws - bmax, 0), pre-reduced
-            t = bws - cu_b
-            shed_c = np.maximum(t - bmax, 0.0) - relu_src
-            shed_c[rows, srcs] = 0.0
-            add = np.maximum(
-                self.bw[None, :, :] + cu_b[:, None, :] - bmax, 0.0
-            ) - relu_bw[None, :, :]
-            add[rows, :, srcs] = 0.0
-            diag = np.arange(k)
-            add_d = add.sum(axis=2) - add[:, diag, diag]
-            sd = np.maximum(t + cu_src[:, None] - bmax, 0.0) - relu_src
-            dv += (shed_c.sum(axis=1)[:, None] - shed_c) + add_d + sd
-        dc = cu_src[:, None] - cu_b
-        dv[rows, srcs] = 0.0
-        dc[rows, srcs] = 0.0
-        return dv, dc
-
-    def _select_best(
-        self,
-        dv_row: list[float],
-        dc_row: list[float],
-        cu_row: list[float],
-        src: int,
-        escape: bool,
-    ) -> tuple[float, float, int] | None:
-        """Min ``(dv, dc, dest)`` over the candidate destinations of one node."""
-        return select_best_move(self.k, dv_row, dc_row, cu_row, src, escape)
-
     def best_move(
         self, u: int, constraints: ConstraintSpec
     ) -> tuple[float, float, int] | None:
@@ -613,32 +637,143 @@ class RefinementState:
         escape rule).  Ties break lexicographically, last on the smallest
         part id.  Returns ``None`` when no candidate exists.
         """
+        u = int(u)
         src = int(self.assign[u])
-        cu = self._store.col(u)
-        escape = bool(self.overloaded_mask(constraints)[src])
-        dv, dc = self.move_deltas(u, constraints)
-        return self._select_best(
-            dv.tolist(), dc.tolist(), cu.tolist(), src, escape
-        )
+        view = self._view(constraints)
+        if view.over[src]:
+            return self._escape_move(u, src, constraints)
+        return self._node_move(u, src, constraints, view)
 
     def best_moves(
         self, nodes: np.ndarray, constraints: ConstraintSpec
     ) -> list[tuple[float, float, int] | None]:
-        """Batched :meth:`best_move` over *nodes* (order preserved)."""
+        """:meth:`best_move` over *nodes* (order preserved).
+
+        The degree-local evaluator: every violation and cut term of a part
+        a node does not touch is exactly zero, so only the nodes' live
+        connectivity entries are scored — one numpy pass over O(Σ deg)
+        entries and O(Σ deg²) bandwidth pairs, never a ``(k,)`` row per
+        node.  Escape nodes score all k parts through :meth:`move_deltas`.
+        """
         nodes = np.asarray(nodes, dtype=np.int64)
+        out: list = [None] * nodes.size
         if nodes.size == 0:
-            return []
-        dv, dc = self.move_deltas_batch(nodes, constraints)
+            return out
         srcs = self.assign[nodes]
         escape = self.overloaded_mask(constraints)[srcs]
-        cu_b = self._store.gather_cols(nodes)
-        dv_l, dc_l, cu_l = dv.tolist(), dc.tolist(), cu_b.tolist()
-        return [
-            self._select_best(
-                dv_l[i], dc_l[i], cu_l[i], int(srcs[i]), bool(escape[i])
-            )
-            for i in range(nodes.size)
-        ]
+        for i in np.flatnonzero(escape).tolist():
+            out[i] = self._escape_move(int(nodes[i]), int(srcs[i]), constraints)
+        if self._store.count_entries(nodes) < _VECTOR_MIN_ENTRIES:
+            view = self._view(constraints)
+            for i, (u, src) in enumerate(zip(nodes.tolist(), srcs.tolist())):
+                if not view.over[src]:
+                    out[i] = self._node_move(u, src, constraints, view)
+            return out
+        rows, parts, ws = self._store.entries(nodes)
+        own = parts == srcs[rows]
+        cu_src = np.zeros(nodes.size)
+        cu_src[rows[own]] = ws[own]
+        cand = ~own & ~escape[rows]
+        r, d, x = rows[cand], parts[cand], ws[cand]
+        if r.size == 0:
+            return out
+        dv, dc = self._candidate_deltas(nodes, srcs, cu_src, r, d, x, constraints)
+        # per node, the lexicographic min of (dv, dc, dest)
+        order = np.lexsort((d, dc, dv, r))
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = r[order[1:]] != r[order[:-1]]
+        pick = order[head]
+        for i, a, b, c in zip(
+            r[pick].tolist(), dv[pick].tolist(), dc[pick].tolist(),
+            d[pick].tolist(),
+        ):
+            out[i] = (a, b, c)
+        return out
+
+    def _escape_move(self, u: int, src: int, constraints) -> tuple | None:
+        """The escape rule: every part but *src* is a candidate."""
+        dests = [d for d in range(self.k) if d != src]
+        dv, dc = self.move_deltas(u, constraints)
+        return select_best_move(dv[dests].tolist(), dc[dests].tolist(), dests)
+
+    def _node_move(
+        self, u: int, src: int, constraints, view: _EpochView
+    ) -> tuple[float, float, int] | None:
+        """Best move of the single node *u* among the parts it touches —
+        the Python-float twin of :meth:`_candidate_deltas` plus the
+        selection, for calls too small to pay a numpy pass."""
+        cu_src, dests, cus = 0.0, [], []
+        for p, x in self._store.node_entries(u):
+            if p == src:
+                cu_src = x
+            else:
+                dests.append(p)
+                cus.append(x)
+        if not dests:
+            return None
+        dv = self._node_resource_deltas(u, src, dests, constraints, view)
+        if dv is None:
+            dv = [0.0] * len(dests)
+        bmax = constraints.bmax
+        if math.isfinite(bmax):
+            bw = _node_bandwidth_deltas(view, src, cu_src, dests, cus, bmax)
+            dv = [a + b for a, b in zip(dv, bw)]
+        return select_best_move(dv, [cu_src - x for x in cus], dests)
+
+    def _candidate_deltas(
+        self,
+        nodes: np.ndarray,
+        srcs: np.ndarray,
+        cu_src: np.ndarray,
+        r: np.ndarray,
+        d: np.ndarray,
+        x: np.ndarray,
+        constraints,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(dv, dc)`` of moving ``nodes[r[i]]`` to the part ``d[i]`` it
+        touches with weight ``x[i]``; ``cu_src`` is each node's weight into
+        its own part.  *r* is ascending, so a node's candidates are
+        contiguous."""
+        dv = self._resource_deltas(nodes, srcs, r, d, constraints)
+        if dv is None:
+            dv = np.zeros(r.size)
+        bmax = constraints.bmax
+        if math.isfinite(bmax):
+            dv = dv + self._bandwidth_deltas(srcs, cu_src, r, d, x, bmax)
+        return dv, cu_src[r] - x
+
+    def _bandwidth_deltas(
+        self,
+        srcs: np.ndarray,
+        cu_src: np.ndarray,
+        r: np.ndarray,
+        d: np.ndarray,
+        x: np.ndarray,
+        bmax: float,
+    ) -> np.ndarray:
+        """Bandwidth-violation part of :meth:`_candidate_deltas`.
+
+        Moving to *d* takes ``x[c]`` off every ``bw[src, c]`` and puts it
+        on every ``bw[d, c]``, and changes ``bw[src, d]`` by
+        ``cu_src - x[d]``; a part the node does not touch changes no
+        entry, so the sums run over the node's candidates only.  Same
+        per-entry expressions as :meth:`move_deltas`.
+        """
+        bw, relu = self.bw, self._relu_bw(bmax)
+        s = srcs[r]
+        shed = np.maximum(bw[s, d] - x - bmax, 0.0) - relu[s, d]
+        total = np.bincount(r, weights=shed, minlength=srcs.size)
+        # every (candidate i, other candidate j of the same node) pair
+        cnt = np.bincount(r, minlength=srcs.size)
+        start = np.cumsum(cnt) - cnt
+        pi, pj = _flat_slice_indices(start[r], cnt[r])
+        other = pi != pj
+        pi, pj = pi[other], pj[other]
+        dd, dc_ = d[pi], d[pj]
+        term = np.maximum(bw[dd, dc_] + x[pj] - bmax, 0.0) - relu[dd, dc_]
+        add = np.bincount(pi, weights=term, minlength=r.size)
+        sd = np.maximum(bw[s, d] - x + cu_src[r] - bmax, 0.0) - relu[s, d]
+        return ((total[r] - shed) + add) + sd
 
     def recompute(self) -> None:
         """Rebuild everything from scratch (tests/debugging only).
@@ -656,6 +791,7 @@ class RefinementState:
         self.bw = fresh.bw
         self._epoch += 1
         self._relu_cache = None
+        self._view_cache = None
         self._trail.clear()
 
     def __repr__(self) -> str:

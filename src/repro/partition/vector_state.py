@@ -19,10 +19,10 @@ engine to that setting:
   driver runs on vector-resource instances unchanged.
 
 The state overrides exactly the pieces the vector objective changes —
-the resource part of the move deltas, the over-budget escape rule, the
-``(violation, cut)`` key and the tracked metrics — and inherits the
-bandwidth-violation arithmetic verbatim, so the bandwidth side of every
-move delta is bit-identical to the scalar engine's.  Invariants are
+the move evaluator's per-destination resource hook, the over-budget
+escape rule, the ``(violation, cut)`` key and the tracked metrics — and
+inherits the move evaluator itself, so the bandwidth side of every move
+delta is the scalar engine's arithmetic.  Invariants are
 pinned by ``tests/test_multires_invariants.py``; the algorithm drivers
 live in :mod:`repro.partition.multires`; see ``docs/multires.md``.
 """
@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.graph.wgraph import WGraph
 from repro.obs.memory import note_bytes
-from repro.partition.metrics import ConstraintSpec
 from repro.partition.refine_state import RefinementState
 from repro.util.errors import PartitionError
 
@@ -201,13 +200,12 @@ class VectorRefinementState(RefinementState):
     O(deg(u) + k) bookkeeping, and rollback undoes it exactly (the load
     update lives inside ``_move``, which the trail replays in reverse).
     The *constraints* object threaded through the FM driver is a
-    :class:`VectorConstraints`; the bandwidth half of every quantity is
-    computed by the parent against a scalar ``ConstraintSpec`` carrying
-    only ``bmax``, so the two engines can never drift on the bandwidth
-    arithmetic.
+    :class:`VectorConstraints`; the parent's evaluator reads only its
+    ``bmax`` and asks :meth:`_resource_deltas` for the resource half, so
+    the two engines can never drift on the bandwidth arithmetic.
     """
 
-    __slots__ = ("weights", "loads", "_rmax_cache", "_bw_spec")
+    __slots__ = ("weights", "loads", "_rmax_cache")
 
     def __init__(
         self,
@@ -224,7 +222,6 @@ class VectorRefinementState(RefinementState):
         np.add.at(loads, self.assign, w)
         self.loads = loads
         self._rmax_cache: tuple[tuple[float, ...], np.ndarray] | None = None
-        self._bw_spec: ConstraintSpec | None = None
 
     @property
     def n_resources(self) -> int:
@@ -246,15 +243,6 @@ class VectorRefinementState(RefinementState):
             cached = (constraints.rmax, arr)
             self._rmax_cache = cached
         return cached[1]
-
-    def _bw_only(self, constraints: VectorConstraints) -> ConstraintSpec:
-        """Scalar spec carrying only ``bmax`` — what the parent's
-        bandwidth-delta arithmetic consumes."""
-        spec = self._bw_spec
-        if spec is None or spec.bmax != constraints.bmax:
-            spec = ConstraintSpec(bmax=constraints.bmax)
-            self._bw_spec = spec
-        return spec
 
     # ------------------------------------------------------------------ #
     # overridden engine surface
@@ -310,62 +298,28 @@ class VectorRefinementState(RefinementState):
             self.loads[dest] += w_u
         return src
 
-    def move_deltas(
-        self, u: int, constraints: VectorConstraints
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(violation_delta, cut_delta)`` of moving *u* to every part.
-
-        The bandwidth part is the parent's vectorized arithmetic verbatim
-        (scalar spec with ``rmax=inf``); the resource part replaces the
-        scalar part-weight ReLU with the componentwise load ReLU summed
-        over resources.
-        """
-        dv, dc = super().move_deltas(u, self._bw_only(constraints))
-        src = int(self.assign[u])
+    def _resource_deltas(self, nodes, srcs, rows, dests, constraints):
+        """The evaluator's resource hook: the componentwise load ReLU
+        summed over resources, in place of the scalar part-weight one."""
         rmax = self._rmax(constraints)
         loads = self.loads
-        w_u = self.weights[u]
-        shed = float(
-            np.maximum(loads[src] - w_u - rmax, 0.0).sum()
-            - np.maximum(loads[src] - rmax, 0.0).sum()
-        )
-        add = (
-            np.maximum(loads + w_u[None, :] - rmax, 0.0)
-            - np.maximum(loads - rmax, 0.0)
-        ).sum(axis=1)
-        dv = dv + shed + add
-        dv[src] = 0.0
-        return dv, dc
-
-    def move_deltas_batch(
-        self, nodes: np.ndarray, constraints: VectorConstraints
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`move_deltas` (shape ``(len(nodes), k)`` each).
-
-        Expression structure matches :meth:`move_deltas` element for
-        element, so the two produce identical floats — the same contract
-        the parent maintains for the scalar engine.
-        """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        dv, dc = super().move_deltas_batch(nodes, self._bw_only(constraints))
-        if nodes.size == 0:
-            return dv, dc
-        srcs = self.assign[nodes]
-        rows = np.arange(nodes.size)
-        rmax = self._rmax(constraints)
-        loads = self.loads
-        w_b = self.weights[nodes]  # (nb, R)
+        w = self.weights[nodes]
+        ls = loads[srcs]
         shed = (
-            np.maximum(loads[srcs] - w_b - rmax, 0.0)
-            - np.maximum(loads[srcs] - rmax, 0.0)
+            np.maximum(ls - w - rmax, 0.0).sum(axis=1)
+            - np.maximum(ls - rmax, 0.0).sum(axis=1)
+        )
+        ld = loads[dests]
+        return shed[rows] + (
+            np.maximum(ld + w[rows] - rmax, 0.0) - np.maximum(ld - rmax, 0.0)
         ).sum(axis=1)
-        add = (
-            np.maximum(loads[None, :, :] + w_b[:, None, :] - rmax, 0.0)
-            - np.maximum(loads - rmax, 0.0)[None, :, :]
-        ).sum(axis=2)
-        dv = dv + shed[:, None] + add
-        dv[rows, srcs] = 0.0
-        return dv, dc
+
+    def _node_resource_deltas(self, u, src, dests, constraints, view):
+        """One node's :meth:`_resource_deltas`, as a list."""
+        return self._resource_deltas(
+            np.array([u]), np.array([src]), np.zeros(len(dests), dtype=np.int64),
+            np.array(dests), constraints,
+        ).tolist()
 
     def copy(self) -> "VectorRefinementState":
         out = super().copy()
@@ -373,7 +327,6 @@ class VectorRefinementState(RefinementState):
         out.weights = self.weights
         out.loads = self.loads.copy()
         out._rmax_cache = None
-        out._bw_spec = None
         return out
 
     def recompute(self) -> None:

@@ -311,6 +311,9 @@ class ReproServer:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/" + __version__
     protocol_version = "HTTP/1.1"
+    # a response goes out as two writes (headers, body); with Nagle on,
+    # the body waits for the client's delayed ACK of the headers (~40 ms)
+    disable_nagle_algorithm = True
 
     # quiet by default: the daemon's stdout is its operational interface
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature

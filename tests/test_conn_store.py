@@ -91,6 +91,12 @@ def _assert_stores_equal(sd: DenseConnStore, ss: SparseConnStore, g, assign):
     np.testing.assert_array_equal(
         sd.gather_cols(nodes), ss.gather_cols(nodes)
     )
+    cols = sd.gather_cols(nodes)
+    positive = np.nonzero(cols > 0)  # (row, part), row-major order
+    for got in (sd.entries(nodes), ss.entries(nodes)):
+        np.testing.assert_array_equal(got[0], positive[0])
+        np.testing.assert_array_equal(got[1], positive[1])
+        np.testing.assert_array_equal(got[2], cols[positive])
     for c in range(sd.k):
         np.testing.assert_array_equal(sd.touching(c), ss.touching(c))
 

@@ -29,7 +29,9 @@ from repro.core.api import partition_graph
 from repro.graph.generators import random_process_network
 from repro.obs.registry import MetricsRegistry
 from repro.partition.gp import GPConfig, gp_partition
+from repro.partition.kway_refine import constrained_kway_fm
 from repro.partition.metrics import ConstraintSpec
+from repro.partition.refine_state import RefinementState
 from repro.util.parallel import parallel_map
 
 N_JOBS = int(os.environ.get("REPRO_TEST_JOBS", "2"))
@@ -427,6 +429,35 @@ class TestParallelMerge:
 # --------------------------------------------------------------------- #
 # serve integration
 # --------------------------------------------------------------------- #
+class TestFMRevalidationCounters:
+    def test_counts_every_stale_pop_and_repush(self):
+        """``fm.revalidations`` equals the FM's single-node ``best_move``
+        calls (it makes one per stale pop and no other); ``fm.repushed``
+        counts the subset whose fresh move went back into the queue."""
+
+        class CountingState(RefinementState):
+            __slots__ = ("calls",)
+
+            def best_move(self, u, constraints):
+                self.calls += 1
+                return super().best_move(u, constraints)
+
+        g = random_process_network(60, 140, seed=3)
+        cons = ConstraintSpec(bmax=0.1 * g.total_edge_weight,
+                              rmax=1.2 * g.total_node_weight / 4)
+        a = np.arange(g.n) % 4
+        st = CountingState(g, a, 4)
+        st.calls = 0
+        with obs.capture(tracing=False) as cap:
+            constrained_kway_fm(g, a, 4, cons, seed=1, state=st)
+        label = (("engine", "CountingState"),)
+        counters = cap.metrics["counters"]
+        revalidations = counters["fm.revalidations"][label]
+        repushed = counters["fm.repushed"][label]
+        assert revalidations == st.calls > 0
+        assert 0 < repushed <= revalidations
+
+
 class TestServeMetrics:
     def test_server_metrics_keep_shape_and_add_library_series(self):
         from repro.serve.server import ReproServer

@@ -10,11 +10,16 @@ Three families:
    equal a from-scratch ``evaluate_partition`` (and a fresh engine build)
    after arbitrary move sequences and after whole passes,
 3. the move trail rewinds exactly (rollback is the inverse of the applied
-   move sequence).
+   move sequence),
+4. the degree-local move evaluator (``best_move``/``best_moves``) picks
+   exactly the move a brute-force scan over full ``move_deltas`` rows
+   picks, on the scalar and the vector-resource state.
 
 Uses ``hypothesis`` for the sweeps (with seeded ``repro.util.rng`` data so
 failures replay deterministically).
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -36,7 +41,9 @@ from repro.partition.metrics import (
     evaluate_partition,
     part_weights,
 )
+from repro.partition import refine_state
 from repro.partition.refine_state import BucketQueue, RefinementState
+from repro.partition.vector_state import VectorConstraints, VectorRefinementState
 from repro.util.errors import PartitionError
 from repro.util.rng import as_rng
 
@@ -123,23 +130,79 @@ class TestStateIncrementalEqualsScratch:
             assert dv[dest] == pytest.approx(v1 - v0, abs=1e-9)
             assert dc[dest] == pytest.approx(c1 - c0, abs=1e-9)
 
-    @given(seed=st.integers(0, 4000))
-    @settings(max_examples=20, deadline=None)
-    def test_batch_deltas_equal_single(self, seed):
-        """move_deltas_batch must reproduce move_deltas bit for bit — the
-        pop-revalidation path relies on exact float equality."""
+
+@contextlib.contextmanager
+def _vector_threshold(value):
+    saved = refine_state._VECTOR_MIN_ENTRIES
+    refine_state._VECTOR_MIN_ENTRIES = value
+    try:
+        yield
+    finally:
+        refine_state._VECTOR_MIN_ENTRIES = saved
+
+
+def _brute_best_move(state, u, cons):
+    """Lexicographic min of ``(dv, dc, dest)`` over full ``move_deltas``
+    rows: the parts *u* connects to, or every part when *u*'s part is
+    over budget (the escape rule)."""
+    src = int(state.assign[u])
+    dv, dc = state.move_deltas(u, cons)
+    if state.overloaded_mask(cons)[src]:
+        cand = range(state.k)
+    else:
+        cand = np.nonzero(state.connection_vector(u) > 0.0)[0]
+    keys = [(float(dv[d]), float(dc[d]), int(d)) for d in cand if d != src]
+    return min(keys) if keys else None
+
+
+class TestDegreeLocalEvaluator:
+    """``best_moves`` scores only the parts a node touches (escape nodes:
+    all parts); it must pick exactly the move a brute-force scan over the
+    full k-wide ``move_deltas`` rows picks.  Integer weights and integer
+    ``bmax`` — the exactness contract."""
+
+    @given(
+        seed=st.integers(0, 4000),
+        conn_format=st.sampled_from(["dense", "sparse"]),
+        vector=st.booleans(),
+        finite_bmax=st.booleans(),
+        escape=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_best_moves_equal_brute_force(
+        self, seed, conn_format, vector, finite_bmax, escape
+    ):
         rng = as_rng(seed)
-        n, k = 16, 4
-        g = random_process_network(n, 32, seed=seed)
-        state = RefinementState(g, rng.integers(0, k, size=n), k)
-        cons = ConstraintSpec(bmax=6.0, rmax=1.1 * g.total_node_weight / k)
-        nodes = rng.choice(n, size=6, replace=False)
-        dv_b, dc_b = state.move_deltas_batch(nodes, cons)
-        for i, u in enumerate(nodes):
-            dv, dc = state.move_deltas(int(u), cons)
-            np.testing.assert_array_equal(dv_b[i], dv)
-            np.testing.assert_array_equal(dc_b[i], dc)
-            assert state.best_moves(nodes, cons)[i] == state.best_move(int(u), cons)
+        n, k = 18, 5
+        g = random_process_network(n, 36, seed=seed)
+        a = rng.integers(0, k, size=n)
+        if escape:
+            a[: n // 2] = 0  # one heavy part, so a cap below its load bites
+        bmax = float(np.ceil(g.total_edge_weight / k)) if finite_bmax else np.inf
+        if vector:
+            w = rng.integers(1, 20, size=(n, 2)).astype(float)
+            state = VectorRefinementState(g, w, a, k, conn_format=conn_format)
+            cap = state.loads.max(axis=0) - 1.0 if escape else 1.3 * w.sum(0) / k
+            cons = VectorConstraints(bmax=bmax, rmax=tuple(cap))
+        else:
+            state = RefinementState(g, a, k, conn_format=conn_format)
+            cap = (
+                state.part_weight.max() - 1.0 if escape
+                else 1.3 * g.total_node_weight / k
+            )
+            cons = ConstraintSpec(bmax=bmax, rmax=cap)
+        if escape:
+            assert state.overloaded_mask(cons).any()
+        for _ in range(3):  # fresh state, then after a few moves
+            nodes = rng.permutation(n)
+            expected = [_brute_best_move(state, int(u), cons) for u in nodes]
+            # best_moves has a per-node loop and a numpy pass: force each
+            for threshold in (0, 10**9):
+                with _vector_threshold(threshold):
+                    assert state.best_moves(nodes, cons) == expected
+            assert [state.best_move(int(u), cons) for u in nodes] == expected
+            for u in rng.choice(n, size=3, replace=False):
+                state.move(int(u), int(rng.integers(0, k)))
 
 
 class TestRollback:

@@ -9,6 +9,9 @@ through the disk store.  The subprocess variant of the same story runs
 in CI (``scripts/serve_smoke.py``).
 """
 
+import http.client
+import json
+import socket
 import threading
 import time
 
@@ -87,8 +90,6 @@ class TestSingleFlight:
 
 class TestParseRequest:
     def _graph_doc(self, n=8, m=14, seed=0):
-        import json
-
         from repro.graph.io import graph_to_json
 
         g = random_process_network(n, m, seed=seed)
@@ -194,6 +195,32 @@ class TestServerEndToEnd:
         # exactly one compute happened
         assert client.metrics()["computes"] == 1
 
+    def test_keepalive_cache_hits_do_not_stall(self, server):
+        """Cache hits over one keep-alive connection answer well under the
+        >= 40 ms a Nagle/delayed-ACK stall adds to every response."""
+        g = random_process_network(30, 60, seed=7)
+        self._client(server).partition(g, k=3, seed=4)  # compute + cache
+        body = json.dumps(
+            {"digest": g.content_digest(), "k": 3, "method": "gp", "seed": 4}
+        ).encode()
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+        conn.connect()
+        # the client's own writes go out at once, so only the daemon's count
+        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        rtts = []
+        try:
+            for _ in range(10):
+                t0 = time.perf_counter()
+                conn.request("POST", "/partition", body=body,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                out = json.loads(resp.read())
+                rtts.append(time.perf_counter() - t0)
+                assert resp.status == 200 and out["cached"] is True
+        finally:
+            conn.close()
+        assert float(np.median(rtts)) < 0.025, rtts
+
     def test_unknown_digest_is_404(self, server):
         client = self._client(server)
         with pytest.raises(ServeError) as exc:
@@ -228,7 +255,6 @@ class TestServerEndToEnd:
         assert "/healthz" in out["requests"]
 
     def test_metrics_prometheus_exposition(self, server):
-        import json
         import urllib.request
 
         import repro.obs as obs
