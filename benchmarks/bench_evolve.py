@@ -31,7 +31,7 @@ from conftest import emit
 
 from repro.evolve import EvolveConfig, evolve_partition
 from repro.graph.generators import multicast_network, random_process_network
-from repro.hypergraph.partition import HyperConfig, hyper_partition
+from repro.hypergraph.partition import hyper_partition
 from repro.kpn.traffic import ppn_to_mapped_graph
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
@@ -79,7 +79,7 @@ def _graph_instance_rows(name, g, k, cons, rows, keys):
 
 def _hyper_instance_rows(name, hg, k, cons, rows, keys):
     gp = hyper_partition(
-        hg, k, cons, config=HyperConfig(max_cycles=GP_CYCLES), seed=SEED
+        hg, k, cons, config=GPConfig(max_cycles=GP_CYCLES), seed=SEED
     )
     ea = evolve_partition(hg, k, cons, EA_CFG, seed=SEED, cache=False)
     k_gp = goodness_key(gp.metrics, cons)

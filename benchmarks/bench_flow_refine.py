@@ -9,10 +9,9 @@ cycle budget, differing only in the ``refine=`` knob:
 
 Graph instances (gallery PPNs through the paper pipeline, plus random
 process networks) run through :func:`~repro.partition.gp.gp_partition`;
-multicast hypergraphs run :func:`~repro.hypergraph.partition.hyper_partition`
-and then the flow stage on the Φ engine directly (``hyper_partition`` has
-no pluggable refine stage — the comparison is the same pipeline with and
-without the extra flow polish).  Both arms are compared under the
+multicast hypergraphs run :func:`~repro.hypergraph.partition.hyper_partition`,
+whose flow stage runs on the Φ engine.  Both take the same
+:class:`~repro.partition.gp.GPConfig`.  Both arms are compared under the
 goodness order (violation first, cut last) on the instance's native
 objective.
 
@@ -28,10 +27,8 @@ from conftest import emit, emit_bench
 
 from repro.graph.generators import multicast_network, random_process_network
 from repro.obs.benchdb import BenchMetric
-from repro.hypergraph.partition import HyperConfig, hyper_partition
-from repro.hypergraph.refine_state import HyperRefinementState
+from repro.hypergraph.partition import hyper_partition
 from repro.kpn.traffic import ppn_to_mapped_graph
-from repro.partition.flow_refine import run_flow_refine
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec
@@ -54,51 +51,31 @@ def _fmt_key(key):
     return f"viol={v:g} cut={cut:g}"
 
 
-def _graph_rows(name, g, k, cons, rows, keys, bench):
-    fm = gp_partition(
-        g, k, cons, GPConfig(max_cycles=CYCLES, refine="fm"), seed=SEED
-    )
-    ff = gp_partition(
-        g, k, cons, GPConfig(max_cycles=CYCLES, refine="fm+flow"), seed=SEED
+def _rows(name, structure, k, cons, partition, rows, keys, bench):
+    """Run *partition* (``gp_partition`` or ``hyper_partition``) with
+    ``refine="fm"`` and ``"fm+flow"`` at equal seed and budget."""
+    fm, ff = (
+        partition(
+            structure, k, cons, GPConfig(max_cycles=CYCLES, refine=mode),
+            seed=SEED,
+        )
+        for mode in ("fm", "fm+flow")
     )
     k_fm = goodness_key(fm.metrics, cons)
     k_ff = goodness_key(ff.metrics, cons)
     rows.append([
-        name, g.n, k,
+        name, structure.n, k,
         f"{fm.metrics.cut:g}", f"{ff.metrics.cut:g}",
         f"{fm.metrics.cut - ff.metrics.cut:+g}",
         _fmt_key(k_ff),
         f"{fm.runtime:.2f}", f"{ff.runtime:.2f}",
     ])
     keys[name] = (k_fm, k_ff)
-    p = {"instance": name, "n": g.n, "k": k}
+    p = {"instance": name, "n": structure.n, "k": k}
     bench.append(BenchMetric("x14.fm.cut", float(fm.metrics.cut), "", p))
     bench.append(BenchMetric("x14.flow.cut", float(ff.metrics.cut), "", p))
     bench.append(BenchMetric("x14.fm.runtime", fm.runtime, "s", p))
     bench.append(BenchMetric("x14.flow.runtime", ff.runtime, "s", p))
-
-
-def _hyper_rows(name, hg, k, cons, rows, keys, bench):
-    fm = hyper_partition(
-        hg, k, cons, config=HyperConfig(max_cycles=CYCLES), seed=SEED
-    )
-    st = HyperRefinementState(hg, fm.assign, k)
-    k_fm = goodness_key(fm.metrics, cons)
-    run_flow_refine(st, cons)
-    m_ff = st.metrics(cons)
-    k_ff = goodness_key(m_ff, cons)
-    rows.append([
-        name, hg.n, k,
-        f"{fm.metrics.cut:g}", f"{m_ff.cut:g}",
-        f"{fm.metrics.cut - m_ff.cut:+g}",
-        _fmt_key(k_ff),
-        f"{fm.runtime:.2f}", "-",
-    ])
-    keys[name] = (k_fm, k_ff)
-    p = {"instance": name, "n": hg.n, "k": k}
-    bench.append(BenchMetric("x14.fm.cut", float(fm.metrics.cut), "", p))
-    bench.append(BenchMetric("x14.flow.cut", float(m_ff.cut), "", p))
-    bench.append(BenchMetric("x14.fm.runtime", fm.runtime, "s", p))
 
 
 def test_fm_plus_flow_vs_fm(benchmark, artifacts_dir):
@@ -115,7 +92,12 @@ def test_fm_plus_flow_vs_fm(benchmark, artifacts_dir):
             ppn = derive_ppn(prog)
             g, _ = ppn_to_mapped_graph(ppn, mode="tokens")
             cons = _constraints(g.total_node_weight, k, bmax=bmax)
-            _graph_rows(name, g, k, cons, rows, keys, bench)
+            _rows(name, g, k, cons, gp_partition, rows, keys, bench)
+            # the same PPN under the multicast-preserving hypergraph model
+            hg, _ = ppn.to_hypergraph()
+            cons = _constraints(hg.total_node_weight, k, bmax=bmax)
+            _rows(f"{name} hyper", hg, k, cons, hyper_partition, rows, keys,
+                  bench)
 
         # synthetic process networks, cut-dominated and bandwidth-tight
         for n, m, k, bmax, gseed in [
@@ -125,14 +107,15 @@ def test_fm_plus_flow_vs_fm(benchmark, artifacts_dir):
         ]:
             g = random_process_network(n, m, seed=gseed)
             cons = _constraints(g.total_node_weight, k, bmax=bmax)
-            _graph_rows(f"rand(n={n},k={k})", g, k, cons, rows, keys, bench)
+            _rows(f"rand(n={n},k={k})", g, k, cons, gp_partition, rows,
+                  keys, bench)
 
         # multicast synthetics under the (λ-1) connectivity objective
         for n, fanout, k in [(90, 6, 3), (120, 10, 4)]:
             hg = multicast_network(n, seed=fanout, fanout=fanout)
             cons = _constraints(hg.total_node_weight, k)
-            _hyper_rows(f"multicast(n={n},f={fanout})", hg, k, cons, rows,
-                        keys, bench)
+            _rows(f"multicast(n={n},f={fanout})", hg, k, cons,
+                  hyper_partition, rows, keys, bench)
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = format_table(
@@ -150,9 +133,7 @@ def test_fm_plus_flow_vs_fm(benchmark, artifacts_dir):
         "\nNote: the flow stage runs once on the race winner under a"
         "\nnever-worse acceptance guard, so fm+flow ≤ fm is an invariant of"
         "\nthe implementation; 'gain' is the cut it recovered past the FM"
-        "\nplateau.  Hypergraph rows apply the same flow stage to the"
-        "\nhyper_partition output (its pipeline has no refine knob), so"
-        "\ntheir fm+flow wall-clock is not separately measured.\n"
+        "\nplateau, on graphs and hypergraphs alike.\n"
     )
     emit("x14_flow_quality.txt", table)
     emit_bench("x14_flow_quality", bench, seed=SEED)

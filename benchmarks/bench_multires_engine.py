@@ -27,6 +27,7 @@ vector GP under the goodness order.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 from conftest import emit, emit_bench
@@ -38,6 +39,7 @@ from repro.graph.generators import random_process_network
 from repro.obs.benchdb import BenchMetric
 from repro.partition.goodness import goodness_key
 from repro.partition.multires import (
+    MR_GP_CONFIG,
     VectorConstraints,
     evaluate_multires,
     mr_constrained_fm,
@@ -185,8 +187,8 @@ def evolve_unlocked_study():
     ):
         g, w, cons = make_instance(n, m, R, k, seed, kind=kind)
         gp = mr_gp_partition(
-            g, w, k, cons, max_cycles=ea_cfg.max_evals, seed=seed,
-            cache=False,
+            g, w, k, cons, replace(MR_GP_CONFIG, max_cycles=ea_cfg.max_evals),
+            seed=seed, cache=False,
         )
         ea = evolve_partition(
             VectorGraph(g, w), k, cons, config=ea_cfg, seed=seed,

@@ -331,7 +331,9 @@ def smoke_suite(seed: int = 0) -> list[BenchMetric]:
     vcons = VectorConstraints(bmax=float("inf"), rmax=caps, names=names)
     out += _run_metrics(
         "multires", lambda: mr_gp_partition(
-            gv, w, 3, vcons, coarsen_to=20, restarts=3, max_cycles=3,
+            gv, w, 3, vcons,
+            GPConfig(coarsen_to=20, restarts=3, max_cycles=3,
+                     level_candidates=1),
             seed=seed, cache=False,
         ), {"instance": "device", "n": 50, "k": 3, "resources": 3}, seed,
     )
@@ -405,7 +407,9 @@ def _x13_suite(seed: int = 0) -> list[BenchMetric]:
         vcons = VectorConstraints(bmax=float("inf"), rmax=caps, names=names)
         out += _run_metrics(
             "x13.multires", lambda: mr_gp_partition(
-                g, w, 4, vcons, coarsen_to=50, restarts=5, max_cycles=4,
+                g, w, 4, vcons,
+                GPConfig(coarsen_to=50, restarts=5, max_cycles=4,
+                         level_candidates=1),
                 seed=seed, cache=False,
             ), {"instance": "device", "n": n, "k": 4}, seed,
         )

@@ -38,8 +38,11 @@ Usage (see ``python -m repro --help``):
 shape its budget (see ``docs/evolve.md``).
 
 ``--refine flow|fm+flow`` swaps or augments the multilevel methods'
-refinement stage with corridor max-flow passes (``--method
-gp/mlkp/evolve``; see ``docs/refinement.md``).
+refinement stage with corridor max-flow passes (every method but
+``spectral``/``exact``, either ``--model``; see ``docs/refinement.md``).
+The partition flags are forwarded to :func:`repro.core.api.partition_graph`
+unchecked: the library rejects what a method cannot honour, so the CLI
+and the library agree by construction.
 
 ``python -m repro`` and the ``repro`` console script expose the identical
 surface (``tests/test_cli_parity.py`` pins the parity).
@@ -48,7 +51,6 @@ surface (``tests/test_cli_parity.py`` pins the parity).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -58,12 +60,11 @@ import numpy as np
 import repro.obs as _obs
 from repro.bench.experiments import paper_experiment_table
 from repro.bench.figures import write_figure_artifacts
-from repro.core.api import _JOBS_METHODS, partition_graph
+from repro.core.api import partition_graph
 from repro.evolve.ea import (
     EvolveConfig,
     clear_evolve_cache,
     evolve_cache,
-    evolve_partition,
 )
 from repro.core.report import comparison_report, multires_report
 from repro.fpga.resources import random_device_matrix
@@ -73,7 +74,6 @@ from repro.graph.matrixio import parse_incidence_text
 from repro.graph.metisio import parse_hmetis, parse_metis, save_hmetis
 from repro.graph.wgraph import WGraph
 from repro.hypergraph.hgraph import HGraph
-from repro.hypergraph.partition import hyper_partition
 from repro.partition.metrics import ConstraintSpec
 from repro.partition.multires import clear_multires_cache, multires_cache
 from repro.partition.portfolio import clear_portfolio_cache, portfolio_cache
@@ -151,23 +151,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--refine",
-        default="fm",
+        default=None,
         choices=["fm", "flow", "fm+flow"],
         help="refinement stage of the multilevel methods: the native "
-             "local search (fm, default), corridor max-flow passes "
+             "local search (fm, the default), corridor max-flow passes "
              "replacing it (flow), or fm plus a guarded flow polish that "
-             "is never worse than fm (fm+flow) — --method gp/mlkp/evolve "
-             "(--model hypergraph: evolve only); see docs/refinement.md",
+             "is never worse than fm (fm+flow) — every method but "
+             "spectral/exact, either --model; see docs/refinement.md",
     )
     p.add_argument(
         "--conn-format",
-        default="auto",
+        default=None,
         choices=["auto", "dense", "sparse"],
         help="refinement engine connectivity store: dense (k,n) matrices, "
              "the degree-sized sparse store, or pick by instance size "
-             "(auto, default) — results are bit-identical either way; "
-             "--method gp/mlkp with --model graph, scalar --rmax; see "
-             "docs/refinement.md",
+             "(auto, the default) — results are bit-identical either way; "
+             "--method gp/mlkp with --model graph (scalar or vector "
+             "budgets); see docs/refinement.md",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -419,107 +419,44 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _run_partition(args: argparse.Namespace) -> int:
     rmax = _parse_rmax(args.rmax)
-    rmax_is_vector = isinstance(rmax, tuple)
+    hypergraph = args.model == "hypergraph"
+    if hypergraph and args.dot:
+        raise ReproError(
+            "--dot renders 2-pin graphs only; re-run with "
+            "--model graph or export the instance via star expansion"
+        )
+    if args.resources and args.compare:
+        raise ReproError(
+            "--compare has no scalar baseline under vector budgets; "
+            "run the methods separately"
+        )
     evolve_cfg = _evolve_config(args)
-    if args.no_cache and args.method != "evolve" and not (
-        args.method == "gp" and args.resources
-    ):
-        raise ReproError(
-            "--no-cache applies to --method evolve, or --method gp "
-            "with --resources"
-        )
-    if (args.resources or rmax_is_vector) and args.model != "graph":
-        raise ReproError(
-            "--resources / a comma-separated --rmax need --model graph "
-            "(vector budgets live on the 2-pin mapping graph)"
-        )
-    if args.conn_format != "auto" and (
-        args.method not in ("gp", "mlkp")
-        or args.model != "graph"
-        or args.resources
-        or rmax_is_vector
-    ):
-        raise ReproError(
-            "--conn-format applies to --method gp/mlkp with --model graph "
-            "and a scalar --rmax (other engines pick their format via auto)"
-        )
-    if args.resources or rmax_is_vector:
-        return _cmd_partition_vector(args, rmax, evolve_cfg)
-    constraints = ConstraintSpec(bmax=args.bmax, rmax=rmax)
-    if args.model == "hypergraph":
-        if args.method not in ("gp", "hyper", "evolve"):
-            raise ReproError(
-                f"--model hypergraph supports --method gp/hyper/evolve, "
-                f"got {args.method!r}"
-            )
-        if args.dot:
-            raise ReproError(
-                "--dot renders 2-pin graphs only; re-run with "
-                "--model graph or export the instance via star expansion"
-            )
-        if args.refine != "fm" and args.method != "evolve":
-            raise ReproError(
-                "--refine applies to --method evolve under --model "
-                "hypergraph (gp/hyper have no pluggable refinement "
-                "stage there)"
-            )
-        hg = _load_hypergraph(args.input)
-        if args.method == "evolve":
-            if args.refine != "fm":
-                evolve_cfg = (
-                    dataclasses.replace(evolve_cfg, refine=args.refine)
-                    if evolve_cfg is not None
-                    else EvolveConfig(refine=args.refine)
-                )
-            result = evolve_partition(
-                hg, args.k, constraints, config=evolve_cfg, seed=args.seed,
-                n_jobs=args.jobs, cache=not args.no_cache,
-            )
-        else:
-            result = hyper_partition(
-                hg, args.k, constraints, seed=args.seed, n_jobs=args.jobs
-            )
-        results = [result]
-        if args.compare:
-            # the 2-pin edge-cut baseline: GP on the per-consumer star
-            # expansion, priced on the hypergraph's connectivity metric
-            from repro.hypergraph.metrics import evaluate_hyper_partition
-
-            baseline = partition_graph(
-                hg.star_expansion(), args.k, bmax=args.bmax, rmax=rmax,
-                method="gp", seed=args.seed,
-            )
-            baseline.algorithm = "GP (2-pin model)"
-            baseline.metrics = evaluate_hyper_partition(
-                hg, baseline.assign, args.k, constraints
-            )
-            results.insert(0, baseline)
-        print(comparison_report(results, constraints))
-        print(f"(connectivity objective: {result.metrics.cut:g}; "
-              f"a multicast net counts once per extra FPGA)")
-        if args.assign_out:
-            Path(args.assign_out).write_text(
-                json.dumps({
-                    "k": args.k,
-                    "assign": [int(c) for c in result.assign],
-                    "feasible": result.feasible,
-                    # "cut" keeps the graph branch's schema; here it is the
-                    # connectivity objective, also under its proper name
-                    "cut": result.metrics.cut,
-                    "connectivity": result.metrics.cut,
-                }, indent=1)
-            )
-            print(f"wrote {args.assign_out}")
-        return 0 if result.feasible or constraints.unconstrained else 2
-    g = _load_graph(args.input)
-    if args.jobs not in (None, 1) and args.method not in _JOBS_METHODS:
-        raise ReproError("--jobs applies to --method gp, hyper or evolve only")
+    structure = (
+        _load_hypergraph(args.input) if hypergraph
+        else _load_graph(args.input)
+    )
+    w, names = (
+        _load_resource_matrix(args.resources) if args.resources
+        else (None, ())
+    )
+    # the library validates every knob and flag combination (method,
+    # model, budgets, --jobs, --no-cache, --refine, --conn-format); the
+    # CLI only forwards them, so both surfaces reject the same things
     result = partition_graph(
-        g, args.k, bmax=args.bmax, rmax=rmax,
-        method=args.method, seed=args.seed, config=evolve_cfg,
-        n_jobs=args.jobs, cache=not args.no_cache, refine=args.refine,
+        structure, args.k, bmax=args.bmax, rmax=rmax, method=args.method,
+        seed=args.seed, config=evolve_cfg, n_jobs=args.jobs,
+        cache=not args.no_cache, resources=w, refine=args.refine,
         conn_format=args.conn_format,
     )
+    if w is not None:
+        return _report_vector(
+            args, structure, result,
+            VectorConstraints(bmax=args.bmax, rmax=rmax, names=names),
+        )
+    constraints = ConstraintSpec(bmax=args.bmax, rmax=rmax)
+    if hypergraph:
+        return _report_hypergraph(args, structure, result, constraints)
+    g = structure
     results = [result]
     if args.compare and args.method != "mlkp":
         baseline = partition_graph(
@@ -550,49 +487,44 @@ def _run_partition(args: argparse.Namespace) -> int:
     return 0 if result.feasible or constraints.unconstrained else 2
 
 
-def _cmd_partition_vector(
-    args: argparse.Namespace, rmax, evolve_cfg: EvolveConfig | None
-) -> int:
-    """The ``--resources`` / vector ``--rmax`` branch of ``partition``."""
-    if args.method not in ("gp", "evolve"):
-        raise ReproError(
-            f"--resources / a comma-separated --rmax apply to --method gp "
-            f"or evolve, got --method {args.method}"
-        )
-    if not args.resources:
-        raise ReproError(
-            "a comma-separated --rmax needs --resources FILE "
-            "(one cap per resource column)"
-        )
-    if not isinstance(rmax, tuple):
-        raise ReproError(
-            "--resources needs a comma-separated --rmax vector "
-            "(one cap per resource column), got a scalar"
-        )
+def _report_hypergraph(args, hg: HGraph, result, constraints) -> int:
+    """Report a ``--model hypergraph`` run (and its ``--compare``)."""
+    results = [result]
     if args.compare:
-        raise ReproError(
-            "--compare has no scalar baseline under vector budgets; "
-            "run the methods separately"
+        # the 2-pin edge-cut baseline: GP on the per-consumer star
+        # expansion, priced on the hypergraph's connectivity metric
+        from repro.hypergraph.metrics import evaluate_hyper_partition
+
+        baseline = partition_graph(
+            hg.star_expansion(), args.k, bmax=args.bmax,
+            rmax=constraints.rmax, method="gp", seed=args.seed,
         )
-    g = _load_graph(args.input)
-    w, names = _load_resource_matrix(args.resources)
-    if w.shape[0] != g.n:
-        raise ReproError(
-            f"resource matrix has {w.shape[0]} rows for a graph of "
-            f"{g.n} nodes"
+        baseline.algorithm = "GP (2-pin model)"
+        baseline.metrics = evaluate_hyper_partition(
+            hg, baseline.assign, args.k, constraints
         )
-    if len(rmax) != w.shape[1]:
-        raise ReproError(
-            f"--rmax caps {len(rmax)} resources, {args.resources} has "
-            f"{w.shape[1]} columns"
+        results.insert(0, baseline)
+    print(comparison_report(results, constraints))
+    print(f"(connectivity objective: {result.metrics.cut:g}; "
+          f"a multicast net counts once per extra FPGA)")
+    if args.assign_out:
+        Path(args.assign_out).write_text(
+            json.dumps({
+                "k": args.k,
+                "assign": [int(c) for c in result.assign],
+                "feasible": result.feasible,
+                # "cut" keeps the graph branch's schema; here it is the
+                # connectivity objective, also under its proper name
+                "cut": result.metrics.cut,
+                "connectivity": result.metrics.cut,
+            }, indent=1)
         )
-    constraints = VectorConstraints(bmax=args.bmax, rmax=rmax, names=names)
-    result = partition_graph(
-        g, args.k, bmax=args.bmax, rmax=rmax,
-        method=args.method, seed=args.seed, config=evolve_cfg,
-        n_jobs=args.jobs, cache=not args.no_cache, resources=w,
-        refine=args.refine,
-    )
+        print(f"wrote {args.assign_out}")
+    return 0 if result.feasible or constraints.unconstrained else 2
+
+
+def _report_vector(args, g: WGraph, result, constraints) -> int:
+    """Report a ``--resources`` (vector budgets) run."""
     print(multires_report([result], constraints))
     if args.dot:
         Path(args.dot).write_text(to_dot(g, assign=result.assign, k=args.k))

@@ -47,16 +47,18 @@ from repro.fpga.resources import ResourceVector, resource_matrix
 from repro.fpga.system import MultiFPGASystem
 from repro.graph.wgraph import WGraph
 from repro.hypergraph.hgraph import HGraph
-from repro.hypergraph.partition import HyperConfig, hyper_partition
+from repro.hypergraph.partition import HYPER_CONFIG, hyper_partition
 from repro.kpn.traffic import ppn_to_mapped_graph
 from repro.partition.base import PartitionResult
-from repro.partition.conn_store import check_conn_format
 from repro.partition.exact import exact_partition
-from repro.partition.flow_refine import check_refine_mode
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec
 from repro.partition.mlkp import mlkp_partition
-from repro.partition.multires import MultiResResult, mr_gp_partition
+from repro.partition.multires import (
+    MR_GP_CONFIG,
+    MultiResResult,
+    mr_gp_partition,
+)
 from repro.partition.spectral import spectral_partition
 from repro.partition.vector_state import (
     VectorConstraints,
@@ -127,37 +129,35 @@ _MODELS = ("graph", "hypergraph")
 _JOBS_METHODS = ("gp", "hyper", "evolve")
 #: Methods that can partition under vector resource budgets.
 _VECTOR_METHODS = ("gp", "evolve")
-#: Methods with a pluggable refinement stage (refine="flow"/"fm+flow").
-_REFINE_METHODS = ("gp", "mlkp", "evolve")
-#: Methods whose engine honours an explicit conn_format override.
-_CONN_METHODS = ("gp", "mlkp")
+#: Methods that can partition a hypergraph (the connectivity model).
+_HYPER_METHODS = ("gp", "hyper", "evolve")
 
 
-def _fold_refine(config, refine: str, ctor):
-    """Fold the ``refine=`` argument into the method's config object.
+def _configure(method: str, config, default, knobs: dict):
+    """The config *method* runs: *config* (``None`` → *default*) with the
+    given ``refine=``/``conn_format=`` *knobs* set on it.
 
-    ``"fm"`` (the default) means "unspecified" — the config's own
-    ``refine`` field stands; anything else overrides it (building a
-    default config when none was given).
+    The one place those arguments meet a config.  With no knobs *config*
+    comes back as given (``None`` lets the callee apply its own default);
+    a knob the config class has no field for is rejected here, and a knob
+    value the config or engine cannot honour is rejected by them.
     """
-    if refine == "fm":
+    cls = type(default)
+    if config is not None and not isinstance(config, cls):
+        raise PartitionError(
+            f"method={method!r} needs a config of type {cls.__name__}, "
+            f"got {type(config).__name__}"
+        )
+    if not knobs:
         return config
-    if config is None:
-        return ctor(refine=refine)
-    return dataclasses.replace(config, refine=refine)
-
-
-def _fold_conn(config, conn_format: str, ctor):
-    """Fold the ``conn_format=`` argument into the method's config object.
-
-    Mirrors :func:`_fold_refine`: ``"auto"`` (the default) leaves the
-    config's own ``conn_format`` field standing.
-    """
-    if conn_format == "auto":
-        return config
-    if config is None:
-        return ctor(conn_format=conn_format)
-    return dataclasses.replace(config, conn_format=conn_format)
+    fields = {f.name for f in dataclasses.fields(cls)}
+    for name, value in knobs.items():
+        if name not in fields:
+            raise PartitionError(
+                f"{name}={value!r} is not supported by method={method!r} "
+                f"({cls.__name__} has no {name} knob)"
+            )
+    return dataclasses.replace(config or default, **knobs)
 
 
 def _rmax_is_vector(rmax) -> bool:
@@ -177,7 +177,7 @@ def _partition_graph_vector(
     n_jobs,
     cache,
     resources,
-    refine,
+    knobs: dict,
 ) -> MultiResResult | PartitionResult:
     """The ``resources=W`` branch of :func:`partition_graph`."""
     if method not in _VECTOR_METHODS:
@@ -198,45 +198,31 @@ def _partition_graph_vector(
             f"{w.shape[1]} columns"
         )
     if method == "evolve":
-        if config is not None and not isinstance(config, EvolveConfig):
-            raise PartitionError(
-                f"method='evolve' takes an EvolveConfig, "
-                f"got {type(config).__name__}"
-            )
         return evolve_partition(
             VectorGraph(g, w), k, cons,
-            config=_fold_refine(config, refine, EvolveConfig), seed=seed,
-            n_jobs=n_jobs, cache=cache,
+            config=_configure(method, config, EvolveConfig(), knobs),
+            seed=seed, n_jobs=n_jobs, cache=cache,
         )
-    if config is not None and not isinstance(config, GPConfig):
-        raise PartitionError(
-            f"method='gp' takes a GPConfig, got {type(config).__name__}"
-        )
-    cfg = _fold_refine(config, refine, GPConfig) or GPConfig(max_cycles=10)
     return mr_gp_partition(
-        g, w, k, cons,
-        coarsen_to=cfg.coarsen_to, restarts=cfg.restarts,
-        max_cycles=cfg.max_cycles, refine_passes=cfg.refine_passes,
-        on_infeasible=cfg.on_infeasible,
-        seed=seed if seed is not None else cfg.seed,
-        n_jobs=n_jobs, cache=cache, refine=cfg.refine,
+        g, w, k, cons, _configure(method, config, MR_GP_CONFIG, knobs),
+        seed=seed, n_jobs=n_jobs, cache=cache,
     )
 
 
 def partition_graph(
-    g: WGraph,
+    g: WGraph | HGraph,
     k: int,
     bmax: float = float("inf"),
     rmax=float("inf"),
     method: str = "gp",
     seed=None,
-    config: GPConfig | HyperConfig | EvolveConfig | None = None,
+    config: GPConfig | EvolveConfig | None = None,
     n_jobs: int | None = 1,
     cache: bool = True,
     resources=None,
     profile: bool | str = False,
-    refine: str = "fm",
-    conn_format: str = "auto",
+    refine: str | None = None,
+    conn_format: str | None = None,
 ) -> PartitionResult | MultiResResult | _obs.ProfileReport:
     """Partition *g* into *k* parts under the paper's two constraints.
 
@@ -244,9 +230,17 @@ def partition_graph(
     ``"mlkp"`` (METIS-like, constraints audited only), ``"spectral"``,
     ``"exact"`` (≤20 nodes, constraints enforced), ``"hyper"`` (the
     connectivity-metric multilevel partitioner on the 2-pin hypergraph
-    lift; takes a :class:`~repro.hypergraph.partition.HyperConfig`), or
-    ``"evolve"`` (the memetic population search; takes an
+    lift), or ``"evolve"`` (the memetic population search; takes an
     :class:`~repro.evolve.ea.EvolveConfig`, see ``docs/evolve.md``).
+    ``"gp"`` and ``"hyper"`` take a :class:`~repro.partition.gp.GPConfig`
+    (``"hyper"`` defaults to
+    :data:`~repro.hypergraph.partition.HYPER_CONFIG`).
+
+    *g* may also be an :class:`~repro.hypergraph.hgraph.HGraph` (the
+    connectivity model, ``docs/hypergraph.md``): ``"gp"`` and ``"hyper"``
+    then both run :func:`~repro.hypergraph.partition.hyper_partition` on
+    it and ``"evolve"`` runs on the hypergraph engine; the other methods
+    and *resources* are rejected.
 
     *resources* switches the resource model from scalar to vector
     (``docs/multires.md``): pass the ``(n, R)`` weight matrix and a
@@ -254,8 +248,9 @@ def partition_graph(
     componentwise (``VectorConstraints``).  Supported by ``"gp"`` (the
     multi-resource multilevel partitioner, returning a
     :class:`~repro.partition.multires.MultiResResult`; a
-    :class:`~repro.partition.gp.GPConfig`'s shared knobs are honoured)
-    and ``"evolve"`` (the memetic search on the vector engine) — other
+    :class:`~repro.partition.gp.GPConfig` is honoured as given, and
+    ``None`` means :data:`~repro.partition.multires.MR_GP_CONFIG`) and
+    ``"evolve"`` (the memetic search on the vector engine) — other
     methods reject it, as does a vector *rmax* without the matrix.
 
     *n_jobs* races the method's independent randomized work across worker
@@ -269,23 +264,21 @@ def partition_graph(
     *cache* belongs to the memoised methods — ``"evolve"``, and ``"gp"``
     with *resources* (the multires cache) — and is rejected elsewhere.
 
-    *refine* selects the refinement stage of the multilevel methods
-    (``docs/refinement.md``): ``"fm"`` — each method's native local
-    search (default); ``"flow"`` — corridor max-flow passes replace it;
-    ``"fm+flow"`` — native refinement plus a guarded flow polish that is
-    never worse than ``"fm"`` at equal seeds.  Honoured by ``"gp"``
-    (scalar and vector), ``"mlkp"`` and ``"evolve"``; rejected elsewhere
-    (the single-pass methods have no refinement stage to swap).  A
-    non-default *refine* overrides the config's own ``refine`` field.
-
-    *conn_format* selects the refinement engine's connectivity
-    representation (``docs/refinement.md``): ``"auto"`` — dense below
-    the ``k·n`` threshold, sparse above (default); ``"dense"`` /
-    ``"sparse"`` force a format.  The partition is bit-identical either
-    way — only memory and speed change.  Honoured by ``"gp"`` and
-    ``"mlkp"`` (scalar constraints); rejected elsewhere and on the
-    *resources* path (those engines pick their format via ``"auto"``).
-    A non-default value overrides a ``GPConfig``'s own ``conn_format``.
+    *refine* and *conn_format* override the config's own fields of the
+    same name; ``None`` (default) keeps the config's value.  *refine*
+    selects the refinement stage (``docs/refinement.md``): ``"fm"`` —
+    each method's native local search; ``"flow"`` — corridor max-flow
+    passes replace it; ``"fm+flow"`` — native refinement plus a guarded
+    flow polish that is never worse than ``"fm"`` at equal seeds.
+    *conn_format* selects the refinement engine's connectivity store:
+    ``"auto"`` — dense below the ``k·n`` threshold, sparse above;
+    ``"dense"`` / ``"sparse"`` force a format, and the partition is
+    bit-identical either way.  Every method with a refinement engine
+    takes *refine* (``"gp"`` scalar and vector, ``"hyper"``, ``"mlkp"``,
+    ``"evolve"``); ``"spectral"`` and ``"exact"`` have none and reject
+    both knobs.  A *conn_format* other than ``"auto"`` is rejected by the
+    engines without a store — the hypergraph Φ engine (``"hyper"``) and
+    ``"evolve"``, whose config has no such field.
 
     *profile* runs the call under an observability capture
     (:func:`repro.obs.capture`) and returns a
@@ -312,22 +305,6 @@ def partition_graph(
             metrics=cap.metrics,
             wall_s=cap.wall_s,
         )
-    check_refine_mode(refine)
-    if refine != "fm" and method not in _REFINE_METHODS:
-        raise PartitionError(
-            f"refine={refine!r} is only supported by methods "
-            f"{_REFINE_METHODS}, got method={method!r}"
-        )
-    check_conn_format(conn_format)
-    if conn_format != "auto" and (
-        method not in _CONN_METHODS or resources is not None
-    ):
-        raise PartitionError(
-            f"conn_format={conn_format!r} is only supported by methods "
-            f"{_CONN_METHODS} with scalar constraints, got "
-            f"method={method!r}"
-            + (" with resources" if resources is not None else "")
-        )
     if n_jobs not in (None, 1) and method not in _JOBS_METHODS:
         raise PartitionError(
             f"n_jobs is only supported by methods {_JOBS_METHODS}, "
@@ -340,10 +317,28 @@ def partition_graph(
             f"cache is only supported by method='evolve' (and method='gp' "
             f"with resources), got method={method!r}"
         )
+    knobs = {
+        name: value
+        for name, value in (("refine", refine), ("conn_format", conn_format))
+        if value is not None
+    }
+    if knobs and method in ("spectral", "exact"):
+        raise PartitionError(
+            f"{' and '.join(f'{n}=' for n in knobs)} needs a refinement "
+            f"engine; method={method!r} has none"
+        )
+    hypergraph = isinstance(g, HGraph)
+    if hypergraph and (method not in _HYPER_METHODS or resources is not None):
+        raise PartitionError(
+            f"a hypergraph is partitioned by methods "
+            f"{'/'.join(_HYPER_METHODS)} with scalar budgets, "
+            f"got method={method!r}"
+            + (" with resources" if resources is not None else "")
+        )
     if resources is not None:
         return _partition_graph_vector(
             g, k, bmax, rmax, method, seed, config, n_jobs, cache,
-            resources, refine,
+            resources, knobs,
         )
     if _rmax_is_vector(rmax):
         raise PartitionError(
@@ -352,48 +347,31 @@ def partition_graph(
         )
     constraints = ConstraintSpec(bmax=bmax, rmax=rmax)
     if method == "evolve":
-        if config is not None and not isinstance(config, EvolveConfig):
-            raise PartitionError(
-                f"method='evolve' takes an EvolveConfig, "
-                f"got {type(config).__name__}"
-            )
         return evolve_partition(
             g, k, constraints,
-            config=_fold_refine(config, refine, EvolveConfig), seed=seed,
-            n_jobs=n_jobs, cache=cache,
+            config=_configure(method, config, EvolveConfig(), knobs),
+            seed=seed, n_jobs=n_jobs, cache=cache,
+        )
+    if method == "hyper" or (method == "gp" and hypergraph):
+        return hyper_partition(
+            g if hypergraph else HGraph.from_wgraph(g), k, constraints,
+            config=_configure(method, config, HYPER_CONFIG, knobs),
+            seed=seed, n_jobs=n_jobs,
         )
     if method == "gp":
-        if config is not None and not isinstance(config, GPConfig):
-            raise PartitionError(
-                f"method='gp' takes a GPConfig, got {type(config).__name__}"
-            )
         return gp_partition(
             g, k, constraints,
-            config=_fold_conn(
-                _fold_refine(config, refine, GPConfig), conn_format, GPConfig
-            ),
-            seed=seed,
-            n_jobs=n_jobs,
+            config=_configure(method, config, GPConfig(), knobs),
+            seed=seed, n_jobs=n_jobs,
         )
     if method == "mlkp":
         return mlkp_partition(
-            g, k, seed=seed, constraints=constraints, refine=refine,
-            conn_format=conn_format,
+            g, k, seed=seed, constraints=constraints, **knobs
         )
     if method == "spectral":
         return spectral_partition(g, k, constraints=constraints)
     if method == "exact":
         return exact_partition(g, k, constraints, enforce=not constraints.unconstrained)
-    if method == "hyper":
-        if config is not None and not isinstance(config, HyperConfig):
-            raise PartitionError(
-                "method='hyper' takes a HyperConfig, got "
-                f"{type(config).__name__}"
-            )
-        return hyper_partition(
-            HGraph.from_wgraph(g), k, constraints, config=config, seed=seed,
-            n_jobs=n_jobs,
-        )
     raise PartitionError(
         f"unknown method {method!r}; valid methods: {_METHODS}"
     )
@@ -438,11 +416,11 @@ def partition_ppn(
     bandwidth_mode: str = "tokens",
     bandwidth_scale: float = 1.0,
     seed=None,
-    config: GPConfig | HyperConfig | EvolveConfig | None = None,
+    config: GPConfig | EvolveConfig | None = None,
     n_jobs: int | None = 1,
     cache: bool = True,
     resources=None,
-    refine: str = "fm",
+    refine: str | None = None,
 ) -> tuple[PartitionResult | MultiResResult, WGraph | HGraph, list[str]]:
     """Derive (if needed), weight, and partition a process network.
 
@@ -463,17 +441,9 @@ def partition_ppn(
     ResourceVector}`` mapping, a node-ordered ``ResourceVector``
     sequence, or a ready ``(n, R)`` matrix.
 
-    *n_jobs* and *cache* are forwarded to the partitioner under
-    :func:`partition_graph`'s rules — ``n_jobs`` needs a method with
-    independent randomized work (``"gp"`` / ``"hyper"`` / ``"evolve"``),
-    ``cache``
-    belongs to the memoised methods; both are rejected elsewhere to keep
-    the knobs honest.  *refine* follows the same discipline
-    (``docs/refinement.md``): with ``model="graph"`` it is forwarded to
-    :func:`partition_graph` (methods ``"gp"``/``"mlkp"``/``"evolve"``);
-    with ``model="hypergraph"`` only ``method="evolve"`` has a
-    refinement stage to swap, so anything but ``"fm"`` is rejected for
-    ``"gp"``/``"hyper"``.
+    Either model's structure is partitioned by :func:`partition_graph`,
+    so *config*, *n_jobs*, *cache* and *refine* follow its rules on both
+    (``refine`` overrides the config's own field; ``None`` keeps it).
 
     Returns ``(result, mapping_structure, names)`` — the second element is
     the :class:`WGraph` or :class:`HGraph` that was partitioned, and
@@ -481,78 +451,32 @@ def partition_ppn(
     """
     if model not in _MODELS:
         raise PartitionError(f"unknown model {model!r}; valid models: {_MODELS}")
-    check_refine_mode(refine)
-    if refine != "fm" and model == "hypergraph" and method != "evolve":
-        raise PartitionError(
-            f"refine={refine!r} with model='hypergraph' is supported by "
-            f"method='evolve' only (gp/hyper have no pluggable refinement "
-            f"stage there), got method={method!r}"
-        )
-    if resources is not None and model != "graph":
-        raise PartitionError(
-            "resources (vector budgets) are supported with model='graph' "
-            f"only, got model={model!r}"
-        )
     ppn = (
         program_or_ppn
         if isinstance(program_or_ppn, PPN)
         else derive_ppn(program_or_ppn)
     )
     if model == "hypergraph":
-        if method not in ("gp", "hyper", "evolve"):
-            raise PartitionError(
-                f"model='hypergraph' supports methods 'gp'/'hyper'/'evolve', "
-                f"got {method!r}"
-            )
         if bandwidth_mode != "tokens":
             raise PartitionError(
                 "model='hypergraph' supports only bandwidth_mode='tokens' "
                 f"(net weights are token-set sizes), got {bandwidth_mode!r}"
             )
-        constraints = ConstraintSpec(bmax=bmax, rmax=rmax)
-        # argument validation strictly before the PPN → hypergraph
-        # conversion: a bad knob must not cost the conversion first
-        if method == "evolve":
-            if config is not None and not isinstance(config, EvolveConfig):
-                raise PartitionError(
-                    "method='evolve' takes an EvolveConfig, got "
-                    f"{type(config).__name__}"
-                )
-            hg, names = ppn.to_hypergraph(bandwidth_scale=bandwidth_scale)
-            result = evolve_partition(
-                hg, k, constraints,
-                config=_fold_refine(config, refine, EvolveConfig),
-                seed=seed, n_jobs=n_jobs, cache=cache,
-            )
-            return result, hg, names
-        if config is not None and not isinstance(config, HyperConfig):
-            raise PartitionError(
-                "model='hypergraph' takes a HyperConfig, got "
-                f"{type(config).__name__}"
-            )
-        if cache is not True:
-            raise PartitionError(
-                "cache is only supported by method='evolve', "
-                f"got method={method!r}"
-            )
-        hg, names = ppn.to_hypergraph(bandwidth_scale=bandwidth_scale)
-        result = hyper_partition(
-            hg, k, constraints, config=config, seed=seed, n_jobs=n_jobs
+        structure, names = ppn.to_hypergraph(bandwidth_scale=bandwidth_scale)
+    else:
+        structure, names = ppn_to_mapped_graph(
+            ppn, mode=bandwidth_mode, scale=bandwidth_scale
         )
-        return result, hg, names
-    g, names = ppn_to_mapped_graph(
-        ppn, mode=bandwidth_mode, scale=bandwidth_scale
-    )
     result = partition_graph(
-        g, k, bmax=bmax, rmax=rmax, method=method, seed=seed, config=config,
-        n_jobs=n_jobs, cache=cache,
+        structure, k, bmax=bmax, rmax=rmax, method=method, seed=seed,
+        config=config, n_jobs=n_jobs, cache=cache,
         resources=(
             None if resources is None
             else _ppn_resource_matrix(resources, names)
         ),
         refine=refine,
     )
-    return result, g, names
+    return result, structure, names
 
 
 def map_to_fpgas(

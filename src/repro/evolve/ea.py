@@ -32,21 +32,19 @@ portfolio cache.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.partition.flow_refine import check_refine_mode
 from repro.evolve.operators import mutate_perturb, mutate_walk, recombine
 from repro.evolve.population import Individual, Population
 from repro.graph.wgraph import WGraph
+from repro.hypergraph.partition import hyper_partition
 from repro.partition.base import PartitionResult
 from repro.partition.engine import make_engine
 from repro.partition.goodness import goodness_key
-from repro.partition.gp import gp_partition
+from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec
 from repro.partition.multires import mr_gp_partition
 from repro.partition.portfolio import default_portfolio
@@ -116,12 +114,10 @@ class EvolveConfig:
         Generations without best-key improvement before an immigrant
         (fresh portfolio-member run) is injected.
     refine:
-        Refinement stage used by every operator and (graph/vector)
-        seeding member — ``"fm"`` (default), ``"flow"`` or ``"fm+flow"``
-        (see :mod:`repro.partition.flow_refine`).  ``"fm+flow"`` applies
-        the guarded corridor-flow polish on finest-level refinement
-        states; hypergraph seeding members are native FM either way
-        (their flow stage lives in the operators).
+        Refinement stage used by every operator and seeding member —
+        ``"fm"`` (default), ``"flow"`` or ``"fm+flow"`` (see
+        :mod:`repro.partition.flow_refine`).  ``"fm+flow"`` applies the
+        guarded corridor-flow polish on finest-level refinement states.
     seed_max_cycles:
         ``max_cycles`` cap applied to every seeding/immigrant member —
         seeding should populate the pool quickly, not exhaust the budget
@@ -201,46 +197,38 @@ class EvolveConfig:
 def _seed_member_configs(kind: str, config: EvolveConfig) -> list:
     """Portfolio-member configs used for seeding and immigrants.
 
-    Graph and vector-resource runs reuse
-    :func:`~repro.partition.portfolio.default_portfolio` verbatim (the
-    vector member runner maps the GPConfig knobs onto
-    :func:`~repro.partition.multires.mr_gp_partition`); hypergraph runs
-    use the equivalent spread of
-    :class:`~repro.hypergraph.partition.HyperConfig` members.  Every
-    member is neutralised to ``on_infeasible="return"`` (an infeasible
-    seed still joins the pool — the EA's job is to repair it) and capped
-    at ``seed_max_cycles`` retry cycles.
+    Graph runs reuse :func:`~repro.partition.portfolio.default_portfolio`
+    verbatim.  Vector and hypergraph runs use the same spread spelled as
+    the configs those engines run: one FM candidate per level, no
+    V-cycles and all three matchings for vector members, the hypergraph's
+    10-cycle budget for hypergraph members (whose engine ignores
+    ``matchings``).  Every member inherits the run's ``refine`` mode, is
+    neutralised to ``on_infeasible="return"`` (an infeasible seed still
+    joins the pool — the EA's job is to repair it) and is capped at
+    ``seed_max_cycles`` retry cycles.
     """
-    if kind in ("graph", "vector"):
+    if kind == "graph":
         members = default_portfolio()
-    else:
-        from repro.hypergraph.partition import HyperConfig
-
+    elif kind == "vector":
         members = [
-            HyperConfig(),
-            HyperConfig(restarts=20, level_candidates=4),
-            HyperConfig(coarsen_to=60),
-            HyperConfig(restarts=5, max_cycles=30),
+            GPConfig(level_candidates=1),
+            GPConfig(restarts=20, level_candidates=1),
+            GPConfig(level_candidates=1),
+            GPConfig(restarts=5, max_cycles=30, level_candidates=1),
         ]
-    if kind in ("graph", "vector"):
-        # GPConfig members inherit the run's refine mode (the vector
-        # member runner forwards it to mr_gp_partition); HyperConfig
-        # has no refine field — hypergraph flow runs live in the
-        # engine-level operators, not the seeding members
-        return [
-            dataclasses.replace(
-                cfg,
-                on_infeasible="return",
-                max_cycles=min(cfg.max_cycles, config.seed_max_cycles),
-                refine=config.refine,
-            )
-            for cfg in members
+    else:
+        members = [
+            GPConfig(max_cycles=10),
+            GPConfig(max_cycles=10, restarts=20, level_candidates=4),
+            GPConfig(max_cycles=10, coarsen_to=60),
+            GPConfig(restarts=5, max_cycles=30),
         ]
     return [
         dataclasses.replace(
             cfg,
             on_infeasible="return",
             max_cycles=min(cfg.max_cycles, config.seed_max_cycles),
+            refine=config.refine,
         )
         for cfg in members
     ]
@@ -253,16 +241,11 @@ def _run_member(structure, k, constraints, cfg, seed):
         # them would make the run's wall-clock depend on cache warmth
         # while the EA's own cache already memoises the whole run
         return mr_gp_partition(
-            structure.graph, structure.weights, k, constraints,
-            coarsen_to=cfg.coarsen_to, restarts=cfg.restarts,
-            max_cycles=cfg.max_cycles, refine_passes=cfg.refine_passes,
-            seed=seed, on_infeasible="return", cache=False,
-            refine=cfg.refine,
+            structure.graph, structure.weights, k, constraints, cfg,
+            seed=seed, cache=False,
         )
     if isinstance(structure, WGraph):
         return gp_partition(structure, k, constraints, cfg, seed=seed)
-    from repro.hypergraph.partition import hyper_partition
-
     return hyper_partition(structure, k, constraints, config=cfg, seed=seed)
 
 
@@ -352,15 +335,6 @@ def _draw_recipes(
         s = spawn_seeds(rng, 1)[0]
         recipes.append((op, payload, s))
     return recipes, injected
-
-
-def _cached_copy(result: PartitionResult) -> PartitionResult:
-    """Deliver a cached result without aliasing the stored arrays/info."""
-    return dataclasses.replace(
-        result,
-        assign=result.assign.copy(),
-        info={**copy.deepcopy(result.info), "cache_hit": True},
-    )
 
 
 def evolve_partition(
@@ -460,10 +434,8 @@ def evolve_partition(
             config,
             run_seed,
         )
-        # lookup (not get): a cached falsy value must stay a hit
-        found, hit = evolve_cache.lookup(key)
+        found, result = evolve_cache.lookup_result(key)
         if found:
-            result = _cached_copy(hit)
             if not result.feasible and config.on_infeasible == "raise":
                 raise InfeasibleError(
                     f"evolutionary search found no feasible partitioning "
@@ -591,14 +563,7 @@ def evolve_partition(
         },
     )
     if cacheable:
-        evolve_cache.put(
-            key,
-            dataclasses.replace(
-                result,
-                assign=result.assign.copy(),
-                info=copy.deepcopy(result.info),
-            ),
-        )
+        evolve_cache.put_result(key, result)
     if not best.metrics.feasible and config.on_infeasible == "raise":
         raise InfeasibleError(
             f"evolutionary search found no feasible partitioning meeting "

@@ -18,8 +18,9 @@ generates.
 * :mod:`repro.hypergraph.refine` — constrained FM on the shared driver.
 * :mod:`repro.hypergraph.coarsen` — heavy-edge contraction with
   identical-net detection.
-* :mod:`repro.hypergraph.partition` — the multilevel k-way driver
-  (:func:`hyper_partition`).
+* :mod:`repro.hypergraph.partition` — GP's multilevel k-way driver on
+  the hypergraph engine (:func:`hyper_partition`, configured by GP's own
+  :class:`~repro.partition.multilevel.GPConfig`).
 
 Entry points: ``PPN.to_hypergraph()``, ``partition_ppn(...,
 model="hypergraph")``, ``partition_graph(..., method="hyper")``, the CLI's
@@ -41,14 +42,13 @@ from repro.hypergraph.metrics import (
     net_lambdas,
     pin_count_matrix,
 )
-from repro.hypergraph.partition import HyperConfig, hyper_partition
+from repro.hypergraph.partition import hyper_partition
 from repro.hypergraph.refine import constrained_hyper_fm
 from repro.hypergraph.refine_state import HyperRefinementState
 
 __all__ = [
     "HGraph",
     "HyperRefinementState",
-    "HyperConfig",
     "hyper_partition",
     "constrained_hyper_fm",
     "pin_count_matrix",

@@ -16,53 +16,42 @@ objective in place of the edge cut:
    nearest to meeting the constraints, exactly as in GP.
 4. **Cyclic retry** — re-coarsen/re-partition randomly up to
    ``max_cycles`` times until feasible, else report the least-violating
-   result (or raise, caller's choice).
+   result (or raise, caller's choice); ``refine="fm+flow"`` polishes the
+   winner with the guarded corridor-flow stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.hypergraph.hgraph import HGraph
 from repro.partition.base import PartitionResult
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.multilevel import check_cycle_knobs, multilevel_partition
+from repro.partition.multilevel import GPConfig, multilevel_partition
 
-__all__ = ["HyperConfig", "hyper_partition"]
+__all__ = ["HYPER_CONFIG", "hyper_partition"]
 
-
-@dataclass(frozen=True)
-class HyperConfig:
-    """Tuning knobs of the multilevel hypergraph partitioner.
-
-    The knobs (and their defaults) track :class:`~repro.partition.gp.GPConfig`
-    so graph-vs-hypergraph races compare models, not budgets; ``max_cycles``
-    defaults lower because connectivity refinement converges in fewer
-    cycles on the PN instances this library targets.
-    """
-
-    coarsen_to: int = 100
-    restarts: int = 10
-    max_cycles: int = 10
-    level_candidates: int = 3
-    refine_passes: int = 6
-    on_infeasible: str = "return"
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        check_cycle_knobs(self)
+#: What ``config=None`` runs: GP's knobs with 10 cycles instead of 20 —
+#: connectivity refinement converges in fewer cycles on the PN instances
+#: this library targets.
+HYPER_CONFIG = GPConfig(max_cycles=10)
 
 
 def hyper_partition(
     hg: HGraph,
     k: int,
     constraints: ConstraintSpec | None = None,
-    config: HyperConfig | None = None,
+    config: GPConfig | None = None,
     seed=None,
     n_jobs: int | None = 1,
 ) -> PartitionResult:
     """Partition *hg* into *k* parts minimising (λ−1) connectivity under
     the paper's ``Bmax``/``Rmax`` constraints.
+
+    *config* is GP's own :class:`~repro.partition.multilevel.GPConfig`
+    (:data:`HYPER_CONFIG` when omitted).  ``refine="fm+flow"`` adds the
+    guarded corridor-flow stage on the race winner, as for graphs; the
+    graph-only knobs are rejected before any cycle runs (``vcycles > 0``,
+    ``conn_format`` other than ``"auto"``), and ``matchings`` is ignored
+    (the hypergraph engine contracts by heavy pins).
 
     Returns a :class:`~repro.partition.base.PartitionResult` whose
     ``metrics.cut`` is the connectivity objective (== edge cut when every
@@ -82,19 +71,12 @@ def hyper_partition(
     """
     # the engine module imports this package, so import it at call time
     from repro.partition.engine import HyperEngine
-    from repro.partition.gp import GPConfig
 
-    config = config or HyperConfig()
-    driver_config = GPConfig(
-        coarsen_to=config.coarsen_to,
-        restarts=config.restarts,
-        max_cycles=config.max_cycles,
-        level_candidates=config.level_candidates,
-        refine_passes=config.refine_passes,
-        on_infeasible=config.on_infeasible,
-        seed=config.seed,
+    config = config or HYPER_CONFIG
+    engine = HyperEngine(
+        hg, k, refine=config.refine, conn_format=config.conn_format
     )
     return multilevel_partition(
-        HyperEngine(hg, k), constraints or ConstraintSpec(), driver_config,
-        seed=seed, n_jobs=n_jobs,
+        engine, constraints or ConstraintSpec(), config, seed=seed,
+        n_jobs=n_jobs,
     )

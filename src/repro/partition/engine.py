@@ -51,6 +51,7 @@ from repro.hypergraph.refine import constrained_hyper_fm
 from repro.hypergraph.refine_state import HyperRefinementState
 from repro.partition.base import PartitionResult
 from repro.partition.coarsen import build_hierarchy, contract
+from repro.partition.conn_store import check_conn_format
 from repro.partition.flow_refine import check_refine_mode, run_flow_refine
 from repro.partition.initial import greedy_initial_partition
 from repro.partition.kway_refine import (
@@ -92,10 +93,22 @@ class _Engine:
     #: coarsest level itself), so the driver refines the coarsest level too
     refines_coarsest = False
 
-    def __init__(self, structure, k: int, refine: str = "fm") -> None:
+    def __init__(self, structure, k: int, refine: str = "fm",
+                 conn_format: str = "auto") -> None:
         self.structure = structure
         self.k = int(k)
         self.refine = check_refine_mode(refine)
+        self.conn_format = check_conn_format(conn_format)
+
+    def check_config(self, config) -> None:
+        """Reject the :class:`~repro.partition.multilevel.GPConfig` knobs
+        this engine cannot honour (the driver calls this before any cycle
+        runs)."""
+        if config.vcycles:
+            raise PartitionError(
+                f"vcycles={config.vcycles}: V-cycles need the graph engine, "
+                f"not {self.kind}"
+            )
 
     def digest(self) -> str:
         return self.structure.content_digest()
@@ -144,11 +157,6 @@ class _Engine:
         """FM frontier seeds for the level below *level* (None = global)."""
         return None
 
-    def vcycle(self, assign, constraints, config, seed) -> np.ndarray:
-        raise PartitionError(
-            f"V-cycles need the graph engine, not {self.kind}"
-        )
-
     def result(self, assign, metrics, constraints, runtime: float,
                info: dict):
         return PartitionResult(
@@ -165,10 +173,8 @@ class GraphEngine(_Engine):
     span = "gp"
     algorithm = "GP"
 
-    def __init__(self, g: WGraph, k: int, refine: str = "fm",
-                 conn_format: str = "auto") -> None:
-        super().__init__(g, k, refine)
-        self.conn_format = conn_format
+    def check_config(self, config) -> None:
+        """Every knob applies to the graph engine."""
 
     def make_state(self, structure: WGraph, assign: np.ndarray):
         return RefinementState(
@@ -235,6 +241,15 @@ class HyperEngine(_Engine):
     span = "hyper"
     algorithm = "GP-hyper"
     refines_coarsest = True
+
+    def __init__(self, hg: HGraph, k: int, refine: str = "fm",
+                 conn_format: str = "auto") -> None:
+        if conn_format != "auto":
+            raise PartitionError(
+                f"conn_format={conn_format!r}: the hypergraph Φ engine has "
+                f"no connectivity store to lay out (use 'auto')"
+            )
+        super().__init__(hg, k, refine)
 
     def make_state(self, structure: HGraph, assign: np.ndarray):
         return HyperRefinementState(structure, assign, self.k)
@@ -317,7 +332,8 @@ class VectorGraphEngine(_Engine):
 
     def make_state(self, structure: VectorGraph, assign: np.ndarray):
         return VectorRefinementState(
-            structure.graph, structure.weights, assign, self.k
+            structure.graph, structure.weights, assign, self.k,
+            conn_format=self.conn_format,
         )
 
     def neighbors_of(self, structure: VectorGraph):

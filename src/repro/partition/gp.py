@@ -20,111 +20,19 @@ Pipeline (mirrors the paper's phases):
 
 The pipeline itself is :func:`~repro.partition.multilevel.
 multilevel_partition`, shared with the hypergraph and vector-resource
-partitioners; this module holds GP's knobs and runs the driver on the
-graph engine.
+partitioners, under the one :class:`~repro.partition.multilevel.GPConfig`
+(re-exported here); this module runs the driver on the graph engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.graph.wgraph import WGraph
 from repro.partition.base import PartitionResult
-from repro.partition.coarsen import MATCHING_METHODS
-from repro.partition.conn_store import check_conn_format
 from repro.partition.engine import GraphEngine
-from repro.partition.flow_refine import check_refine_mode
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.multilevel import check_cycle_knobs, multilevel_partition
-from repro.util.errors import PartitionError
+from repro.partition.multilevel import GPConfig, multilevel_partition
 
 __all__ = ["GPConfig", "gp_partition"]
-
-
-@dataclass(frozen=True)
-class GPConfig:
-    """Tuning knobs of the GP algorithm, with the paper's defaults.
-
-    Attributes
-    ----------
-    coarsen_to:
-        Coarsening stops at this many nodes ("default is 100").
-    restarts:
-        Initial-partitioning restarts ("10 is default").
-    max_cycles:
-        Maximum coarsen/partition/un-coarsen cycles before declaring the
-        instance infeasible ("a predetermined number of iterations").
-    level_candidates:
-        Intermediate clusterings generated per un-coarsening level and
-        compared with the goodness function.
-    refine_passes:
-        FM passes per refinement call.
-    vcycles:
-        Partition-preserving V-cycle refinement rounds applied to each
-        cycle's finest-level result (see :mod:`repro.partition.vcycle`);
-        0 disables (the default — the cyclic restarts already realise the
-        paper's outer loop; benchmark X8 measures this knob).
-    matchings:
-        Coarsening heuristics raced per level (Section IV.A's three).
-    refine:
-        Refinement stage (see :mod:`repro.partition.flow_refine`):
-        ``"fm"`` — the paper's constrained FM per level (default, exact
-        historical behaviour); ``"flow"`` — corridor max-flow passes
-        replace the per-level FM (ablation mode); ``"fm+flow"`` — FM per
-        level, then one guarded flow stage on the race winner, so the
-        result is never worse than ``"fm"`` under the same seeds.
-    conn_format:
-        Connectivity-store layout of every refinement state this run
-        builds (:mod:`repro.partition.conn_store`): ``"dense"`` — the
-        historical ``(k, n)`` matrices; ``"sparse"`` — packed per-node
-        slices sized by degree (the million-node setting); ``"auto"``
-        (default) — sparse iff ``k·n`` crosses the module threshold.
-        Dense and sparse are bit-identical under integer-valued weights.
-    on_infeasible:
-        ``"return"`` — give back the least-violating partition with
-        ``feasible=False``; ``"raise"`` — raise :class:`InfeasibleError`.
-    seed:
-        Default random seed for the run; the ``seed`` argument of
-        :func:`gp_partition` overrides it when given, and ``None`` falls
-        back to the library-default seed (runs are deterministic unless
-        the caller passes a live Generator).
-
-    This docstring is the canonical field-by-field reference for the GP
-    knobs — ``docs/architecture.md`` and ``docs/parallel.md`` link here
-    rather than re-listing them.  Execution concerns (``n_jobs``) are
-    deliberately *not* config fields: they change wall-clock, never
-    results, and live on the call sites instead.
-    """
-
-    coarsen_to: int = 100
-    restarts: int = 10
-    max_cycles: int = 20
-    level_candidates: int = 3
-    refine_passes: int = 6
-    vcycles: int = 0
-    matchings: tuple[str, ...] = ("random", "hem", "kmeans")
-    refine: str = "fm"
-    conn_format: str = "auto"
-    on_infeasible: str = "return"
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        # normalise matchings to a tuple so configs stay hashable (cache
-        # keys) and equality-comparable however the caller spelled them
-        object.__setattr__(self, "matchings", tuple(self.matchings))
-        check_cycle_knobs(self)
-        if self.vcycles < 0:
-            raise PartitionError("vcycles must be >= 0")
-        check_refine_mode(self.refine)
-        check_conn_format(self.conn_format)
-        if not self.matchings:
-            raise PartitionError("at least one matching method required")
-        unknown = [m for m in self.matchings if m not in MATCHING_METHODS]
-        if unknown:
-            raise PartitionError(
-                f"unknown matching method(s) {unknown}; "
-                f"valid: {sorted(MATCHING_METHODS)}"
-            )
 
 
 def gp_partition(

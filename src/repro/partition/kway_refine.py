@@ -330,7 +330,6 @@ def constrained_kway_fm(
     seed=None,
     abort_after: int | None = None,
     state: RefinementState | None = None,
-    selection: str = "first",
     seed_nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Constraint-driven FM k-way refinement (the GP local search).
@@ -345,9 +344,6 @@ def constrained_kway_fm(
     ``max(50, n // 10)``), the standard early-exit that keeps passes cheap
     on large graphs.
 
-    *selection* picks the move-ordering discipline — see
-    :func:`run_constrained_fm`.
-
     When *state* is given the engine is reused (and left holding the
     returned assignment, so callers can read ``state.metrics()`` without a
     from-scratch evaluation).  *seed_nodes* localises the FM frontier —
@@ -360,7 +356,7 @@ def constrained_kway_fm(
     return run_constrained_fm(
         st, g.n, g.neighbors, constraints,
         max_passes=max_passes, seed=seed, abort_after=abort_after,
-        selection=selection, seed_nodes=seed_nodes,
+        seed_nodes=seed_nodes,
     )
 
 
@@ -372,7 +368,6 @@ def run_constrained_fm(
     max_passes: int = 6,
     seed=None,
     abort_after: int | None = None,
-    selection: str = "first",
     seed_nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """The constrained-FM pass discipline, engine-agnostic.
@@ -395,17 +390,6 @@ def run_constrained_fm(
     discipline and best-prefix recovery — the 2-pin differential parity
     between the graph and Φ engines is a property of their states alone.
 
-    *selection* picks the move-ordering discipline.  ``"first"`` (default,
-    byte-identical to the historical behaviour) pops from the lazy gain
-    queue — near-linear passes, the production setting.  ``"steepest"``
-    re-evaluates every unlocked boundary/overloaded candidate after each
-    move and applies the global argmin on ``(dv, dc, dest, u)`` — the
-    textbook steepest-descent FM, O(boundary) gain work per move, no RNG
-    (so no *seed* sensitivity).  Acceptance, stagnation and best-prefix
-    rules are shared, so the two differ only in move *order*; steepest is
-    meant for coarsest-level polish where the boundary is tiny (see
-    ROADMAP/X13 notes on the cost-quality trade).
-
     *seed_nodes* localises the frontier, n-level style: only boundary
     nodes inside the given set seed the queue (overloaded nodes always
     do — violations must be reachable), and every move re-opens its
@@ -415,10 +399,6 @@ def run_constrained_fm(
     passes.  ``None`` (default) keeps the historical whole-boundary
     behaviour, bit for bit.
     """
-    if selection not in ("first", "steepest"):
-        raise PartitionError(
-            f"selection must be 'first' or 'steepest', got {selection!r}"
-        )
     rng = as_rng(seed)
     if abort_after is None:
         abort_after = max(50, n // 10)
@@ -444,56 +424,6 @@ def run_constrained_fm(
         passes += 1
         locked = np.zeros(n, dtype=bool)
         start_key = st.key(constraints)
-
-        if selection == "steepest":
-            if rec:
-                escape_seeds += int(st.overloaded_nodes(constraints).size)
-            stagnant = 0
-            while True:
-                # fresh global scan: every unlocked boundary/overloaded
-                # node, re-gained after the previous move
-                bnd = st.boundary_nodes()
-                if active is not None:
-                    bnd = bnd[active[bnd]]
-                cand = np.union1d(
-                    bnd, st.overloaded_nodes(constraints)
-                ).astype(np.int64)
-                cand = cand[~locked[cand]]
-                best = None
-                if cand.size:
-                    for u, mv in zip(cand, st.best_moves(cand, constraints)):
-                        if mv is None:
-                            continue
-                        key = (mv[0], mv[1], mv[2], int(u))
-                        if best is None or key < best:
-                            best = key
-                if best is None:
-                    break
-                dv, dc, dest, u = best
-                if dv > _EPS:
-                    break  # even the best move worsens violation
-                if dv > -_EPS and dc > _EPS and stagnant >= abort_after:
-                    break
-                st.move(u, dest)
-                if active is not None:
-                    active[neighbors_of(u)] = True
-                if rec:
-                    tried += 1
-                    gains.append(dc)
-                locked[u] = True
-                key_now = st.key(constraints)
-                if key_now < best_key:
-                    best_key = key_now
-                    best_mark = st.snapshot()
-                    stagnant = 0
-                else:
-                    stagnant += 1
-                if stagnant > abort_after:
-                    break
-            st.rollback(best_mark)
-            if not best_key < start_key:
-                break
-            continue
 
         queue = BucketQueue()
 

@@ -23,29 +23,123 @@ bit-identical for every ``n_jobs``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 import repro.obs as _obs
-from repro.partition.flow_refine import run_flow_refine
+from repro.partition.coarsen import MATCHING_METHODS
+from repro.partition.conn_store import check_conn_format
+from repro.partition.flow_refine import check_refine_mode, run_flow_refine
 from repro.partition.goodness import goodness_key
 from repro.util.errors import InfeasibleError, PartitionError
 from repro.util.parallel import parallel_map
 from repro.util.rng import as_rng, spawn_seeds
 
-__all__ = ["check_cycle_knobs", "multilevel_partition", "raise_if_infeasible"]
+__all__ = ["GPConfig", "multilevel_partition", "raise_if_infeasible"]
 
 
-def check_cycle_knobs(config) -> None:
-    """Validate the driver knobs every config class shares."""
-    for name in ("coarsen_to", "restarts", "max_cycles", "level_candidates",
-                 "refine_passes"):
-        if getattr(config, name) < 1:
-            raise PartitionError(f"{name} must be >= 1")
-    if config.on_infeasible not in ("return", "raise"):
-        raise PartitionError(
-            f"on_infeasible must be 'return' or 'raise', "
-            f"got {config.on_infeasible!r}"
-        )
+@dataclass(frozen=True)
+class GPConfig:
+    """Tuning knobs of the multilevel driver, with the paper's defaults.
+
+    One config for every engine: :func:`~repro.partition.gp.gp_partition`,
+    :func:`~repro.hypergraph.partition.hyper_partition` and
+    :func:`~repro.partition.multires.mr_gp_partition` all take it (the
+    latter two with fewer cycles when given ``None``).  A knob an engine
+    cannot honour is rejected before any cycle runs.
+
+    Attributes
+    ----------
+    coarsen_to:
+        Coarsening stops at this many nodes ("default is 100").
+    restarts:
+        Initial-partitioning restarts ("10 is default").
+    max_cycles:
+        Maximum coarsen/partition/un-coarsen cycles before declaring the
+        instance infeasible ("a predetermined number of iterations").
+    level_candidates:
+        Intermediate clusterings generated per un-coarsening level and
+        compared with the goodness function.
+    refine_passes:
+        FM passes per refinement call.
+    vcycles:
+        Partition-preserving V-cycle refinement rounds applied to each
+        cycle's finest-level result (see :mod:`repro.partition.vcycle`);
+        0 disables (the default — the cyclic restarts already realise the
+        paper's outer loop; benchmark X8 measures this knob).  Graph
+        engine only.
+    matchings:
+        Coarsening heuristics raced per level (Section IV.A's three).
+        The hypergraph engine contracts by heavy pins and ignores them.
+    refine:
+        Refinement stage (see :mod:`repro.partition.flow_refine`):
+        ``"fm"`` — the paper's constrained FM per level (default, exact
+        historical behaviour); ``"flow"`` — corridor max-flow passes
+        replace the per-level FM (ablation mode); ``"fm+flow"`` — FM per
+        level, then one guarded flow stage on the race winner, so the
+        result is never worse than ``"fm"`` under the same seeds.
+    conn_format:
+        Connectivity-store layout of every refinement state this run
+        builds (:mod:`repro.partition.conn_store`): ``"dense"`` — the
+        historical ``(k, n)`` matrices; ``"sparse"`` — packed per-node
+        slices sized by degree (the million-node setting); ``"auto"``
+        (default) — sparse iff ``k·n`` crosses the module threshold.
+        Dense and sparse are bit-identical under integer-valued weights.
+        The hypergraph Φ engine has no store and accepts ``"auto"`` only.
+    on_infeasible:
+        ``"return"`` — give back the least-violating partition with
+        ``feasible=False``; ``"raise"`` — raise :class:`InfeasibleError`.
+    seed:
+        Default random seed for the run; the ``seed`` argument of the
+        wrappers overrides it when given, and ``None`` falls back to the
+        library-default seed (runs are deterministic unless the caller
+        passes a live Generator).
+
+    This docstring is the canonical field-by-field reference for the
+    multilevel knobs — ``docs/architecture.md`` and ``docs/parallel.md``
+    link here rather than re-listing them.  Execution concerns
+    (``n_jobs``) are deliberately *not* config fields: they change
+    wall-clock, never results, and live on the call sites instead.
+    """
+
+    coarsen_to: int = 100
+    restarts: int = 10
+    max_cycles: int = 20
+    level_candidates: int = 3
+    refine_passes: int = 6
+    vcycles: int = 0
+    matchings: tuple[str, ...] = ("random", "hem", "kmeans")
+    refine: str = "fm"
+    conn_format: str = "auto"
+    on_infeasible: str = "return"
+    seed: int | None = None
+
+    def __post_init__(self) -> None:
+        # normalise matchings to a tuple so configs stay hashable (cache
+        # keys) and equality-comparable however the caller spelled them
+        object.__setattr__(self, "matchings", tuple(self.matchings))
+        for name in ("coarsen_to", "restarts", "max_cycles",
+                     "level_candidates", "refine_passes"):
+            if getattr(self, name) < 1:
+                raise PartitionError(f"{name} must be >= 1")
+        if self.on_infeasible not in ("return", "raise"):
+            raise PartitionError(
+                f"on_infeasible must be 'return' or 'raise', "
+                f"got {self.on_infeasible!r}"
+            )
+        if self.vcycles < 0:
+            raise PartitionError("vcycles must be >= 0")
+        check_refine_mode(self.refine)
+        check_conn_format(self.conn_format)
+        if not self.matchings:
+            raise PartitionError("at least one matching method required")
+        unknown = [m for m in self.matchings if m not in MATCHING_METHODS]
+        if unknown:
+            raise PartitionError(
+                f"unknown matching method(s) {unknown}; "
+                f"valid: {sorted(MATCHING_METHODS)}"
+            )
 
 
 def _refine_level(engine, structure, assign, constraints, config, rng,
@@ -148,14 +242,15 @@ def raise_if_infeasible(result, config):
     return result
 
 
-def multilevel_partition(engine, constraints, config, seed=None,
+def multilevel_partition(engine, constraints, config: GPConfig, seed=None,
                          n_jobs: int | None = 1):
-    """Run GP's cycles on *engine* under *config* (a
-    :class:`~repro.partition.gp.GPConfig`) and return the engine's result.
+    """Run GP's cycles on *engine* under *config* and return the engine's
+    result.
 
-    *seed* overrides ``config.seed`` when given.  The returned ``info``
-    holds ``cycles`` (cycles consumed), ``levels`` (hierarchy depth of the
-    last cycle) and ``max_cycles``.
+    *seed* overrides ``config.seed`` when given.  A knob the engine cannot
+    honour (``engine.check_config``) is rejected before any cycle runs.
+    The returned ``info`` holds ``cycles`` (cycles consumed), ``levels``
+    (hierarchy depth of the last cycle) and ``max_cycles``.
     """
     k = engine.k
     n = engine.structure.n
@@ -163,6 +258,7 @@ def multilevel_partition(engine, constraints, config, seed=None,
         raise PartitionError(f"k must be >= 1, got {k}")
     if k > n:
         raise PartitionError(f"k={k} exceeds node count {n}")
+    engine.check_config(config)
     rng = as_rng(seed if seed is not None else config.seed)
 
     with _obs.timed_span(engine.span, nodes=n, k=k) as sw:

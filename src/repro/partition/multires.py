@@ -34,7 +34,6 @@ See ``docs/multires.md``.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -45,6 +44,7 @@ from repro.partition.base import PartitionState
 from repro.partition.kway_refine import run_constrained_fm
 from repro.partition.metrics import check_assignment
 from repro.partition.multilevel import (
+    GPConfig,
     multilevel_partition,
     raise_if_infeasible,
 )
@@ -68,12 +68,17 @@ __all__ = [
     "mr_gp_partition",
     "leftover_destination",
     "MultiResResult",
+    "MR_GP_CONFIG",
     "multires_cache",
     "clear_multires_cache",
 ]
 
+#: What :func:`mr_gp_partition` runs given ``config=None``: 10 cycles and
+#: one FM candidate per level, the vector pipeline's historical budget.
+MR_GP_CONFIG = GPConfig(max_cycles=10, level_candidates=1)
+
 #: In-process memo of completed :func:`mr_gp_partition` runs, keyed by
-#: ``(VectorGraph digest, k, constraints, knobs, seed)``.  ``n_jobs`` is
+#: ``(VectorGraph digest, k, constraints, config, seed)``.  ``n_jobs`` is
 #: deliberately absent from the key: results are bit-identical for every
 #: worker count, so a serial run may serve a parallel request and vice
 #: versa.
@@ -307,29 +312,15 @@ def mr_greedy_initial(
     return best_assign
 
 
-def _cached_copy(result: MultiResResult) -> MultiResResult:
-    """Deliver a cached result without aliasing the stored arrays/info."""
-    return dataclasses.replace(
-        result,
-        assign=result.assign.copy(),
-        info={**copy.deepcopy(result.info), "cache_hit": True},
-    )
-
-
 def mr_gp_partition(
     g: WGraph,
     weights: np.ndarray,
     k: int,
     cons: VectorConstraints,
-    coarsen_to: int = 100,
-    restarts: int = 10,
-    max_cycles: int = 10,
-    refine_passes: int = 6,
+    config: GPConfig | None = None,
     seed=None,
-    on_infeasible: str = "return",
     n_jobs: int | None = 1,
     cache: bool = True,
-    refine: str = "fm",
 ) -> MultiResResult:
     """GP lifted to vector resources: multilevel + cyclic retries.
 
@@ -338,6 +329,17 @@ def mr_gp_partition(
     the true weight *matrix* is aggregated level by level through the
     contraction maps and drives all constraint checks.
 
+    *config* is GP's own :class:`~repro.partition.multilevel.GPConfig`
+    (:data:`MR_GP_CONFIG` when omitted) and means what it means for
+    :func:`~repro.partition.gp.gp_partition`: ``refine="flow"`` swaps the
+    per-level FM for corridor flow passes on the vector engine (its
+    componentwise ``key`` drives acceptance), ``"fm+flow"`` adds one
+    guarded flow stage on the race winner, ``conn_format`` picks the
+    refinement states' connectivity store, and ``level_candidates`` FM
+    runs race per level.  ``vcycles > 0`` is rejected before any cycle
+    runs (V-cycles need the graph engine).  *seed* overrides
+    ``config.seed`` when given.
+
     *n_jobs* races the retry cycles across worker processes exactly like
     :func:`~repro.partition.gp.gp_partition` does (``-1`` = all CPUs):
     every cycle's seeds are derived up front, results are consumed in
@@ -345,33 +347,24 @@ def mr_gp_partition(
     partition is **bit-identical for every** ``n_jobs``.  *cache*
     memoises completed runs in :data:`multires_cache` keyed by the
     :class:`~repro.partition.vector_state.VectorGraph` content digest
-    (structure + weight matrix), constraints, the tuning knobs and the
-    seed; hits return a fresh copy flagged ``info["cache_hit"]=True``
-    (only ``int``/``None`` seeds participate).
-
-    The knobs are validated as :class:`~repro.partition.gp.GPConfig`
-    fields (a bad value raises :class:`PartitionError`), with one FM
-    candidate per un-coarsening level.  *refine* selects the refinement
-    stage exactly as :class:`~repro.partition.gp.GPConfig` does:
-    ``"flow"`` swaps the per-level FM for corridor flow passes on the vector engine (its
-    componentwise ``key`` drives acceptance), ``"fm+flow"`` adds one
-    guarded flow stage on the race winner — never worse than ``"fm"``
-    under the same seeds.
+    (structure + weight matrix), constraints, the config and the seed;
+    hits return a fresh copy flagged ``info["cache_hit"]=True`` (only
+    ``int``/``None`` seeds participate).
     """
     # the engine module imports this one, so import it at call time
     from repro.partition.engine import VectorGraphEngine
-    from repro.partition.gp import GPConfig
 
-    # one FM candidate per level: the vector pipeline's historical budget
-    config = GPConfig(
-        coarsen_to=coarsen_to, restarts=restarts, max_cycles=max_cycles,
-        level_candidates=1, refine_passes=refine_passes, refine=refine,
-        on_infeasible=on_infeasible,
-    )
+    config = config or MR_GP_CONFIG
     vg = VectorGraph(g, weights)
     _match_resources(vg.weights, cons)
+    engine = VectorGraphEngine(
+        vg, k, refine=config.refine, conn_format=config.conn_format
+    )
+    run_seed = seed if seed is not None else config.seed
 
-    cacheable = cache and (seed is None or isinstance(seed, (int, np.integer)))
+    cacheable = cache and (
+        run_seed is None or isinstance(run_seed, (int, np.integer))
+    )
     key = None
     if cacheable:
         key = (
@@ -379,32 +372,19 @@ def mr_gp_partition(
             vg.content_digest(),
             k,
             cons,
-            coarsen_to,
-            restarts,
-            max_cycles,
-            refine_passes,
-            refine,
-            # n_jobs / on_infeasible are absent on purpose: neither
-            # changes the computed partition, only delivery
-            None if seed is None else int(seed),
+            # on_infeasible only changes delivery, and the run's seed is
+            # keyed on its own
+            dataclasses.replace(config, on_infeasible="return", seed=None),
+            None if run_seed is None else int(run_seed),
         )
-        # lookup (not get): a cached falsy value must stay a hit
-        found, hit = multires_cache.lookup(key)
+        found, hit = multires_cache.lookup_result(key)
         if found:
-            return raise_if_infeasible(_cached_copy(hit), config)
+            return raise_if_infeasible(hit, config)
 
     result = multilevel_partition(
-        VectorGraphEngine(vg, k, refine=refine), cons,
-        dataclasses.replace(config, on_infeasible="return"),
-        seed=seed, n_jobs=n_jobs,
+        engine, cons, dataclasses.replace(config, on_infeasible="return"),
+        seed=run_seed, n_jobs=n_jobs,
     )
     if cacheable:
-        multires_cache.put(
-            key,
-            dataclasses.replace(
-                result,
-                assign=result.assign.copy(),
-                info=copy.deepcopy(result.info),
-            ),
-        )
+        multires_cache.put_result(key, result)
     return raise_if_infeasible(result, config)

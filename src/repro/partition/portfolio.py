@@ -32,7 +32,6 @@ winner.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from collections.abc import Sequence
 
@@ -82,15 +81,6 @@ def _run_member(context, task) -> PartitionResult:
     g, k, constraints = context
     cfg, s = task
     return gp_partition(g, k, constraints, cfg, seed=s)
-
-
-def _cached_copy(result: PartitionResult) -> PartitionResult:
-    """Deliver a cached result without aliasing the stored arrays/info."""
-    return dataclasses.replace(
-        result,
-        assign=result.assign.copy(),
-        info={**copy.deepcopy(result.info), "cache_hit": True},
-    )
 
 
 def portfolio_partition(
@@ -163,7 +153,7 @@ def portfolio_partition(
 
     cacheable = cache and (seed is None or isinstance(seed, int))
     key = None
-    found, hit = False, None
+    found = False
     if cacheable:
         key = (
             "portfolio",
@@ -175,14 +165,12 @@ def portfolio_partition(
             stop_on_feasible,
         )
         try:
-            # lookup (not get): a cached falsy value must stay a hit
-            found, hit = portfolio_cache.lookup(key)
+            found, result = portfolio_cache.lookup_result(key)
         except TypeError:
             # a config subclass smuggled in an unhashable field: run
             # uncached rather than refuse the call
             cacheable, key = False, None
         if found:
-            result = _cached_copy(hit)
             if not result.feasible and on_infeasible == "raise":
                 raise InfeasibleError(
                     f"no portfolio member found a feasible partitioning "
@@ -223,14 +211,7 @@ def portfolio_partition(
         info={"members": len(runs), "runs": runs, "winner": best.info},
     )
     if cacheable:
-        portfolio_cache.put(
-            key,
-            dataclasses.replace(
-                result,
-                assign=result.assign.copy(),
-                info=copy.deepcopy(result.info),
-            ),
-        )
+        portfolio_cache.put_result(key, result)
     if not result.feasible and on_infeasible == "raise":
         raise InfeasibleError(
             f"no portfolio member found a feasible partitioning "
@@ -262,7 +243,7 @@ def race_models(
     constraints: ConstraintSpec,
     seed=None,
     gp_config: GPConfig | None = None,
-    hyper_config=None,
+    hyper_config: GPConfig | None = None,
     bandwidth_scale: float = 1.0,
     n_jobs: int | None = 1,
 ) -> PartitionResult:
@@ -273,7 +254,10 @@ def race_models(
     goodness order compares like with like; the edge-cut candidate's own
     (over-counted) metrics are kept in ``info["graph"]["edge_cut_metrics"]``
     for reference.  The winner is returned with ``algorithm
-    "model-portfolio"`` and per-model summaries in ``info``.
+    "model-portfolio"`` and per-model summaries in ``info``.  Both models
+    take a :class:`~repro.partition.gp.GPConfig`: *gp_config* defaults to
+    the paper's, *hyper_config* to
+    :data:`~repro.hypergraph.partition.HYPER_CONFIG`.
 
     ``n_jobs=2`` runs the two models in separate worker processes; each
     model's seed is derived up front, so the winner is identical to a

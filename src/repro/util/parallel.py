@@ -34,6 +34,8 @@ builds on (see ``docs/parallel.md``):
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
@@ -537,6 +539,33 @@ class KeyedCache:
         _obs.add("cache.puts", cache=self.name)
         if self.backend is not None:
             self.backend.put(key, value)
+
+    def lookup_result(self, key) -> tuple[bool, Any]:
+        """:meth:`lookup` for memoised result dataclasses (``assign`` and
+        ``info`` fields): a hit is delivered as a fresh copy flagged
+        ``info["cache_hit"] = True``, so callers never alias the stored
+        entry."""
+        found, value = self.lookup(key)
+        if found:
+            value = dataclasses.replace(
+                value,
+                assign=value.assign.copy(),
+                info={**copy.deepcopy(value.info), "cache_hit": True},
+            )
+        return found, value
+
+    def put_result(self, key, result) -> None:
+        """:meth:`put` a copy of *result* (the counterpart of
+        :meth:`lookup_result`): later mutation of the caller's result
+        cannot reach the stored entry."""
+        self.put(
+            key,
+            dataclasses.replace(
+                result,
+                assign=result.assign.copy(),
+                info=copy.deepcopy(result.info),
+            ),
+        )
 
     def clear(self) -> None:
         """Drop the in-memory level and reset counters (backend untouched)."""

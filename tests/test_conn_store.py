@@ -4,7 +4,7 @@ The sparse store's contract is *bit-identity* with the dense one under
 integer-valued weights (the invariant every pinned corpus holds — see
 ``conn_store``'s module docstring).  The tests here enforce it at every
 layer: raw store queries, move/rollback sequences through the engine,
-each refinement driver (FM first/steepest, greedy k-way, flow), the
+each refinement driver (FM, greedy k-way, flow), the
 vector-resource engine, and the end-to-end partitioners.  The memory
 half pins the point of the exercise: the sparse footprint gauge on a
 bounded-degree graph at k=64 lands far below the dense ``16·k·n``.
@@ -206,20 +206,15 @@ class TestEngineParity:
         np.testing.assert_array_equal(st_d.ncnt, st_s.ncnt)
 
     @pytest.mark.parametrize("n,m,k,seed", CORPUS)
-    @pytest.mark.parametrize("selection", ["first", "steepest"])
-    def test_constrained_fm_parity(self, n, m, k, seed, selection):
+    def test_constrained_fm_parity(self, n, m, k, seed):
         g, a = _case(n, m, k, seed)
         cons = ConstraintSpec(
             bmax=0.2 * g.total_edge_weight,
             rmax=float(np.ceil(1.2 * g.total_node_weight / k)),
         )
         st_d, st_s = _engine_pair(g, a, k)
-        out_d = run_constrained_fm(
-            st_d, g.n, g.neighbors, cons, seed=seed, selection=selection
-        )
-        out_s = run_constrained_fm(
-            st_s, g.n, g.neighbors, cons, seed=seed, selection=selection
-        )
+        out_d = run_constrained_fm(st_d, g.n, g.neighbors, cons, seed=seed)
+        out_s = run_constrained_fm(st_s, g.n, g.neighbors, cons, seed=seed)
         np.testing.assert_array_equal(out_d, out_s)
         assert st_d.key(cons) == st_s.key(cons)
 
@@ -274,8 +269,7 @@ class TestEngineParity:
 # localized refinement (seed_nodes)
 # --------------------------------------------------------------------- #
 class TestLocalizedRefinement:
-    @pytest.mark.parametrize("selection", ["first", "steepest"])
-    def test_full_seed_set_matches_global(self, selection):
+    def test_full_seed_set_matches_global(self):
         g, a = _case(*CORPUS[1])
         k = CORPUS[1][2]
         cons = ConstraintSpec(
@@ -284,12 +278,9 @@ class TestLocalizedRefinement:
         )
         st_g = RefinementState(g, a.copy(), k)
         st_l = RefinementState(g, a.copy(), k)
-        out_g = run_constrained_fm(
-            st_g, g.n, g.neighbors, cons, seed=7, selection=selection
-        )
+        out_g = run_constrained_fm(st_g, g.n, g.neighbors, cons, seed=7)
         out_l = run_constrained_fm(
-            st_l, g.n, g.neighbors, cons, seed=7, selection=selection,
-            seed_nodes=np.arange(g.n),
+            st_l, g.n, g.neighbors, cons, seed=7, seed_nodes=np.arange(g.n),
         )
         np.testing.assert_array_equal(out_g, out_l)
 
@@ -365,17 +356,37 @@ class TestEndToEnd:
         r_s = partition_graph(g, 3, seed=0, conn_format="sparse")
         np.testing.assert_array_equal(r_d.assign, r_s.assign)
 
+    def test_vector_path_sparse_equals_dense(self):
+        # the vector engine honours conn_format (auto picks dense at this
+        # size, so a sparse store proves the knob reached the engine),
+        # and the partitions agree
+        from repro.core.api import partition_graph
+
+        g = random_process_network(40, 90, seed=7, node_weight_range=(1, 6))
+        w = np.random.default_rng(7).integers(1, 5, size=(g.n, 2))
+        caps = tuple(float(np.ceil(1.3 * c / 3)) for c in w.sum(axis=0))
+        outs = {}
+        for fmt in ("dense", "sparse"):
+            with _obs.capture(memory=True) as cap:
+                outs[fmt] = partition_graph(
+                    g, 3, bmax=0.3 * g.total_edge_weight, rmax=caps,
+                    resources=w.astype(float), seed=0, cache=False,
+                    conn_format=fmt,
+                )
+            assert fmt in _conn_gauges(cap)
+        np.testing.assert_array_equal(
+            outs["dense"].assign, outs["sparse"].assign
+        )
+        assert outs["dense"].metrics == outs["sparse"].metrics
+
     def test_partition_graph_rejects_unsupported(self):
         from repro.core.api import partition_graph
 
         g = random_process_network(20, 40, seed=7)
-        with pytest.raises(PartitionError, match="conn_format"):
-            partition_graph(g, 2, method="spectral", conn_format="sparse")
-        with pytest.raises(PartitionError, match="conn_format"):
-            partition_graph(
-                g, 2, conn_format="sparse",
-                resources=np.ones((20, 2)), rmax=(15.0, 15.0),
-            )
+        # no refinement engine, no store (Φ engine), no such config field
+        for method in ("spectral", "hyper", "evolve"):
+            with pytest.raises(PartitionError, match="conn_format"):
+                partition_graph(g, 2, method=method, conn_format="sparse")
         with pytest.raises(PartitionError, match="conn_format"):
             partition_graph(g, 2, conn_format="blocked")
 

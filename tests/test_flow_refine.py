@@ -1,6 +1,6 @@
 """The flow refinement pass on the shared engine seam.
 
-Four families, complementing ``tests/test_flow_core.py`` (which pins the
+Three families, complementing ``tests/test_flow_core.py`` (which pins the
 max-flow solver itself against brute-force min-cut enumeration):
 
 1. corridor extraction invariants — each side is a connected superset of
@@ -10,12 +10,12 @@ max-flow solver itself against brute-force min-cut enumeration):
    and leaves the incremental engine consistent, on all three engines
    (scalar graph, hypergraph Φ via clique expansion, vector-resource),
 3. the ``refine="fm+flow"`` drivers are never worse than ``refine="fm"``
-   at equal seeds and bit-identical across worker counts, and
-4. the ``selection="steepest"`` FM knob: never worsens its input, is
-   seed-independent, and is identical-or-better than first-improvement
-   on the pinned X13-style coarsest-level corpus.
+   at equal seeds and bit-identical across worker counts,
+
+plus the validation of the ``refine=`` knob everywhere it exists.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -29,7 +29,8 @@ from repro.evolve.ea import EvolveConfig
 from repro.fpga.resources import random_device_matrix
 from repro.graph import random_process_network
 from repro.graph.generators import multicast_network
-from repro.hypergraph import HyperRefinementState, constrained_hyper_fm
+from repro.hypergraph import HGraph, HyperRefinementState, constrained_hyper_fm
+from repro.hypergraph.partition import HYPER_CONFIG
 from repro.partition.flow_refine import (
     REFINE_MODES,
     FlowConfig,
@@ -40,9 +41,8 @@ from repro.partition.flow_refine import (
 )
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
-from repro.partition.kway_refine import constrained_kway_fm
 from repro.partition.metrics import ConstraintSpec, check_assignment
-from repro.partition.multires import mr_gp_partition
+from repro.partition.multires import MR_GP_CONFIG, mr_gp_partition
 from repro.partition.refine_state import RefinementState
 from repro.partition.vcycle import vcycle_refine
 from repro.partition.vector_state import VectorConstraints, VectorRefinementState
@@ -72,6 +72,11 @@ def _hyper_case(seed, n=22, k=3):
     return hg, a, k, cons
 
 
+def _mr_config(**fields):
+    """The vector pipeline's default config with *fields* changed."""
+    return dataclasses.replace(MR_GP_CONFIG, **fields)
+
+
 def _vector_case(seed, n=26, m=60, k=3):
     rng = as_rng(seed)
     g = random_process_network(n, m, seed=seed, node_weight_range=(1, 6))
@@ -79,6 +84,48 @@ def _vector_case(seed, n=26, m=60, k=3):
     a = rng.integers(0, k, size=n)
     caps = tuple(float(x) for x in w.sum(axis=0) / k * 1.25)
     return g, w, a, k, VectorConstraints(bmax=30.0, rmax=caps)
+
+
+#: ``partition_graph`` spellings whose config carries a ``refine`` field
+#: besides scalar gp: each engine, and evolve on top of them.
+REFINE_ENTRIES = ("hyper", "gp-hypergraph", "gp-vector", "evolve")
+
+
+def _refine_entry(entry):
+    """(``partition_graph`` keyword arguments, default config) for one
+    entry spelling of :data:`REFINE_ENTRIES`, k = 3."""
+    g = random_process_network(30, 70, seed=4, node_weight_range=(1, 6))
+    cons = dict(bmax=16.0, rmax=g.total_node_weight / 3 * 1.2)
+    if entry == "hyper":
+        return dict(g=g, method="hyper", **cons), HYPER_CONFIG
+    if entry == "gp-hypergraph":
+        return dict(g=HGraph.from_wgraph(g), method="gp", **cons), HYPER_CONFIG
+    if entry == "gp-vector":
+        w, _ = random_device_matrix(g.n, seed=4, n_resources=2)
+        caps = tuple(float(x) for x in w.sum(axis=0) / 3 * 1.25)
+        return dict(
+            g=g, method="gp", bmax=16.0, rmax=caps, resources=w, cache=False,
+        ), MR_GP_CONFIG
+    return dict(g=g, method="evolve", cache=False, **cons), EvolveConfig(
+        pop_size=4, generations=2
+    )
+
+
+def _count_flow_stages(monkeypatch):
+    """Count ``run_flow_refine`` calls from the multilevel driver and the
+    engines (evolve refines through the latter)."""
+    import repro.partition.engine as engine
+    import repro.partition.multilevel as multilevel
+
+    calls = []
+
+    def counting(st, constraints, *args, **kwargs):
+        calls.append(1)
+        return run_flow_refine(st, constraints, *args, **kwargs)
+
+    for module in (multilevel, engine):
+        monkeypatch.setattr(module, "run_flow_refine", counting)
+    return calls
 
 
 # --------------------------------------------------------------------- #
@@ -264,11 +311,12 @@ class TestDrivers:
         g, w, _a, k, cons = _vector_case(31, n=32, m=75)
         vg = None
         base = mr_gp_partition(
-            g, w, k, cons, seed=5, max_cycles=3, cache=False, refine="fm"
+            g, w, k, cons, _mr_config(max_cycles=3, refine="fm"), seed=5,
+            cache=False,
         )
         flow = mr_gp_partition(
-            g, w, k, cons, seed=5, max_cycles=3, cache=False,
-            refine="fm+flow",
+            g, w, k, cons, _mr_config(max_cycles=3, refine="fm+flow"),
+            seed=5, cache=False,
         )
         kb = (base.metrics.total_violation, base.metrics.cut)
         kf = (flow.metrics.total_violation, flow.metrics.cut)
@@ -292,8 +340,8 @@ class TestDrivers:
         g, w, _a, k, cons = _vector_case(19, n=30, m=68)
         runs = [
             mr_gp_partition(
-                g, w, k, cons, seed=7, max_cycles=2, cache=False,
-                refine="fm+flow", n_jobs=j,
+                g, w, k, cons, _mr_config(max_cycles=2, refine="fm+flow"),
+                seed=7, cache=False, n_jobs=j,
             )
             for j in (1, N_JOBS)
         ]
@@ -307,68 +355,6 @@ class TestDrivers:
             method="evolve", seed=9, config=cfg, cache=False,
         )
         check_assignment(g, r.assign, 3)
-
-
-# --------------------------------------------------------------------- #
-# 4. the steepest-selection FM knob (X13 follow-on)
-# --------------------------------------------------------------------- #
-class TestSteepestSelection:
-    #: Coarsest-level-style cases (n≈24 ≈ GP's coarsen_to floor, k=4)
-    #: where steepest selection was observed identical-or-better than
-    #: first-improvement — pinned as a regression corpus.  Steepest is
-    #: *not* uniformly better (ROADMAP X13: a few % on some cases at
-    #: ~19× cost), which is why it is a knob and not the default.
-    PINNED = (0, 1, 3, 4, 6, 7, 9, 11, 12, 13, 16, 18, 20)
-
-    @staticmethod
-    def _case(seed):
-        rng = as_rng(seed)
-        n, k = 24, 4
-        g = random_process_network(n, 52, seed=seed, node_weight_range=(1, 6))
-        a0 = rng.integers(0, k, size=n)
-        cons = ConstraintSpec(bmax=14.0, rmax=g.total_node_weight / k * 1.15)
-        return g, a0, k, cons
-
-    @pytest.mark.parametrize("seed", PINNED)
-    def test_identical_or_better_on_pinned_corpus(self, seed):
-        g, a0, k, cons = self._case(seed)
-        first = constrained_kway_fm(g, a0, k, cons, seed=1)
-        steep = constrained_kway_fm(
-            g, a0, k, cons, seed=1, selection="steepest"
-        )
-        k_first = RefinementState(g, first, k).key(cons)
-        k_steep = RefinementState(g, steep, k).key(cons)
-        assert k_steep <= k_first
-
-    @given(seed=st.integers(0, 4000))
-    @settings(max_examples=25, deadline=None)
-    def test_never_worsens_input(self, seed):
-        g, a0, k, cons = self._case(seed)
-        out = constrained_kway_fm(g, a0, k, cons, selection="steepest")
-        assert RefinementState(g, out, k).key(cons) <= \
-            RefinementState(g, a0, k).key(cons)
-
-    def test_seed_blind(self):
-        # steepest selection has no randomized tie-breaking at all
-        g, a0, k, cons = self._case(6)
-        outs = [
-            constrained_kway_fm(g, a0, k, cons, seed=s, selection="steepest")
-            for s in (None, 0, 1234)
-        ]
-        np.testing.assert_array_equal(outs[0], outs[1])
-        np.testing.assert_array_equal(outs[0], outs[2])
-
-    def test_default_is_first(self):
-        g, a0, k, cons = self._case(8)
-        np.testing.assert_array_equal(
-            constrained_kway_fm(g, a0, k, cons, seed=2),
-            constrained_kway_fm(g, a0, k, cons, seed=2, selection="first"),
-        )
-
-    def test_bad_selection_rejected(self):
-        g, a0, k, cons = self._case(0)
-        with pytest.raises(PartitionError, match="selection"):
-            constrained_kway_fm(g, a0, k, cons, selection="best")
 
 
 # --------------------------------------------------------------------- #
@@ -398,11 +384,83 @@ class TestValidation:
 
     def test_partition_graph_rejects_unsupported_methods(self):
         g = random_process_network(12, 22, seed=1)
-        for method in ("spectral", "exact", "hyper"):
+        for method in ("spectral", "exact"):
             with pytest.raises(PartitionError, match="refine"):
                 partition_graph(g, 2, method=method, refine="flow")
         with pytest.raises(PartitionError):
             partition_graph(g, 2, method="gp", refine="nope")
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_hyper_fm_plus_flow_never_worse_than_fm(self, seed):
+        # hypergraph GP takes refine= like every multilevel method
+        g = random_process_network(40, 90, seed=seed, node_weight_range=(1, 6))
+        cons = dict(bmax=18.0, rmax=g.total_node_weight / 3 * 1.15)
+        runs = {
+            mode: partition_graph(
+                g, 3, method="hyper", seed=seed, refine=mode, **cons
+            )
+            for mode in ("fm", "fm+flow")
+        }
+        fm, flow = runs["fm"].metrics, runs["fm+flow"].metrics
+        assert (flow.total_violation, flow.cut) <= (fm.total_violation, fm.cut)
+
+    def test_explicit_refine_overrides_config(self, monkeypatch):
+        # refine="fm" is an override, not "unspecified": a config asking
+        # for fm+flow must not run the flow stage
+        import repro.partition.multilevel as multilevel
+
+        calls = []
+
+        def counting(st, constraints, *args, **kwargs):
+            calls.append(1)
+            return run_flow_refine(st, constraints, *args, **kwargs)
+
+        monkeypatch.setattr(multilevel, "run_flow_refine", counting)
+        g = random_process_network(30, 70, seed=4, node_weight_range=(1, 6))
+        cons = dict(bmax=16.0, rmax=g.total_node_weight / 3 * 1.2)
+        overridden = partition_graph(
+            g, 3, seed=4, config=GPConfig(refine="fm+flow"), refine="fm",
+            **cons,
+        )
+        assert calls == []
+        plain = partition_graph(g, 3, seed=4, refine="fm", **cons)
+        np.testing.assert_array_equal(overridden.assign, plain.assign)
+        # the probe does see the stage when it runs
+        partition_graph(
+            g, 3, seed=4, config=GPConfig(refine="fm+flow"), **cons
+        )
+        assert calls == [1]
+
+    @pytest.mark.parametrize("entry", REFINE_ENTRIES)
+    def test_explicit_refine_overrides_config_on_every_engine(
+        self, monkeypatch, entry
+    ):
+        calls = _count_flow_stages(monkeypatch)
+        kwargs, base = _refine_entry(entry)
+        overridden = partition_graph(
+            k=3, seed=4, config=dataclasses.replace(base, refine="fm+flow"),
+            refine="fm", **kwargs,
+        )
+        assert calls == []
+        plain = partition_graph(
+            k=3, seed=4, config=dataclasses.replace(base, refine="fm"),
+            **kwargs,
+        )
+        np.testing.assert_array_equal(overridden.assign, plain.assign)
+
+    @pytest.mark.parametrize("entry", REFINE_ENTRIES)
+    def test_unset_refine_keeps_config_value(self, monkeypatch, entry):
+        calls = _count_flow_stages(monkeypatch)
+        kwargs, base = _refine_entry(entry)
+        kept = partition_graph(
+            k=3, seed=4, config=dataclasses.replace(base, refine="fm+flow"),
+            **kwargs,
+        )
+        assert calls, "the config's flow stage did not run"
+        explicit = partition_graph(
+            k=3, seed=4, config=base, refine="fm+flow", **kwargs
+        )
+        np.testing.assert_array_equal(kept.assign, explicit.assign)
 
     def test_drivers_reject_bad_refine(self):
         g, a, k, cons = _graph_case(1, n=14, m=26, k=2)
@@ -410,4 +468,4 @@ class TestValidation:
             vcycle_refine(g, a, k, cons, refine="nope")
         g2, w, _a, k2, cons2 = _vector_case(1, n=14, m=26, k=2)
         with pytest.raises(PartitionError):
-            mr_gp_partition(g2, w, k2, cons2, refine="nope")
+            mr_gp_partition(g2, w, k2, cons2, GPConfig(refine="nope"))

@@ -34,7 +34,7 @@ from repro.hypergraph import (
     hyper_bandwidth_matrix,
     hyper_partition,
 )
-from repro.hypergraph.partition import HyperConfig
+from repro.partition.gp import GPConfig
 from repro.partition.goodness import goodness_key
 from repro.partition.kway_refine import constrained_kway_fm
 from repro.partition.metrics import (
@@ -137,7 +137,7 @@ class TestFullPipelineConsistency:
     def test_reported_metrics_match_graph_evaluation(self, case, g, k, cons):
         hg = HGraph.from_wgraph(g)
         res = hyper_partition(
-            hg, k, cons, config=HyperConfig(max_cycles=3, restarts=4), seed=0
+            hg, k, cons, config=GPConfig(max_cycles=3, restarts=4), seed=0
         )
         m_graph = evaluate_partition(g, res.assign, k, cons)
         assert res.metrics == m_graph

@@ -304,12 +304,26 @@ class TestEndToEndWiring:
         assert res.info["model"] == "hypergraph"
         assert res.assign.shape == (20,)
 
-    def test_partition_graph_hyper_rejects_gpconfig(self):
+    def test_partition_graph_hyper_takes_gpconfig(self):
+        # hypergraph GP is configured by GP's own config; None means
+        # GPConfig(max_cycles=10), and other config classes are refused
+        from repro.evolve.ea import EvolveConfig
         from repro.partition.gp import GPConfig
 
-        g = random_process_network(10, 18, seed=0)
-        with pytest.raises(PartitionError):
-            partition_graph(g, 2, method="hyper", config=GPConfig())
+        g = random_process_network(20, 40, seed=0)
+        runs = [
+            partition_graph(g, 3, rmax=400.0, method="hyper", seed=0,
+                            config=config)
+            for config in (None, GPConfig(max_cycles=10))
+        ]
+        direct = hyper_partition(
+            HGraph.from_wgraph(g), 3, ConstraintSpec(rmax=400.0),
+            config=GPConfig(max_cycles=10), seed=0,
+        )
+        for res in runs:
+            np.testing.assert_array_equal(res.assign, direct.assign)
+        with pytest.raises(PartitionError, match="GPConfig"):
+            partition_graph(g, 2, method="hyper", config=EvolveConfig())
 
     def test_partition_ppn_hypergraph_model(self):
         res, hg, names = partition_ppn(
@@ -360,25 +374,24 @@ class TestEndToEndWiring:
 
     def test_race_models_never_raises_per_member(self):
         """A raise-configured member must lose the race, not abort it."""
-        from repro.hypergraph import HyperConfig
         from repro.partition.gp import GPConfig
 
         cons = ConstraintSpec(rmax=1.0)  # infeasible for every model
         res = race_models(
             chain(4, 8), 2, cons, seed=0,
             gp_config=GPConfig(max_cycles=1, restarts=1, on_infeasible="raise"),
-            hyper_config=HyperConfig(
+            hyper_config=GPConfig(
                 max_cycles=1, restarts=1, on_infeasible="raise"
             ),
         )
         assert not res.feasible  # returned, with violations reported
 
     def test_hyper_partition_infeasible_raise(self):
-        from repro.hypergraph import HyperConfig
+        from repro.partition.gp import GPConfig
         from repro.util.errors import InfeasibleError
 
         hg = multicast_network(12, seed=0, fanout=4)
-        cfg = HyperConfig(max_cycles=2, restarts=2, on_infeasible="raise")
+        cfg = GPConfig(max_cycles=2, restarts=2, on_infeasible="raise")
         with pytest.raises(InfeasibleError):
             hyper_partition(
                 hg, 3, ConstraintSpec(rmax=1.0), config=cfg, seed=0

@@ -36,7 +36,7 @@ import pytest
 
 from repro.graph import multicast_network, random_process_network
 from repro.hypergraph import HGraph
-from repro.hypergraph.partition import HyperConfig, hyper_partition
+from repro.hypergraph.partition import hyper_partition
 from repro.partition import coarsen
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec
@@ -136,7 +136,7 @@ def hyper_instance(name: str):
 
 def run_hyper(name: str, **kwargs):
     hg, cons = hyper_instance(name)
-    cfg = HyperConfig(coarsen_to=20, max_cycles=3)
+    cfg = GPConfig(coarsen_to=20, max_cycles=3)
     return hyper_partition(hg, K, cons, cfg, seed=SEED, **kwargs)
 
 
@@ -184,8 +184,9 @@ def run_vector(instance: str, n_jobs=1):
         rmax=tuple(float(round(1.2 * c / K)) for c in w.sum(axis=0)),
     )
     return mr_gp_partition(
-        g, w, K, cons, coarsen_to=30, max_cycles=3, seed=SEED,
-        n_jobs=n_jobs, cache=False,
+        g, w, K, cons,
+        GPConfig(coarsen_to=30, max_cycles=3, level_candidates=1),
+        seed=SEED, n_jobs=n_jobs, cache=False,
     )
 
 
@@ -223,7 +224,7 @@ class TestValidation:
         w = np.ones((g.n, 1))
         cons = VectorConstraints(bmax=40.0, rmax=(60.0,))
         with pytest.raises(PartitionError, match="max_cycles"):
-            mr_gp_partition(g, w, K, cons, max_cycles=0)
+            mr_gp_partition(g, w, K, cons, GPConfig(max_cycles=0))
 
     @pytest.mark.parametrize("coarsen_to", [0, -5])
     def test_vector_coarsen_to(self, coarsen_to):
@@ -231,11 +232,55 @@ class TestValidation:
         w = np.ones((g.n, 1))
         cons = VectorConstraints(bmax=40.0, rmax=(60.0,))
         with pytest.raises(PartitionError, match="coarsen_to"):
-            mr_gp_partition(g, w, K, cons, coarsen_to=coarsen_to)
+            mr_gp_partition(g, w, K, cons, GPConfig(coarsen_to=coarsen_to))
 
     def test_unknown_matching_rejected_by_config(self):
         with pytest.raises(PartitionError, match="bogus"):
             GPConfig(matchings=("bogus",))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("coarsen_to", 0, "coarsen_to"),
+        ("restarts", 0, "restarts"),
+        ("max_cycles", 0, "max_cycles"),
+        ("level_candidates", 0, "level_candidates"),
+        ("refine_passes", 0, "refine_passes"),
+        ("vcycles", -1, "vcycles"),
+        ("matchings", (), "matching"),
+        ("on_infeasible", "ignore", "on_infeasible"),
+    ])
+    def test_config_rejects_out_of_range_knob(self, field, value, message):
+        # the one config validates itself, so every engine inherits the
+        # same rejection at construction time
+        with pytest.raises(PartitionError, match=message):
+            GPConfig(**{field: value})
+
+    @pytest.mark.parametrize("engine,config", [
+        pytest.param("hypergraph", GPConfig(vcycles=1), id="hyper-vcycles"),
+        pytest.param("vector", GPConfig(vcycles=1), id="vector-vcycles"),
+        pytest.param("hypergraph", GPConfig(conn_format="sparse"),
+                     id="hyper-conn_format"),
+    ])
+    def test_unhonoured_knob_rejected_before_coarsening(
+        self, monkeypatch, engine, config
+    ):
+        from repro.partition import engine as engines
+
+        def coarsen(*args, **kwargs):
+            raise AssertionError("coarsened before rejecting the config")
+
+        for cls in (engines.HyperEngine, engines.VectorGraphEngine):
+            monkeypatch.setattr(cls, "coarsen", coarsen)
+        if engine == "hypergraph":
+            hg, cons = hyper_instance("multicast0")
+            run = lambda: hyper_partition(hg, K, cons, config, seed=SEED)
+        else:
+            g = _graph()
+            w = np.ones((g.n, 1))
+            cons = VectorConstraints(bmax=40.0, rmax=(60.0,))
+            run = lambda: mr_gp_partition(g, w, K, cons, config, cache=False)
+        name = "vcycles" if config.vcycles else "conn_format"
+        with pytest.raises(PartitionError, match=name):
+            run()
 
 
 def test_uncontracted_nodes_are_merged_parents_children(monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for multi-resource constrained partitioning."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.graph import random_process_network
 from repro.partition.multires import (
+    MR_GP_CONFIG,
     VectorConstraints,
     evaluate_multires,
     mr_constrained_fm,
@@ -143,13 +146,17 @@ class TestMrInitialAndGP:
         cons = VectorConstraints(bmax=0.0, rmax=(0.5, 0.5, 0.5))
         with pytest.raises(InfeasibleError):
             mr_gp_partition(
-                g, w, 2, cons, max_cycles=2, seed=0, on_infeasible="raise"
+                g, w, 2, cons,
+                replace(MR_GP_CONFIG, max_cycles=2, on_infeasible="raise"),
+                seed=0,
             )
 
     def test_infeasible_return(self):
         g, w = instance(6, n=10)
         cons = VectorConstraints(bmax=0.0, rmax=(0.5, 0.5, 0.5))
-        res = mr_gp_partition(g, w, 2, cons, max_cycles=2, seed=0)
+        res = mr_gp_partition(
+            g, w, 2, cons, replace(MR_GP_CONFIG, max_cycles=2), seed=0
+        )
         assert not res.feasible
         assert res.metrics.total_violation > 0
 
@@ -159,13 +166,17 @@ class TestMrInitialAndGP:
         with pytest.raises(PartitionError):
             mr_gp_partition(g, w, 0, cons)
         with pytest.raises(PartitionError):
-            mr_gp_partition(g, w, 2, cons, on_infeasible="explode")
+            mr_gp_partition(
+                g, w, 2, cons, replace(MR_GP_CONFIG, on_infeasible="explode")
+            )
 
     def test_multilevel_path(self):
         g, w = instance(7, n=150, n_res=2)
         k = 4
         cons = loose_cons(w, k, slack=1.25, bmax=1e9)
-        res = mr_gp_partition(g, w, k, cons, coarsen_to=40, seed=0)
+        res = mr_gp_partition(
+            g, w, k, cons, replace(MR_GP_CONFIG, coarsen_to=40), seed=0
+        )
         assert res.assign.shape == (150,)
         assert res.feasible
 
@@ -174,7 +185,10 @@ class TestMrInitialAndGP:
     def test_property_valid_output(self, seed):
         g, w = instance(seed, n=14, n_res=2)
         cons = loose_cons(w, 3, slack=1.4, bmax=50.0)
-        res = mr_gp_partition(g, w, 3, cons, max_cycles=3, restarts=3, seed=seed)
+        res = mr_gp_partition(
+            g, w, 3, cons, replace(MR_GP_CONFIG, max_cycles=3, restarts=3),
+            seed=seed,
+        )
         assert res.assign.min() >= 0 and res.assign.max() < 3
         m = evaluate_multires(g, w, res.assign, 3, cons)
         assert m.cut == res.metrics.cut

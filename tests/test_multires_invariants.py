@@ -25,6 +25,7 @@ Load-bearing properties, in the order the subsystem composes them:
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from repro.fpga.resources import random_device_matrix
 from repro.graph import random_process_network
 from repro.partition.goodness import goodness_key
 from repro.partition.multires import (
+    MR_GP_CONFIG,
     MultiResResult,
     VectorConstraints,
     clear_multires_cache,
@@ -274,10 +276,9 @@ class TestEAGuard:
         vg = VectorGraph(g, w)
         engine = make_engine(vg, k)
         assert engine.kind == "vector"
-        p1 = mr_gp_partition(g, w, k, cons, max_cycles=2, restarts=3,
-                             seed=seed, cache=False)
-        p2 = mr_gp_partition(g, w, k, cons, max_cycles=2, restarts=3,
-                             seed=seed + 100, cache=False)
+        cfg = replace(MR_GP_CONFIG, max_cycles=2, restarts=3)
+        p1 = mr_gp_partition(g, w, k, cons, cfg, seed=seed, cache=False)
+        p2 = mr_gp_partition(g, w, k, cons, cfg, seed=seed + 100, cache=False)
         better, other = p1, p2
         if goodness_key(p2.metrics, cons) < goodness_key(p1.metrics, cons):
             better, other = p2, p1
@@ -383,4 +384,39 @@ class TestExecution:
         cold2 = mr_gp_partition(g, w, k, cons, seed=3, cache=False)
         assert "cache_hit" not in cold2.info
         assert multires_cache.stats()["hits"] == stats["hits"]
+        clear_multires_cache()
+
+    def test_cache_key_ignores_delivery_fields(self):
+        # on_infeasible only changes how the result is delivered, and a
+        # seed given on the config is the same run as the seed argument
+        g, w = instance(6, n=24, m=52)
+        k = 3
+        cons = cons_for(g, w, k)
+        clear_multires_cache()
+        cold = mr_gp_partition(g, w, k, cons, seed=3)
+        assert cold.feasible
+        for config, seed in (
+            (replace(MR_GP_CONFIG, on_infeasible="raise"), 3),
+            (replace(MR_GP_CONFIG, seed=3), None),
+        ):
+            warm = mr_gp_partition(g, w, k, cons, config, seed=seed)
+            assert warm.info.get("cache_hit") is True
+            np.testing.assert_array_equal(warm.assign, cold.assign)
+        clear_multires_cache()
+
+    def test_cache_key_separates_result_knobs(self):
+        # every knob that can change the partition is part of the key
+        g, w = instance(6, n=24, m=52)
+        k = 3
+        cons = cons_for(g, w, k)
+        clear_multires_cache()
+        mr_gp_partition(g, w, k, cons, seed=3)
+        for changed in (
+            replace(MR_GP_CONFIG, restarts=4),
+            replace(MR_GP_CONFIG, level_candidates=2),
+            replace(MR_GP_CONFIG, refine="fm+flow"),
+        ):
+            out = mr_gp_partition(g, w, k, cons, changed, seed=3)
+            assert "cache_hit" not in out.info, changed
+        assert multires_cache.stats()["hits"] == 0
         clear_multires_cache()

@@ -14,6 +14,7 @@ Worker counts honour ``REPRO_TEST_JOBS`` (default 2) so CI can raise the
 parallelism without editing the suite.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -235,6 +236,47 @@ class TestKeyedCache:
     def test_lookup_miss(self):
         c = KeyedCache()
         assert c.lookup("absent") == (False, None)
+        assert c.stats() == {"size": 0, "hits": 0, "misses": 1}
+
+
+@dataclasses.dataclass
+class _Memo:
+    """The two fields ``lookup_result``/``put_result`` copy."""
+
+    assign: np.ndarray
+    info: dict
+
+
+class TestKeyedCacheResults:
+    def test_put_result_stores_a_copy(self):
+        c = KeyedCache()
+        result = _Memo(np.array([0, 1, 1]), {"cycles": [1, 2]})
+        c.put_result("k", result)
+        # the caller keeps mutating its own result after the put
+        result.assign[0] = 5
+        result.info["cycles"].append(3)
+        result.info["extra"] = True
+        found, hit = c.lookup_result("k")
+        assert found
+        np.testing.assert_array_equal(hit.assign, [0, 1, 1])
+        assert hit.info == {"cycles": [1, 2], "cache_hit": True}
+
+    def test_lookup_result_hit_is_a_fresh_flagged_copy(self):
+        c = KeyedCache()
+        c.put_result("k", _Memo(np.array([2, 0]), {"cycles": [1]}))
+        _, first = c.lookup_result("k")
+        first.assign[0] = 9
+        first.info["cycles"].append(7)
+        _, second = c.lookup_result("k")
+        np.testing.assert_array_equal(second.assign, [2, 0])
+        assert second.info == {"cycles": [1], "cache_hit": True}
+        # the flag rides on the delivered copy, never on the stored entry
+        assert "cache_hit" not in c.get("k").info
+        assert c.stats() == {"size": 1, "hits": 3, "misses": 0}
+
+    def test_lookup_result_miss(self):
+        c = KeyedCache()
+        assert c.lookup_result("absent") == (False, None)
         assert c.stats() == {"size": 0, "hits": 0, "misses": 1}
 
 
