@@ -12,9 +12,13 @@
 # (REPRO_TEST_JOBS=2: parallel==serial bit-identity, cache behaviour,
 # vectorized-vs-legacy coarsening, the multilevel driver corpus on all
 # three engines) so a determinism break is named even
-# when stage 1 already caught it; stage 5 runs the evolutionary-search
-# suite with real workers plus the X12 equal-budget smoke benchmark
-# (evolve vs restart-only GP vs portfolio on LU + multicast synthetics;
+# when stage 1 already caught it, plus the X8 V-cycle ablation on the
+# graph, hypergraph and vector engines (gated: 2 V-cycles never worse
+# than 0 in goodness at the same seed; artefact
+# benchmarks/artifacts/x8_vcycle_ablation.txt); stage 5 runs the
+# evolutionary-search suite with real workers plus the X12 equal-budget
+# smoke benchmark (evolve vs restart-only GP vs portfolio on LU +
+# multicast synthetics;
 # the gated asserts fail the stage if the EA ever loses to GP, and the
 # artefact lands in benchmarks/artifacts/x12_evolve_quality.txt);
 # stage 6 runs the vector-resource engine suites with real workers
@@ -79,6 +83,7 @@ REPRO_TEST_JOBS=2 python -m pytest -q \
   tests/test_parallel_portfolio.py \
   tests/test_coarsen_vectorized.py \
   tests/test_multilevel.py
+python -m pytest -q benchmarks/bench_ablation_vcycle.py
 
 echo "== stage 5: evolutionary search suite + equal-budget smoke =="
 REPRO_TEST_JOBS=2 python -m pytest -q \

@@ -419,12 +419,12 @@ def _x13_suite(seed: int = 0) -> list[BenchMetric]:
 @register_suite(
     "x14_flow",
     description="study X14 workload: corridor max-flow refinement "
-                "(flow / fm+flow) against plain fm",
+                "(fm+flow) against plain fm",
 )
 def _x14_suite(seed: int = 0) -> list[BenchMetric]:
     out: list[BenchMetric] = []
     g, cons = tight_instance(300, 4, seed=seed)
-    for mode in ("fm", "flow", "fm+flow"):
+    for mode in ("fm", "fm+flow"):
         p = {"instance": "pn", "n": 300, "k": 4, "refine": mode}
         out += _run_metrics(
             f"x14.{mode}", lambda mode=mode: gp_partition(

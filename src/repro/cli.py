@@ -37,8 +37,8 @@ Usage (see ``python -m repro --help``):
 ``--model``); ``--generations`` / ``--time-budget`` / ``--pop-size``
 shape its budget (see ``docs/evolve.md``).
 
-``--refine flow|fm+flow`` swaps or augments the multilevel methods'
-refinement stage with corridor max-flow passes (every method but
+``--refine fm+flow`` augments the multilevel methods' refinement stage
+with a guarded corridor max-flow polish (every method but
 ``spectral``/``exact``, either ``--model``; see ``docs/refinement.md``).
 The partition flags are forwarded to :func:`repro.core.api.partition_graph`
 unchecked: the library rejects what a method cannot honour, so the CLI
@@ -152,12 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--refine",
         default=None,
-        choices=["fm", "flow", "fm+flow"],
+        choices=["fm", "fm+flow"],
         help="refinement stage of the multilevel methods: the native "
-             "local search (fm, the default), corridor max-flow passes "
-             "replacing it (flow), or fm plus a guarded flow polish that "
-             "is never worse than fm (fm+flow) — every method but "
-             "spectral/exact, either --model; see docs/refinement.md",
+             "local search (fm, the default), or fm plus a guarded "
+             "corridor max-flow polish that is never worse than fm "
+             "(fm+flow) — every method but spectral/exact, either "
+             "--model; see docs/refinement.md",
     )
     p.add_argument(
         "--conn-format",

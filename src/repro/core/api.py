@@ -234,7 +234,9 @@ def partition_graph(
     :class:`~repro.evolve.ea.EvolveConfig`, see ``docs/evolve.md``).
     ``"gp"`` and ``"hyper"`` take a :class:`~repro.partition.gp.GPConfig`
     (``"hyper"`` defaults to
-    :data:`~repro.hypergraph.partition.HYPER_CONFIG`).
+    :data:`~repro.hypergraph.partition.HYPER_CONFIG`); every field,
+    ``vcycles`` included, means the same on the graph, hypergraph and
+    vector engines.
 
     *g* may also be an :class:`~repro.hypergraph.hgraph.HGraph` (the
     connectivity model, ``docs/hypergraph.md``): ``"gp"`` and ``"hyper"``
@@ -267,9 +269,9 @@ def partition_graph(
     *refine* and *conn_format* override the config's own fields of the
     same name; ``None`` (default) keeps the config's value.  *refine*
     selects the refinement stage (``docs/refinement.md``): ``"fm"`` —
-    each method's native local search; ``"flow"`` — corridor max-flow
-    passes replace it; ``"fm+flow"`` — native refinement plus a guarded
-    flow polish that is never worse than ``"fm"`` at equal seeds.
+    each method's native local search; ``"fm+flow"`` — native refinement
+    plus a guarded corridor max-flow polish that is never worse than
+    ``"fm"`` at equal seeds.
     *conn_format* selects the refinement engine's connectivity store:
     ``"auto"`` — dense below the ``k·n`` threshold, sparse above;
     ``"dense"`` / ``"sparse"`` force a format, and the partition is

@@ -115,7 +115,7 @@ class EvolveConfig:
         (fresh portfolio-member run) is injected.
     refine:
         Refinement stage used by every operator and seeding member —
-        ``"fm"`` (default), ``"flow"`` or ``"fm+flow"`` (see
+        ``"fm"`` (default) or ``"fm+flow"`` (see
         :mod:`repro.partition.flow_refine`).  ``"fm+flow"`` applies the
         guarded corridor-flow polish on finest-level refinement states.
     seed_max_cycles:

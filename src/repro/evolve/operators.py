@@ -2,9 +2,10 @@
 
 ``recombine``
     The cut-preserving multilevel recombination of Moreira/Popp/Schulz and
-    KaHyPar-E, built from this library's own V-cycle machinery: coarsen
-    with matchings restricted to pairs of nodes that agree in **both**
-    parents (the *overlay* classes ``a·k + b``), so each parent's
+    KaHyPar-E: one :func:`~repro.partition.vcycle.restricted_vcycle` (the
+    loop behind ``GPConfig(vcycles=...)``) that coarsens with matchings
+    restricted to pairs of nodes that agree in **both** parents (the
+    *overlay* classes ``a·k + b``), so each parent's
     partition survives contraction exactly; refine the coarse problem with
     the constrained FM starting from the **better** parent's projection;
     project back level by level, refining at each.  Because the
@@ -37,14 +38,11 @@ import numpy as np
 
 from repro.partition.goodness import goodness_key
 from repro.partition.metrics import ConstraintSpec
+from repro.partition.vcycle import restricted_vcycle
 from repro.util.errors import PartitionError
 from repro.util.rng import as_rng, spawn_seeds
 
 __all__ = ["recombine", "mutate_perturb", "mutate_walk"]
-
-#: Hierarchy depth cap of one recombination V-cycle; each level strictly
-#: shrinks the structure, so 64 is never the binding constraint.
-_MAX_LEVELS = 64
 
 
 def recombine(
@@ -85,51 +83,14 @@ def recombine(
         raise PartitionError(
             f"parents must have shape ({n},), got {a.shape} and {b.shape}"
         )
-    if coarsen_to is None:
-        coarsen_to = max(30, 4 * k)
-    rng = as_rng(seed)
-    s_match, s_refine = spawn_seeds(rng, 2)
-
     # overlay classes: nodes may contract only if BOTH parents agree, so
     # contraction hides no edge/net either parent cuts — each parent's
-    # partition (and its metrics) survives to every coarse level exactly
-    overlay = a * np.int64(k) + b
-
-    structs = [structure]
-    maps: list[np.ndarray] = []
-    cur_s, cur_ov, cur_best = structure, overlay, a
-    match_seeds = spawn_seeds(s_match, _MAX_LEVELS)
-    for level in range(_MAX_LEVELS):
-        if cur_s.n <= coarsen_to:
-            break
-        match = engine.restricted_matching(
-            cur_s, cur_ov, k * k, seed=match_seeds[level]
-        )
-        if np.array_equal(match, np.arange(cur_s.n)):
-            break  # nothing contractible inside the agreement classes
-        coarse, node_map = engine.contract(cur_s, match)
-        if coarse.n >= cur_s.n:
-            break
-        c_ov = np.empty(coarse.n, dtype=np.int64)
-        c_ov[node_map] = cur_ov  # well-defined: merged pairs share a class
-        c_best = np.empty(coarse.n, dtype=np.int64)
-        c_best[node_map] = cur_best
-        structs.append(coarse)
-        maps.append(node_map)
-        cur_s, cur_ov, cur_best = coarse, c_ov, c_best
-
-    refine_seeds = spawn_seeds(s_refine, len(structs))
-    # refine the coarsest level starting from the better parent's (exactly
-    # preserved) projection, then project down with refinement per level
-    cand, metrics = engine.fm(
-        structs[-1], cur_best, constraints, refine_passes, refine_seeds[-1]
+    # partition (and its metrics) survives to every coarse level exactly;
+    # the cycle refines from the better parent's (exact) projection
+    cand, metrics, _ = restricted_vcycle(
+        engine, a, a * np.int64(k) + b, k * k, constraints, seed=seed,
+        coarsen_to=coarsen_to, refine_passes=refine_passes,
     )
-    for level in range(len(structs) - 1, 0, -1):
-        cand = cand[maps[level - 1]]
-        cand, metrics = engine.fm(
-            structs[level - 1], cand, constraints,
-            refine_passes, refine_seeds[level - 1],
-        )
     if parent_metrics is None:
         parent_metrics = engine.evaluate(a, constraints)
     if goodness_key(metrics, constraints) > goodness_key(

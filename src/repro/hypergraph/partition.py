@@ -48,10 +48,11 @@ def hyper_partition(
 
     *config* is GP's own :class:`~repro.partition.multilevel.GPConfig`
     (:data:`HYPER_CONFIG` when omitted).  ``refine="fm+flow"`` adds the
-    guarded corridor-flow stage on the race winner, as for graphs; the
-    graph-only knobs are rejected before any cycle runs (``vcycles > 0``,
-    ``conn_format`` other than ``"auto"``), and ``matchings`` is ignored
-    (the hypergraph engine contracts by heavy pins).
+    guarded corridor-flow stage on the race winner and ``vcycles``
+    runs restricted V-cycles on the Φ engine, as for graphs; a
+    ``conn_format`` other than ``"auto"`` is rejected (the Φ engine has
+    no connectivity store), and ``matchings`` is ignored (the hypergraph
+    engine contracts by heavy pins).
 
     Returns a :class:`~repro.partition.base.PartitionResult` whose
     ``metrics.cut`` is the connectivity objective (== edge cut when every
@@ -73,9 +74,7 @@ def hyper_partition(
     from repro.partition.engine import HyperEngine
 
     config = config or HYPER_CONFIG
-    engine = HyperEngine(
-        hg, k, refine=config.refine, conn_format=config.conn_format
-    )
+    engine = HyperEngine(hg, k, conn_format=config.conn_format)
     return multilevel_partition(
         engine, constraints or ConstraintSpec(), config, seed=seed,
         n_jobs=n_jobs,

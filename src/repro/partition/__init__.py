@@ -12,11 +12,14 @@ Contents
   edge, K-means) and graph contraction (Section IV.A).
 * :mod:`repro.partition.initial` — greedy resource-aware initial partitioning
   with restarts (Section IV.B).
-* :mod:`repro.partition.fm` / :mod:`repro.partition.kl` — local refinement.
+* :mod:`repro.partition.fm` — FM two-way refinement (the baseline's
+  recursive bisection).
 * :mod:`repro.partition.kway_refine` — k-way boundary refinement, both
   cut-driven (METIS style) and constraint-driven (GP style).
 * :mod:`repro.partition.flow_refine` — corridor max-flow refinement on the
-  same engine seam (``refine="flow"/"fm+flow"``; ``docs/refinement.md``).
+  same engine seam (``refine="fm+flow"``; ``docs/refinement.md``).
+* :mod:`repro.partition.vcycle` — the restricted V-cycle shared by
+  ``GPConfig(vcycles=...)`` and evolve's recombination, on every engine.
 * :mod:`repro.partition.mlkp` — METIS-like unconstrained multilevel k-way
   baseline.
 * :mod:`repro.partition.gp` — the paper's constrained partitioner.

@@ -439,12 +439,6 @@ class Hierarchy:
         members = np.bincount(node_map, minlength=self.levels[level].graph.n)
         return np.nonzero(members[node_map] >= 2)[0]
 
-    def project_to_finest(self, assign_coarse: np.ndarray, level: int) -> np.ndarray:
-        out = np.asarray(assign_coarse, dtype=np.int64)
-        for lvl in range(level, 0, -1):
-            out = self.project(out, lvl)
-        return out
-
 
 def build_hierarchy(
     g: WGraph,

@@ -1,10 +1,10 @@
 """Engine adapters: one facade over the graph, hypergraph and vector
 substrates.
 
-The multilevel driver (:mod:`repro.partition.multilevel`), the
-evolutionary loop (:mod:`repro.evolve.ea`) and its operators
-(:mod:`repro.evolve.operators`) are written once against the small surface
-defined here; :func:`make_engine` dispatches on the structure type.  All
+The multilevel driver (:mod:`repro.partition.multilevel`), the restricted
+V-cycle (:mod:`repro.partition.vcycle`), the evolutionary loop
+(:mod:`repro.evolve.ea`) and its operators (:mod:`repro.evolve.operators`)
+are written once against the small surface defined here; :func:`make_engine` dispatches on the structure type.  All
 adapters funnel refinement through the engine-agnostic
 :func:`~repro.partition.kway_refine.run_constrained_fm` seam, so every
 caller inherits the exact move ordering, tie-breaking and best-prefix
@@ -66,7 +66,7 @@ from repro.partition.multires import (
     mr_greedy_initial,
 )
 from repro.partition.refine_state import RefinementState
-from repro.partition.vcycle import intra_part_matching, vcycle_refine
+from repro.partition.vcycle import intra_part_matching
 from repro.partition.vector_state import (
     VectorConstraints,
     VectorGraph,
@@ -100,16 +100,6 @@ class _Engine:
         self.refine = check_refine_mode(refine)
         self.conn_format = check_conn_format(conn_format)
 
-    def check_config(self, config) -> None:
-        """Reject the :class:`~repro.partition.multilevel.GPConfig` knobs
-        this engine cannot honour (the driver calls this before any cycle
-        runs)."""
-        if config.vcycles:
-            raise PartitionError(
-                f"vcycles={config.vcycles}: V-cycles need the graph engine, "
-                f"not {self.kind}"
-            )
-
     def digest(self) -> str:
         return self.structure.content_digest()
 
@@ -137,19 +127,16 @@ class _Engine:
         """:meth:`fm` on an already-built (possibly moved-on) engine state —
         callers that just mutated through ``st.move`` skip a rebuild.
 
-        FM unless the engine was built with ``refine="flow"``; corridor
-        flow passes (:mod:`repro.partition.flow_refine`) at every level for
-        ``"flow"``, and at the finest level only for ``"fm+flow"`` (coarse
-        levels keep plain FM — the flow polish is a finest-level cut
-        instrument, and the guard makes it free to skip)."""
-        if self.refine != "flow":
-            out = run_constrained_fm(
-                st, structure.n, self.neighbors_of(structure), constraints,
-                max_passes=max_passes, seed=seed,
-            )
-        if self.refine == "flow" or (
-            self.refine == "fm+flow" and structure.n == self.structure.n
-        ):
+        FM, followed on the finest level by the guarded corridor-flow
+        pass (:mod:`repro.partition.flow_refine`) when the engine was built
+        with ``refine="fm+flow"`` (coarse levels keep plain FM — the flow
+        polish is a finest-level cut instrument, and the guard makes it
+        free to skip)."""
+        out = run_constrained_fm(
+            st, structure.n, self.neighbors_of(structure), constraints,
+            max_passes=max_passes, seed=seed,
+        )
+        if self.refine == "fm+flow" and structure.n == self.structure.n:
             out = run_flow_refine(st, constraints)
         return out, st.metrics(constraints)
 
@@ -172,9 +159,6 @@ class GraphEngine(_Engine):
     kind = "graph"
     span = "gp"
     algorithm = "GP"
-
-    def check_config(self, config) -> None:
-        """Every knob applies to the graph engine."""
 
     def make_state(self, structure: WGraph, assign: np.ndarray):
         return RefinementState(
@@ -208,16 +192,6 @@ class GraphEngine(_Engine):
 
     def locality_seeds(self, hier, level: int) -> np.ndarray | None:
         return hier.uncontracted_nodes(level)
-
-    def vcycle(self, assign, constraints, config, seed) -> np.ndarray:
-        return vcycle_refine(
-            self.structure, assign, self.k, constraints,
-            rounds=config.vcycles,
-            refine_passes=config.refine_passes,
-            seed=seed,
-            refine="fm" if config.refine == "fm+flow" else config.refine,
-            conn_format=self.conn_format,
-        )
 
     def restricted_matching(
         self, structure: WGraph, labels: np.ndarray, n_labels: int, seed

@@ -36,9 +36,9 @@ The pass runs on any state exposing the
 :class:`~repro.partition.refine_state.RefinementState` move protocol plus
 the three flow hooks (``flow_adjacency``, ``pair_boundary``,
 ``flow_node_weights``) — the scalar graph engine, the hypergraph Φ engine
-and the vector-resource engine all qualify, so ``gp_partition``, ``mlkp``,
-``vcycle_refine``, ``mr_gp_partition`` and ``evolve_partition`` invoke one
-refiner through ``refine="flow"``/``"fm+flow"``.  Unlike
+and the vector-resource engine all qualify, so ``gp_partition``,
+``hyper_partition``, ``mlkp``, ``mr_gp_partition`` and
+``evolve_partition`` invoke one refiner through ``refine="fm+flow"``.  Unlike
 :func:`~repro.partition.kway_refine.run_constrained_fm`, adjacency comes
 from the state's hooks rather than a ``neighbors_of`` argument: hypergraph
 corridors need *weighted* expansion of the incident nets, which a plain
@@ -77,12 +77,12 @@ __all__ = [
 _EPS = 1e-12
 
 #: The refinement-stage spellings accepted everywhere a ``refine=`` knob
-#: exists (``partition_graph``, the CLI, GP/evolve configs, mlkp/vcycle/
-#: multires parameters): ``"fm"`` is each driver's native behaviour
-#: (byte-identical to before the knob existed), ``"flow"`` substitutes
-#: flow passes for the FM local search, ``"fm+flow"`` runs the native
-#: refinement and then a guarded flow stage on the finest level.
-REFINE_MODES = ("fm", "flow", "fm+flow")
+#: exists (``partition_graph``, the CLI, GP/evolve configs, the mlkp
+#: parameter, the engine adapters): ``"fm"`` is each driver's native
+#: behaviour (byte-identical to before the knob existed), ``"fm+flow"``
+#: runs the native refinement and then a guarded flow stage on the
+#: finest level.
+REFINE_MODES = ("fm", "fm+flow")
 
 
 def check_refine_mode(refine: str) -> str:

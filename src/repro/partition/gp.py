@@ -81,9 +81,7 @@ def gp_partition(
         least-violating :class:`PartitionResult` in ``.best``.
     """
     config = config or GPConfig()
-    engine = GraphEngine(
-        g, k, refine=config.refine, conn_format=config.conn_format
-    )
+    engine = GraphEngine(g, k, conn_format=config.conn_format)
     return multilevel_partition(
         engine, constraints, config, seed=seed, n_jobs=n_jobs
     )

@@ -12,9 +12,6 @@ The paper's greedy scheme on the coarsest graph:
 6. because step 1 is "sensitive to the initial node selection, the whole
    process is repeated with a parametrized number of randomly chosen initial
    nodes (10 is default)" and the best outcome (goodness order) is kept.
-
-``random_initial`` and ``balanced_random_initial`` are cheap alternatives
-used by baselines and tests.
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ from repro.util.rng import as_rng, spawn_seeds
 __all__ = [
     "greedy_grow_once",
     "greedy_initial_partition",
-    "random_initial",
-    "balanced_random_initial",
 ]
 
 
@@ -166,26 +161,3 @@ def greedy_initial_partition(
     assert best_assign is not None
     return best_assign
 
-
-def random_initial(g: WGraph, k: int, seed=None) -> np.ndarray:
-    """Uniformly random assignment (KL-style arbitrary initial partition)."""
-    if k < 1:
-        raise PartitionError(f"k must be >= 1, got {k}")
-    rng = as_rng(seed)
-    return rng.integers(0, k, size=g.n).astype(np.int64)
-
-
-def balanced_random_initial(g: WGraph, k: int, seed=None) -> np.ndarray:
-    """Random assignment greedily balanced on node weight: shuffle nodes,
-    heaviest-first into the currently lightest part."""
-    if k < 1:
-        raise PartitionError(f"k must be >= 1, got {k}")
-    rng = as_rng(seed)
-    order = np.argsort(-g.node_weights + rng.random(g.n) * 1e-9, kind="stable")
-    assign = np.empty(g.n, dtype=np.int64)
-    part_weight = np.zeros(k, dtype=np.float64)
-    for u in order:
-        dest = int(np.argmin(part_weight))
-        assign[u] = dest
-        part_weight[dest] += g.node_weights[u]
-    return assign

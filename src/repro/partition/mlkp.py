@@ -147,11 +147,12 @@ def mlkp_partition(
     evaluate the result's feasibility, mirroring how the paper audits the
     METIS output against ``Bmax``/``Rmax`` after the fact.
 
-    *refine* other than ``"fm"`` (the native pipeline, default) appends a
-    guarded corridor-flow stage (:mod:`repro.partition.flow_refine`) after
-    un-coarsening, run under the baseline's *own* objective — a balance
-    cap of ``balance · total / k`` as the resource constraint — so the
-    stage polishes the cut without abandoning kmetis's balance contract.
+    ``refine="fm+flow"`` (``"fm"``, the native pipeline, is the default)
+    appends a guarded corridor-flow stage
+    (:mod:`repro.partition.flow_refine`) after un-coarsening, run under
+    the baseline's *own* objective — a balance cap of
+    ``balance · total / k`` as the resource constraint — so the stage
+    polishes the cut without abandoning kmetis's balance contract.
 
     *conn_format* selects the engine's connectivity representation
     (``"auto"``/``"dense"``/``"sparse"``, see
@@ -179,11 +180,11 @@ def mlkp_partition(
 
         max_part_weight = balance * g.total_node_weight / k
         refine_seeds = spawn_seeds(seed_refine, max(hier.depth, 1))
-        for level in range(hier.depth - 1, 0, -1):
-            level_graph = hier.levels[level - 1].graph
-            assign = hier.project(assign, level)
+
+        def refine_level(level, assign, seed_nodes=None):
+            level_graph = hier.levels[level].graph
             with _obs.trace_span(
-                "mlkp.refine_level", level=level - 1,
+                "mlkp.refine_level", level=level,
                 nodes=level_graph.n, edges=level_graph.m,
             ):
                 # one engine state per level, shared by both phases so
@@ -195,32 +196,27 @@ def mlkp_partition(
                 assign = rebalance_pass(
                     level_graph, assign, k, max_part_weight, state=state,
                 )
-                assign = greedy_kway_refine(
+                return greedy_kway_refine(
                     level_graph,
                     assign,
                     k,
                     max_part_weight=max_part_weight,
                     max_passes=refine_passes,
-                    seed=refine_seeds[level - 1],
+                    seed=refine_seeds[level],
                     state=state,
-                    seed_nodes=hier.uncontracted_nodes(level),
+                    seed_nodes=seed_nodes,
                 )
+
+        # the coarsest level is refined only when it is also the finest
+        # (the driver's rule); otherwise every projected level is
         if hier.depth == 1:
-            with _obs.trace_span(
-                "mlkp.refine_level", level=0, nodes=g.n, edges=g.m
-            ):
-                state = RefinementState(g, assign, k, conn_format=conn_format)
-                assign = rebalance_pass(
-                    g, assign, k, max_part_weight, state=state
-                )
-                assign = greedy_kway_refine(
-                    g, assign, k,
-                    max_part_weight=max_part_weight,
-                    max_passes=refine_passes,
-                    seed=refine_seeds[0],
-                    state=state,
-                )
-        if refine != "fm":
+            assign = refine_level(0, assign)
+        for level in range(hier.depth - 1, 0, -1):
+            assign = refine_level(
+                level - 1, hier.project(assign, level),
+                seed_nodes=hier.uncontracted_nodes(level),
+            )
+        if refine == "fm+flow":
             # guarded flow polish under the baseline's balance objective;
             # the pass's never-worse guard keeps (balance violation, cut)
             # from regressing, so the kmetis contract survives

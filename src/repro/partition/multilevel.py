@@ -10,7 +10,9 @@ engine adapters of :mod:`repro.partition.engine`:
    hypergraph's clique expansion) has its coarsest level refined too.
 3. **Un-coarsening** (IV.C) — project level by level; per level
    ``level_candidates`` FM runs race and the goodness function keeps the
-   one "nearest to meeting the constraints".  Optional V-cycles follow.
+   one "nearest to meeting the constraints".  Optional restricted
+   V-cycles (:func:`~repro.partition.vcycle.vcycle_refine`) follow, on
+   every engine.
 4. **Cyclic retry** — cycles race through
    :func:`~repro.util.parallel.parallel_map` until the first feasible one;
    the goodness winner gets the ``fm+flow`` polish, and an infeasible
@@ -32,6 +34,7 @@ from repro.partition.coarsen import MATCHING_METHODS
 from repro.partition.conn_store import check_conn_format
 from repro.partition.flow_refine import check_refine_mode, run_flow_refine
 from repro.partition.goodness import goodness_key
+from repro.partition.vcycle import vcycle_refine
 from repro.util.errors import InfeasibleError, PartitionError
 from repro.util.parallel import parallel_map
 from repro.util.rng import as_rng, spawn_seeds
@@ -46,8 +49,7 @@ class GPConfig:
     One config for every engine: :func:`~repro.partition.gp.gp_partition`,
     :func:`~repro.hypergraph.partition.hyper_partition` and
     :func:`~repro.partition.multires.mr_gp_partition` all take it (the
-    latter two with fewer cycles when given ``None``).  A knob an engine
-    cannot honour is rejected before any cycle runs.
+    latter two with fewer cycles when given ``None``).
 
     Attributes
     ----------
@@ -67,18 +69,17 @@ class GPConfig:
         Partition-preserving V-cycle refinement rounds applied to each
         cycle's finest-level result (see :mod:`repro.partition.vcycle`);
         0 disables (the default — the cyclic restarts already realise the
-        paper's outer loop; benchmark X8 measures this knob).  Graph
-        engine only.
+        paper's outer loop; benchmark X8 measures this knob).  Every
+        engine runs them, with plain FM inside each round.
     matchings:
         Coarsening heuristics raced per level (Section IV.A's three).
         The hypergraph engine contracts by heavy pins and ignores them.
     refine:
         Refinement stage (see :mod:`repro.partition.flow_refine`):
         ``"fm"`` — the paper's constrained FM per level (default, exact
-        historical behaviour); ``"flow"`` — corridor max-flow passes
-        replace the per-level FM (ablation mode); ``"fm+flow"`` — FM per
-        level, then one guarded flow stage on the race winner, so the
-        result is never worse than ``"fm"`` under the same seeds.
+        historical behaviour); ``"fm+flow"`` — FM per level, then one
+        guarded flow stage on the race winner, so the result is never
+        worse than ``"fm"`` under the same seeds.
     conn_format:
         Connectivity-store layout of every refinement state this run
         builds (:mod:`repro.partition.conn_store`): ``"dense"`` — the
@@ -155,14 +156,6 @@ def _refine_level(engine, structure, assign, constraints, config, rng,
         base = engine.make_state(structure, assign)
         if _obs.tracing_on():
             sp.set(cut_before=base.metrics(constraints).cut)
-        if config.refine == "flow":
-            # flow passes are deterministic — one candidate tells all
-            # (the candidate seeds above are still drawn, keeping the
-            # rng stream aligned with the FM modes)
-            st = base.copy()
-            best = run_flow_refine(st, constraints)
-            sp.set(cut_after=st.metrics(constraints).cut)
-            return best
         best, best_key, best_cut = None, None, None
         for s in cand_seeds:
             st = base.copy()
@@ -220,7 +213,10 @@ def _run_cycle(context, seeds):
                     seed_nodes=engine.locality_seeds(hier, level),
                 )
         if config.vcycles:
-            assign = engine.vcycle(assign, constraints, config, s_vc)
+            assign = vcycle_refine(
+                engine, assign, constraints, rounds=config.vcycles,
+                seed=s_vc, refine_passes=config.refine_passes,
+            )
         metrics = engine.evaluate(assign, constraints)
         sp.set(levels=hier.depth, cut=metrics.cut, feasible=metrics.feasible)
     return assign, metrics, hier.depth
@@ -247,10 +243,9 @@ def multilevel_partition(engine, constraints, config: GPConfig, seed=None,
     """Run GP's cycles on *engine* under *config* and return the engine's
     result.
 
-    *seed* overrides ``config.seed`` when given.  A knob the engine cannot
-    honour (``engine.check_config``) is rejected before any cycle runs.
-    The returned ``info`` holds ``cycles`` (cycles consumed), ``levels``
-    (hierarchy depth of the last cycle) and ``max_cycles``.
+    *seed* overrides ``config.seed`` when given.  The returned ``info``
+    holds ``cycles`` (cycles consumed), ``levels`` (hierarchy depth of the
+    last cycle) and ``max_cycles``.
     """
     k = engine.k
     n = engine.structure.n
@@ -258,7 +253,6 @@ def multilevel_partition(engine, constraints, config: GPConfig, seed=None,
         raise PartitionError(f"k must be >= 1, got {k}")
     if k > n:
         raise PartitionError(f"k={k} exceeds node count {n}")
-    engine.check_config(config)
     rng = as_rng(seed if seed is not None else config.seed)
 
     with _obs.timed_span(engine.span, nodes=n, k=k) as sw:

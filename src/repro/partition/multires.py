@@ -331,14 +331,12 @@ def mr_gp_partition(
 
     *config* is GP's own :class:`~repro.partition.multilevel.GPConfig`
     (:data:`MR_GP_CONFIG` when omitted) and means what it means for
-    :func:`~repro.partition.gp.gp_partition`: ``refine="flow"`` swaps the
-    per-level FM for corridor flow passes on the vector engine (its
-    componentwise ``key`` drives acceptance), ``"fm+flow"`` adds one
-    guarded flow stage on the race winner, ``conn_format`` picks the
-    refinement states' connectivity store, and ``level_candidates`` FM
-    runs race per level.  ``vcycles > 0`` is rejected before any cycle
-    runs (V-cycles need the graph engine).  *seed* overrides
-    ``config.seed`` when given.
+    :func:`~repro.partition.gp.gp_partition`: ``refine="fm+flow"`` adds
+    one guarded flow stage on the race winner (the vector engine's
+    componentwise ``key`` drives acceptance), ``vcycles`` runs restricted
+    V-cycles on the vector engine, ``conn_format`` picks the refinement
+    states' connectivity store, and ``level_candidates`` FM runs race per
+    level.  *seed* overrides ``config.seed`` when given.
 
     *n_jobs* races the retry cycles across worker processes exactly like
     :func:`~repro.partition.gp.gp_partition` does (``-1`` = all CPUs):
@@ -357,9 +355,7 @@ def mr_gp_partition(
     config = config or MR_GP_CONFIG
     vg = VectorGraph(g, weights)
     _match_resources(vg.weights, cons)
-    engine = VectorGraphEngine(
-        vg, k, refine=config.refine, conn_format=config.conn_format
-    )
+    engine = VectorGraphEngine(vg, k, conn_format=config.conn_format)
     run_seed = seed if seed is not None else config.seed
 
     cacheable = cache and (

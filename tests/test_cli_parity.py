@@ -171,7 +171,7 @@ class TestParity:
     def test_refine_rejected_identically_on_unsupported_methods(
         self, tmp_path
     ):
-        # --refine flow on a method without a refinement stage must fail
+        # --refine fm+flow on a method without a refinement stage must fail
         # with the same clear error through every entry form
         graph = tmp_path / "g.json"
         proc = run_module(
@@ -180,7 +180,7 @@ class TestParity:
         assert proc.returncode == 0, proc.stderr
         argv = [
             "partition", "--input", str(graph), "--k", "2",
-            "--method", "spectral", "--refine", "flow",
+            "--method", "spectral", "--refine", "fm+flow",
         ]
         outcomes = self._outcomes(argv)
         assert all(o == outcomes[0] for o in outcomes), outcomes

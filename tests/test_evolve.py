@@ -41,7 +41,6 @@ from repro.hypergraph.hgraph import HGraph
 from repro.hypergraph.metrics import evaluate_hyper_partition
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import gp_partition
-from repro.partition.initial import balanced_random_initial, random_initial
 from repro.partition.metrics import ConstraintSpec, evaluate_partition
 from repro.util.errors import InfeasibleError, PartitionError, ReproError
 
@@ -149,15 +148,14 @@ class TestPopulation:
 # --------------------------------------------------------------------- #
 # operators
 # --------------------------------------------------------------------- #
+def _random_assign(structure, k, seed):
+    return np.random.default_rng(seed).integers(0, k, size=structure.n)
+
+
 def _parents(structure, k, cons, seed):
-    """Two valid parents of different quality (random + balanced random)."""
-    if isinstance(structure, HGraph):
-        g = structure.clique_expansion()
-    else:
-        g = structure
-    a = random_initial(g, k, seed=seed)
-    b = balanced_random_initial(g, k, seed=seed + 1)
-    return a, b
+    """Two valid random parents."""
+    return (_random_assign(structure, k, seed),
+            _random_assign(structure, k, seed + 1))
 
 
 class TestRecombination:
@@ -200,7 +198,7 @@ class TestRecombination:
         k = 3
         cons = constraints_for(g, k)
         eng = make_engine(g, k)
-        a = random_initial(g, k, seed=2)
+        a = _random_assign(g, k, seed=2)
         ka = goodness_key(evaluate_partition(g, a, k, cons), cons)
         child, m = recombine(eng, a, a.copy(), cons, seed=1)
         assert goodness_key(m, cons) <= ka
@@ -226,9 +224,7 @@ class TestMutations:
         k = 3
         cons = constraints_for(s, k)
         eng = make_engine(s, k)
-        a = balanced_random_initial(
-            s if kind == "graph" else s.clique_expansion(), k, seed=0
-        )
+        a = _random_assign(s, k, seed=0)
         child, tracked = op(eng, a, cons, seed=7)
         assert child.shape == (s.n,)
         assert child.min() >= 0 and child.max() < k
@@ -240,7 +236,7 @@ class TestMutations:
         k = 3
         cons = constraints_for(g, k)
         eng = make_engine(g, k)
-        a = balanced_random_initial(g, k, seed=1)
+        a = _random_assign(g, k, seed=1)
         for op in (mutate_perturb, mutate_walk):
             c1, _ = op(eng, a, cons, seed=11)
             c2, _ = op(eng, a, cons, seed=11)
@@ -250,7 +246,7 @@ class TestMutations:
         g = graph_instance(seed=0)
         eng = make_engine(g, 2)
         with pytest.raises(PartitionError):
-            mutate_perturb(eng, random_initial(g, 2, seed=0),
+            mutate_perturb(eng, _random_assign(g, 2, seed=0),
                            ConstraintSpec(), seed=0, frac=0.0)
 
 

@@ -42,6 +42,8 @@ from repro.partition.flow_refine import (
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec, check_assignment
+from repro.partition.mlkp import mlkp_partition
+from repro.partition.engine import GraphEngine
 from repro.partition.multires import MR_GP_CONFIG, mr_gp_partition
 from repro.partition.refine_state import RefinementState
 from repro.partition.vcycle import vcycle_refine
@@ -287,16 +289,16 @@ class TestDrivers:
 
     @pytest.mark.parametrize("seed,n,m,k", CORPUS)
     def test_vcycle_fm_plus_flow_never_worse(self, seed, n, m, k):
+        # the V-cycle refines with the engine's policy: an fm+flow engine
+        # adds the guarded flow stage on the finest level of each round
         g, a, k, cons = _graph_case(seed, n=n, m=m, k=k)
-        base = vcycle_refine(g, a, k, cons, seed=seed, refine="fm")
-        flow = vcycle_refine(g, a, k, cons, seed=seed, refine="fm+flow")
+        base = vcycle_refine(GraphEngine(g, k), a, cons, seed=seed)
+        flow = vcycle_refine(
+            GraphEngine(g, k, refine="fm+flow"), a, cons, seed=seed
+        )
         kb = RefinementState(g, base, k).key(cons)
         kf = RefinementState(g, flow, k).key(cons)
         assert kf <= kb
-        # "flow" alone still never worsens the input
-        only = vcycle_refine(g, a, k, cons, seed=seed, refine="flow")
-        assert RefinementState(g, only, k).key(cons) <= \
-            RefinementState(g, a, k).key(cons)
 
     def test_hyper_fm_plus_flow_never_worse(self):
         for seed in (3, 11, 29):
@@ -362,11 +364,41 @@ class TestDrivers:
 # --------------------------------------------------------------------- #
 class TestValidation:
     def test_refine_modes(self):
-        assert REFINE_MODES == ("fm", "flow", "fm+flow")
+        assert REFINE_MODES == ("fm", "fm+flow")
         for mode in REFINE_MODES:
             assert check_refine_mode(mode) == mode
         with pytest.raises(PartitionError, match="refine"):
             check_refine_mode("flows")
+
+    @pytest.mark.parametrize("surface", [
+        "GPConfig", "EvolveConfig", "engine", "mlkp", "partition_graph", "cli",
+    ])
+    def test_removed_flow_mode_rejected_everywhere(self, surface, capsys):
+        """``refine="flow"`` (flow without FM) is no longer a mode: every
+        surface that takes a refine value refuses it."""
+        g = random_process_network(12, 22, seed=1)
+        if surface == "cli":
+            from repro.cli import build_parser
+
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([
+                    "partition", "--input", "g.json", "--k", "2",
+                    "--refine", "flow",
+                ])
+            assert exc.value.code == 2
+            assert "invalid choice: 'flow'" in capsys.readouterr().err
+            return
+        run = {
+            "GPConfig": lambda: GPConfig(refine="flow"),
+            "EvolveConfig": lambda: EvolveConfig(refine="flow"),
+            "engine": lambda: GraphEngine(g, 2, refine="flow"),
+            "mlkp": lambda: mlkp_partition(g, 2, seed=0, refine="flow"),
+            "partition_graph": lambda: partition_graph(
+                g, 2, method="gp", refine="flow"
+            ),
+        }[surface]
+        with pytest.raises(PartitionError, match="refine"):
+            run()
 
     def test_flow_config_rejects_bad_knobs(self):
         with pytest.raises(PartitionError):
@@ -386,7 +418,7 @@ class TestValidation:
         g = random_process_network(12, 22, seed=1)
         for method in ("spectral", "exact"):
             with pytest.raises(PartitionError, match="refine"):
-                partition_graph(g, 2, method=method, refine="flow")
+                partition_graph(g, 2, method=method, refine="fm+flow")
         with pytest.raises(PartitionError):
             partition_graph(g, 2, method="gp", refine="nope")
 
@@ -465,7 +497,7 @@ class TestValidation:
     def test_drivers_reject_bad_refine(self):
         g, a, k, cons = _graph_case(1, n=14, m=26, k=2)
         with pytest.raises(PartitionError):
-            vcycle_refine(g, a, k, cons, refine="nope")
+            GraphEngine(g, k, refine="nope")
         g2, w, _a, k2, cons2 = _vector_case(1, n=14, m=26, k=2)
         with pytest.raises(PartitionError):
             mr_gp_partition(g2, w, k2, cons2, GPConfig(refine="nope"))

@@ -23,6 +23,11 @@ bandwidth_violation, resource_violation, cut)`` tuple.
   candidate per level) instead of one pre-spawned seed per level; it
   makes the same FM calls, but with other seeds.
 
+* **V-cycles off the graph engine** — ``vcycles=1`` rows on the
+  hypergraph and vector engines, pinned to the driver's own values (both
+  engines rejected the knob before the V-cycle loop became
+  engine-generic).
+
 ``n_jobs`` races the cycles of all three engines through one
 ``parallel_map`` call; the result and ``info`` must not depend on it
 (worker count from ``REPRO_TEST_JOBS``, default 2).
@@ -38,6 +43,7 @@ from repro.graph import multicast_network, random_process_network
 from repro.hypergraph import HGraph
 from repro.hypergraph.partition import hyper_partition
 from repro.partition import coarsen
+from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec
 from repro.partition.multires import VectorConstraints, mr_gp_partition
@@ -73,7 +79,6 @@ SCALAR_CONFIGS = {
     "default": {},
     "vcycles": {"vcycles": 1},
     "fm+flow": {"refine": "fm+flow"},
-    "flow": {"refine": "flow"},
     "hem": {"matchings": ("hem",)},
     "sparse": {"conn_format": "sparse"},
     "one-candidate": {"level_candidates": 1},
@@ -94,8 +99,6 @@ def run_scalar(config: str, instance: str, n_jobs=1):
 SCALAR_EXPECTED = {
     ('default', 'feasible'): ('5d1204517dc79a1a', (0.0, 0.0, 0.0, 121.0)),
     ('default', 'infeasible'): ('dc754bc923f558db', (8.0, 8.0, 0.0, 126.0)),
-    ('flow', 'feasible'): ('5c941f33d6b4c426', (0.0, 0.0, 0.0, 117.0)),
-    ('flow', 'infeasible'): ('5d1204517dc79a1a', (9.0, 9.0, 0.0, 121.0)),
     ('fm+flow', 'feasible'): ('5c941f33d6b4c426', (0.0, 0.0, 0.0, 117.0)),
     ('fm+flow', 'infeasible'): ('dc754bc923f558db', (8.0, 8.0, 0.0, 126.0)),
     ('hem', 'feasible'): ('5d507483bb5b538a', (0.0, 0.0, 0.0, 121.0)),
@@ -134,9 +137,9 @@ def hyper_instance(name: str):
     )
 
 
-def run_hyper(name: str, **kwargs):
+def run_hyper(name: str, vcycles: int = 0, **kwargs):
     hg, cons = hyper_instance(name)
-    cfg = GPConfig(coarsen_to=20, max_cycles=3)
+    cfg = GPConfig(coarsen_to=20, max_cycles=3, vcycles=vcycles)
     return hyper_partition(hg, K, cons, cfg, seed=SEED, **kwargs)
 
 
@@ -176,7 +179,7 @@ def test_hyper_multi_cycle_pinned(name):
 VECTOR_BMAX = {"feasible": 40.0, "infeasible": 0.0}
 
 
-def run_vector(instance: str, n_jobs=1):
+def run_vector(instance: str, n_jobs=1, vcycles=0):
     g = _graph()
     w = np.random.default_rng(4).integers(1, 10, size=(g.n, 2)).astype(float)
     cons = VectorConstraints(
@@ -185,7 +188,8 @@ def run_vector(instance: str, n_jobs=1):
     )
     return mr_gp_partition(
         g, w, K, cons,
-        GPConfig(coarsen_to=30, max_cycles=3, level_candidates=1),
+        GPConfig(coarsen_to=30, max_cycles=3, level_candidates=1,
+                 vcycles=vcycles),
         seed=SEED, n_jobs=n_jobs, cache=False,
     )
 
@@ -203,6 +207,81 @@ def test_vector_gp_pinned(instance):
     res = run_vector(instance)
     assert res.info["cycles"] == (1 if instance == "feasible" else 3)
     assert fingerprint(res) == VECTOR_EXPECTED[instance]
+
+
+#: ``vcycles=1`` on the hypergraph and vector engines, pinned to the
+#: driver's own values (the graph engine's rows are in SCALAR_EXPECTED)
+VCYCLES_EXPECTED = {
+    ('hypergraph', 'lift'): ('3a8df1a49d876fae', (0.0, 0.0, 0.0, 132.0)),
+    ('hypergraph', 'tight1'): ('72f5d023e1b45fdb', (116.0, 116.0, 0.0, 116.0)),
+    ('vector', 'feasible'): ('3d7bc8f4923e565c', (0.0, 0.0, 0.0, 128.0)),
+    ('vector', 'infeasible'): ('7b8ae57826978ef4', (128.0, 128.0, 0.0, 128.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VCYCLES_EXPECTED), ids="-".join)
+def test_vcycles_pinned_on_every_engine(case):
+    """The V-cycle runs on every engine, and each cycle's V-cycle is never
+    worse than its input, so the run is never worse than ``vcycles=0``
+    (a feasible first cycle stays feasible, so it still wins the race)."""
+    engine, name = case
+    run = run_hyper if engine == "hypergraph" else run_vector
+    base, res = run(name), run(name, vcycles=1)
+    assert res.info["cycles"] == base.info["cycles"]
+    assert fingerprint(res) == VCYCLES_EXPECTED[case]
+    assert goodness_key(res.metrics, res.constraints) <= goodness_key(
+        base.metrics, base.constraints
+    )
+
+
+@pytest.mark.parametrize("engine", ["graph", "hypergraph", "vector"])
+def test_vcycles_reach_every_engine_through_partition_graph(
+    monkeypatch, engine
+):
+    """``partition_graph`` hands ``GPConfig(vcycles=1)`` to the engine's
+    wrapper as given: the driver V-cycles every cycle on that engine, and
+    the result equals the direct wrapper call."""
+    from repro.core.api import partition_graph
+    from repro.partition import multilevel
+
+    kinds = []
+    real = multilevel.vcycle_refine
+
+    def spy(eng, *args, **kwargs):
+        kinds.append(eng.kind)
+        return real(eng, *args, **kwargs)
+
+    monkeypatch.setattr(multilevel, "vcycle_refine", spy)
+    cfg = GPConfig(coarsen_to=30, max_cycles=2, level_candidates=1, vcycles=1)
+    g = _graph()
+    if engine == "hypergraph":
+        hg, cons = hyper_instance("tight0")
+        direct = hyper_partition(hg, K, cons, cfg, seed=SEED)
+        via = partition_graph(
+            hg, K, bmax=cons.bmax, rmax=cons.rmax, config=cfg, seed=SEED
+        )
+    elif engine == "vector":
+        w = np.random.default_rng(4).integers(1, 10, size=(g.n, 2))
+        rmax = tuple(float(round(1.2 * c / K)) for c in w.sum(axis=0))
+        cons = VectorConstraints(bmax=0.0, rmax=rmax)
+        direct = mr_gp_partition(
+            g, w.astype(float), K, cons, cfg, seed=SEED, cache=False
+        )
+        via = partition_graph(
+            g, K, bmax=0.0, rmax=rmax, config=cfg, seed=SEED,
+            resources=w.astype(float), cache=False,
+        )
+    else:
+        cons = ConstraintSpec(bmax=22.0, rmax=_rmax(g.total_node_weight))
+        direct = gp_partition(g, K, cons, cfg, seed=SEED)
+        via = partition_graph(
+            g, K, bmax=cons.bmax, rmax=cons.rmax, config=cfg, seed=SEED
+        )
+    # infeasible instances: both calls run both cycles, each V-cycled
+    assert direct.info["cycles"] == via.info["cycles"] == 2
+    assert kinds == [engine] * 4
+    assert np.array_equal(direct.assign, via.assign)
+    assert fingerprint(direct) == fingerprint(via)
 
 
 @pytest.mark.parametrize("engine", ["graph", "hypergraph", "vector"])
@@ -255,8 +334,6 @@ class TestValidation:
             GPConfig(**{field: value})
 
     @pytest.mark.parametrize("engine,config", [
-        pytest.param("hypergraph", GPConfig(vcycles=1), id="hyper-vcycles"),
-        pytest.param("vector", GPConfig(vcycles=1), id="vector-vcycles"),
         pytest.param("hypergraph", GPConfig(conn_format="sparse"),
                      id="hyper-conn_format"),
     ])
@@ -278,8 +355,7 @@ class TestValidation:
             w = np.ones((g.n, 1))
             cons = VectorConstraints(bmax=40.0, rmax=(60.0,))
             run = lambda: mr_gp_partition(g, w, K, cons, config, cache=False)
-        name = "vcycles" if config.vcycles else "conn_format"
-        with pytest.raises(PartitionError, match=name):
+        with pytest.raises(PartitionError, match="conn_format"):
             run()
 
 

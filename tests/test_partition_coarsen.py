@@ -186,7 +186,9 @@ class TestHierarchy:
         rng = np.random.default_rng(0)
         a = rng.integers(0, 4, size=hier.coarsest.n)
         cut_coarse = cut_value(hier.coarsest, a)
-        a_fine = hier.project_to_finest(a, hier.depth - 1)
+        a_fine = a
+        for level in range(hier.depth - 1, 0, -1):
+            a_fine = hier.project(a_fine, level)
         assert np.isclose(cut_value(g, a_fine), cut_coarse)
 
     def test_project_bad_level(self):

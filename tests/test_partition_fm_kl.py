@@ -1,4 +1,4 @@
-"""Tests for FM and KL two-way refinement."""
+"""Tests for FM two-way refinement."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.graph import WGraph, random_process_network
 from repro.partition.fm import fm_pass_bisection, fm_refine_bisection
-from repro.partition.kl import kl_bisection, kl_pass
 from repro.partition.metrics import cut_value, part_weights
 from repro.util.errors import PartitionError
 
@@ -100,37 +99,3 @@ class TestFMRefine:
             assert cut_value(g, out) <= cut_value(g, a) + 1e-9
         assert set(np.unique(out)).issubset({0, 1})
 
-
-class TestKL:
-    def test_pass_never_worse(self):
-        for seed in range(5):
-            g = random_process_network(12, 20, seed=seed)
-            rng = np.random.default_rng(seed)
-            a = rng.integers(0, 2, size=12)
-            out, cut = kl_pass(g, a)
-            assert cut <= cut_value(g, a) + 1e-9
-
-    def test_pass_preserves_side_sizes(self):
-        """KL swaps pairs, so the number of nodes per side is invariant."""
-        g = random_process_network(14, 28, seed=1)
-        a = np.array([0] * 7 + [1] * 7)
-        out, _ = kl_pass(g, a)
-        assert (out == 0).sum() == 7
-
-    def test_bisection_finds_clique_split(self):
-        g = two_cliques()
-        out = kl_bisection(g, seed=3)
-        assert cut_value(g, out) == 1.0
-
-    def test_balanced_halves(self):
-        g = random_process_network(10, 20, seed=2)
-        out = kl_bisection(g, seed=0)
-        assert abs((out == 0).sum() - 5) <= 0
-
-    def test_tiny_graph_rejected(self):
-        with pytest.raises(PartitionError):
-            kl_bisection(WGraph(1), seed=0)
-
-    def test_bad_passes_rejected(self):
-        with pytest.raises(PartitionError):
-            kl_bisection(two_cliques(), seed=0, max_passes=0)

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import WGraph, paper_graph, random_process_network
-from repro.partition.initial import (
-    balanced_random_initial,
-    greedy_grow_once,
-    greedy_initial_partition,
-    random_initial,
-)
+from repro.partition.initial import greedy_grow_once, greedy_initial_partition
 from repro.partition.metrics import ConstraintSpec, evaluate_partition, part_weights
 from repro.util.errors import PartitionError
 
@@ -101,38 +96,3 @@ class TestGreedyInitialPartition:
         a = greedy_initial_partition(g, k, cons, restarts=3, seed=seed)
         assert a.shape == (12,)
         assert a.min() >= 0 and a.max() < k
-
-
-class TestRandomInitial:
-    def test_range(self):
-        g = random_process_network(20, 40, seed=0)
-        a = random_initial(g, 4, seed=1)
-        assert a.min() >= 0 and a.max() < 4
-
-    def test_deterministic(self):
-        g = random_process_network(20, 40, seed=0)
-        assert np.array_equal(random_initial(g, 4, seed=2), random_initial(g, 4, seed=2))
-
-    def test_k_validation(self):
-        g = random_process_network(5, 8, seed=0)
-        with pytest.raises(PartitionError):
-            random_initial(g, 0)
-
-
-class TestBalancedRandomInitial:
-    def test_weight_balance(self):
-        g = random_process_network(40, 80, seed=0, node_weight_range=(1, 20))
-        a = balanced_random_initial(g, 4, seed=0)
-        w = part_weights(g, a, 4)
-        ideal = g.total_node_weight / 4
-        assert w.max() <= ideal + g.node_weights.max()
-
-    def test_all_assigned(self):
-        g = random_process_network(11, 20, seed=1)
-        a = balanced_random_initial(g, 3, seed=0)
-        assert a.shape == (11,) and a.min() >= 0 and a.max() < 3
-
-    def test_k_validation(self):
-        g = random_process_network(5, 8, seed=0)
-        with pytest.raises(PartitionError):
-            balanced_random_initial(g, 0)

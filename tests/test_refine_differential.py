@@ -32,7 +32,6 @@ from repro.graph import (
     random_process_network,
 )
 from repro.partition.fm import default_side_caps, fm_refine_bisection
-from repro.partition.kl import kl_bisection
 from repro.partition.kway_refine import (
     constrained_kway_fm,
     greedy_kway_refine,
@@ -65,8 +64,6 @@ REFERENCE = {
     "fm2/rpn24/s0": (0.0, 0.0, 0.0, 35.0),
     "fm2/rpn24/s1": (0.0, 0.0, 0.0, 43.0),
     "fm2/rpn24/s2": (0.0, 0.0, 0.0, 37.0),
-    "kl/rpn14/s0": (0.0, 0.0, 0.0, 27.0),
-    "kl/rpn14/s1": (0.0, 0.0, 0.0, 29.0),
 }
 
 
@@ -151,14 +148,6 @@ class TestFMBisectionDifferential:
         assert got == (ref_v, ref_v, 0.0, ref_cut)
 
 
-class TestKLDifferential:
-    @pytest.mark.parametrize("s", range(2))
-    def test_bisection(self, s):
-        g = random_process_network(14, 26, seed=s)
-        out = kl_bisection(g, seed=s)
-        _check(f"kl/rpn14/s{s}", g, out, 2, ConstraintSpec())
-
-
 class TestDeterminism:
     """Same (graph, k, constraints, seed) twice → byte-identical output —
     the property the pinned corpus rests on."""
@@ -172,6 +161,5 @@ class TestDeterminism:
             lambda: greedy_kway_refine(g, a, 3, seed=5),
             lambda: rebalance_pass(g, a, 3, 1.1 * g.total_node_weight / 3),
             lambda: fm_refine_bisection(g, np.asarray(a > 1, dtype=np.int64)),
-            lambda: kl_bisection(g, seed=5),
         ):
             np.testing.assert_array_equal(fn(), fn())

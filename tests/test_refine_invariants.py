@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 from repro.graph import WGraph, random_process_network
 from repro.partition.fm import default_side_caps, fm_pass_bisection, fm_refine_bisection
 from repro.partition.goodness import goodness_key
-from repro.partition.kl import kl_pass
 from repro.partition.kway_refine import (
     constrained_kway_fm,
     greedy_kway_refine,
@@ -328,18 +327,6 @@ class TestPassesNeverWorsen:
         out = fm_refine_bisection(g, a)
         assert key(out) <= key(a)
 
-    @given(seed=st.integers(0, 5000))
-    @settings(max_examples=20, deadline=None)
-    def test_kl_pass_never_worsens_cut(self, seed):
-        rng = as_rng(seed)
-        n = 12
-        g = random_process_network(n, 22, seed=seed)
-        a = rng.integers(0, 2, size=n)
-        out, cut = kl_pass(g, a)
-        assert cut <= cut_value(g, a) + 1e-9
-        assert cut == pytest.approx(cut_value(g, out), abs=1e-9)
-        # KL swaps pairs: side sizes are invariant
-        assert (out == 0).sum() == (a == 0).sum()
 
 
 class TestSharedStateThreading:
