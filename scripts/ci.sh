@@ -5,8 +5,9 @@
 # stage 2 re-runs the perf smoke tests alone (graph engine + hypergraph Φ
 # engine, both slow-marked) so timing regressions are reported separately
 # from functional failures and can't hide behind -x; stage 3 re-runs the
-# hypergraph subsystem suite explicitly — structure, Φ invariants and the
-# 2-pin differential corpus — so a connectivity-engine regression is named
+# hypergraph subsystem suite explicitly — structure, Φ invariants, the
+# degree-local move evaluator against brute force, and the 2-pin
+# differential corpus — so a connectivity-engine regression is named
 # in the CI log even when stage 1 already caught it; stage 4 re-runs the
 # parallel-execution differential suite with real worker processes
 # (REPRO_TEST_JOBS=2: parallel==serial bit-identity, cache behaviour,
@@ -55,10 +56,13 @@
 # footprint ratio is gated (a shrinking ratio past the band exits 3),
 # exercised exactly like stage 10 with a perturbed-copy trip check;
 # stage 12 runs the repository benchmark's batch workloads (ring1500,
-# tight400, multicast120; perfbench/run.py, 5 s each): each run
-# recomputes every cut and violation independently and checks that
-# repeated calls return identical answers, and the stage fails unless
-# the result line reports "correct": true and "failed": 0.
+# tight400, multicast120; perfbench/run.py, 5 s each, untraced and
+# traced): each run recomputes every cut and violation independently and
+# checks that repeated calls return identical answers, and the stage
+# fails unless the result line reports "correct": true and "failed": 0.
+# A traced run also fails when a layer it wraps records no call, so a
+# renamed or bypassed layer entry point (a refinement state, an FM
+# driver) fails here, not only in the benchmark.
 #
 # Usage: scripts/ci.sh [extra pytest args passed to stage 1]
 set -euo pipefail
@@ -76,6 +80,7 @@ echo "== stage 3: hypergraph subsystem suite =="
 python -m pytest -q \
   tests/test_hypergraph.py \
   tests/test_hyper_refine_invariants.py \
+  tests/test_hyper_evaluator.py \
   tests/test_hyper_differential.py
 
 echo "== stage 4: parallel differential suite (n_jobs=2) =="
@@ -206,17 +211,20 @@ echo "x15 scale gate trips correctly"
 
 echo "== stage 12: repository benchmark correctness (batch workloads) =="
 for w in ring1500 tight400 multicast120; do
-  python3 perfbench/run.py --workload "$w" --seed 0 --seconds 5 \
-    | tail -n 1 \
-    | python -c '
+  for trace in 0 1; do
+    python3 perfbench/run.py --workload "$w" --seed 0 --seconds 5 \
+      --trace "$trace" \
+      | tail -n 1 \
+      | python -c '
 import json, sys
-w = sys.argv[1]
+w, trace = sys.argv[1], sys.argv[2]
 doc = json.loads(sys.stdin.read())
 correct, failed = doc.get("correct"), doc.get("failed")
 if correct is not True or failed != 0:
-    sys.exit(f"perfbench {w}: correct={correct} failed={failed}")
-print(f"perfbench {w}: correct, 0 failed")
-' "$w"
+    sys.exit(f"perfbench {w} --trace {trace}: correct={correct} failed={failed}")
+print(f"perfbench {w} --trace {trace}: correct, 0 failed")
+' "$w" "$trace"
+  done
 done
 
 echo "CI OK"

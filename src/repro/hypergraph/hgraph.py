@@ -234,6 +234,13 @@ class HGraph:
         (the COO form of the incidence matrix, for vectorized Φ builds)."""
         return self._pins, self._pin_net_ids
 
+    @property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(inc_indptr, inc_nets)`` — the transposed CSR:
+        node *u*'s nets are ``inc_nets[inc_indptr[u]:inc_indptr[u + 1]]``
+        (for unchecked, batched reads of many nodes' nets)."""
+        return self._inc_indptr, self._inc_nets
+
     def pins_of(self, e: int) -> np.ndarray:
         """Read-only sorted array of net *e*'s pins."""
         self._check_net(e)

@@ -24,17 +24,31 @@ selection mirror the graph engine bit for bit — on a 2-pin-only hypergraph
 every tracked quantity and every chosen move is identical to
 ``RefinementState`` (pinned by ``tests/test_hyper_differential.py``).
 
+Move evaluation is degree-local, like the graph engine's: a node's
+candidate destinations are the parts its positive-weight nets reach,
+read from one gather of ``Φ[:, nets(u)]``, and only those are scored.
+``best_moves`` runs one numpy pass over a batch's flat incidence list;
+``best_move`` (the FM's revalidation call) and small batches run a
+Python loop per node that sums in the same order, so both agree bit for
+bit.  Nodes in an over-cap part (the escape rule) score all k parts
+through :meth:`~HyperRefinementState.move_deltas`, which stays the
+k-wide reference the tests hold the evaluator to.
+
 Data-structure invariants are documented in ``docs/hypergraph.md``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.hypergraph.hgraph import HGraph
 from repro.hypergraph.metrics import check_hyper_assignment
+from repro.partition.conn_store import _flat_slice_indices
 from repro.partition.metrics import ConstraintSpec, PartitionMetrics
 from repro.partition.refine_state import (
+    _EpochView,
     constrained_key,
     metrics_from_matrices,
     select_best_move,
@@ -42,6 +56,14 @@ from repro.partition.refine_state import (
 from repro.util.errors import PartitionError
 
 __all__ = ["HyperRefinementState"]
+
+#: :meth:`HyperRefinementState.best_moves` scores a batch with one numpy
+#: pass over the nodes' flat incidence list from this many nodes on;
+#: below it (and in :meth:`~HyperRefinementState.best_move`, the FM's
+#: revalidation call) a Python loop per node is cheaper.  Measured on
+#: the ``multicast120`` FM calls: the pass costs about as much as the
+#: loop over 5–6 nodes and a third of it over 20.
+_BATCH_MIN_NODES = 6
 
 
 class HyperRefinementState:
@@ -72,6 +94,7 @@ class HyperRefinementState:
         "_trail",
         "_iu",
         "_epoch",
+        "_view_cache",
     )
 
     def __init__(self, hg: HGraph, assign: np.ndarray, k: int) -> None:
@@ -107,6 +130,7 @@ class HyperRefinementState:
         self._trail: list[tuple[int, int]] = []
         self._iu = np.triu_indices(self.k, k=1)
         self._epoch = 0
+        self._view_cache: _EpochView | None = None
 
     # ------------------------------------------------------------------ #
     # queries
@@ -313,11 +337,23 @@ class HyperRefinementState:
         out._trail = list(self._trail)
         out._iu = self._iu
         out._epoch = 0
+        out._view_cache = None
         return out
 
     # ------------------------------------------------------------------ #
     # move evaluation
     # ------------------------------------------------------------------ #
+    def _view(self, constraints) -> _EpochView:
+        view = self._view_cache
+        if (
+            view is None
+            or view.epoch != self._epoch
+            or (view.constraints is not constraints
+                and view.constraints != constraints)
+        ):
+            view = self._view_cache = _EpochView(self, constraints)
+        return view
+
     def move_deltas(
         self, u: int, constraints: ConstraintSpec
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -325,11 +361,10 @@ class HyperRefinementState:
 
         Shape ``(k,)`` each; entries at ``assign[u]`` are zero, negative
         values are improvements.  The connectivity deltas are one masked
-        matrix-vector product; the bandwidth-violation deltas accumulate
-        the exact per-pair ``bw`` changes net by net and apply the
-        ``relu(· − Bmax)`` difference once per touched pair — the same
-        per-entry arithmetic as the graph engine, so the two agree exactly
-        on 2-pin-only hypergraphs with integer weights.
+        matrix-vector product; the bandwidth-violation deltas come from
+        :meth:`_bandwidth_deltas` for every other part.  O(k · nets(u))
+        numpy over the whole row — the escape path of :meth:`best_moves`,
+        and the reference the tests hold the degree-local evaluator to.
         """
         hg = self.hg
         src = int(self.assign[u])
@@ -353,68 +388,225 @@ class HyperRefinementState:
                 np.maximum(pw + w_u - rmax, 0.0) - np.maximum(pw - rmax, 0.0)
             )
         if np.isfinite(bmax) and nets.size:
-            bw = self.bw
-            roots = hg.roots[nets]
-            root_parts = self.assign[roots]
-            # per net: the parts it currently touches (computed once)
-            touched = [np.nonzero(phi_e[:, j])[0] for j in range(nets.size)]
-            for dest in range(k):
-                if dest == src:
-                    continue
-                acc: dict[tuple[int, int], float] = {}
-                for j in range(nets.size):
-                    we = float(w[j])
-                    if int(roots[j]) == u:
-                        # root moves: pairs (src, p) die, pairs (dest, p) rise
-                        stays = phi_e[src, j] > 1
-                        for p in touched[j]:
-                            p = int(p)
-                            if p != src:
-                                key = (p, src) if p < src else (src, p)
-                                acc[key] = acc.get(key, 0.0) - we
-                            if (p != src or stays) and p != dest:
-                                key = (p, dest) if p < dest else (dest, p)
-                                acc[key] = acc.get(key, 0.0) + we
-                    else:
-                        rp = int(root_parts[j])
-                        if phi_e[src, j] == 1 and src != rp:
-                            key = (src, rp) if src < rp else (rp, src)
-                            acc[key] = acc.get(key, 0.0) - we
-                        if phi_e[dest, j] == 0 and dest != rp:
-                            key = (dest, rp) if dest < rp else (rp, dest)
-                            acc[key] = acc.get(key, 0.0) + we
-                v = 0.0
-                for (p, q), d in acc.items():
-                    if d != 0.0:
-                        old = bw[p, q]
-                        v += max(old + d - bmax, 0.0) - max(old - bmax, 0.0)
-                dv[dest] += v
+            dests = [d for d in range(k) if d != src]
+            dv[dests] += self._bandwidth_deltas(
+                u, src, dests, nets, w, phi_e, bmax
+            )
         dv[src] = 0.0
         dc[src] = 0.0
         return dv, dc
 
+    def _bandwidth_deltas(
+        self,
+        u: int,
+        src: int,
+        dests: list[int],
+        nets: np.ndarray,
+        w: np.ndarray,
+        phi_e: np.ndarray,
+        bmax: float,
+    ) -> list[float]:
+        """Bandwidth-violation delta of moving *u* to each of *dests*.
+
+        *nets*, *w* and ``phi_e = phi[:, nets]`` are *u*'s nets, their
+        weights and pin counts.  Per destination, the exact per-pair
+        ``bw`` changes accumulate net by net and the ``relu(· − Bmax)``
+        difference applies once per touched pair — the same per-entry
+        arithmetic as the graph engine, so the two agree exactly on
+        2-pin-only hypergraphs with integer weights.
+        """
+        bw = self.bw
+        roots = self.hg.roots[nets]
+        root_parts = self.assign[roots]
+        # per net: the parts it currently touches (computed once)
+        touched = [np.nonzero(phi_e[:, j])[0] for j in range(nets.size)]
+        out = []
+        for dest in dests:
+            acc: dict[tuple[int, int], float] = {}
+            for j in range(nets.size):
+                we = float(w[j])
+                if int(roots[j]) == u:
+                    # root moves: pairs (src, p) die, pairs (dest, p) rise
+                    stays = phi_e[src, j] > 1
+                    for p in touched[j]:
+                        p = int(p)
+                        if p != src:
+                            key = (p, src) if p < src else (src, p)
+                            acc[key] = acc.get(key, 0.0) - we
+                        if (p != src or stays) and p != dest:
+                            key = (p, dest) if p < dest else (dest, p)
+                            acc[key] = acc.get(key, 0.0) + we
+                else:
+                    rp = int(root_parts[j])
+                    if phi_e[src, j] == 1 and src != rp:
+                        key = (src, rp) if src < rp else (rp, src)
+                        acc[key] = acc.get(key, 0.0) - we
+                    if phi_e[dest, j] == 0 and dest != rp:
+                        key = (dest, rp) if dest < rp else (rp, dest)
+                        acc[key] = acc.get(key, 0.0) + we
+            v = 0.0
+            for (p, q), d in acc.items():
+                if d != 0.0:
+                    old = bw[p, q]
+                    v += max(old + d - bmax, 0.0) - max(old - bmax, 0.0)
+            out.append(v)
+        return out
+
     def best_move(
         self, u: int, constraints: ConstraintSpec
     ) -> tuple[float, float, int] | None:
-        """Best ``(violation_delta, cut_delta, dest)`` for node *u* under
-        the graph engine's candidate and tie-breaking rules."""
+        """Best ``(violation_delta, cut_delta, dest)`` for node *u*.
+
+        Candidate destinations are the parts *d* some positive-weight net
+        of *u* has a pin in (``connection_vector(u)[d] > 0``); when *u*'s
+        part is over the resource cap, every part is a candidate (the
+        escape rule).  Ties break lexicographically, last on the smallest
+        part id, through the graph engine's ``select_best_move``.
+        Returns ``None`` when no candidate exists.
+        """
+        u = int(u)
         src = int(self.assign[u])
-        dv, dc = self.move_deltas(u, constraints)
-        dv, dc = dv.tolist(), dc.tolist()
-        if self.overloaded_mask(constraints)[src]:
-            dests = [d for d in range(self.k) if d != src]  # the escape rule
-        else:
-            cu = self.connection_vector(u).tolist()
-            dests = [d for d in range(self.k) if d != src and cu[d] > 0.0]
-        return select_best_move(
-            [dv[d] for d in dests], [dc[d] for d in dests], dests
-        )
+        view = self._view(constraints)
+        if view.over[src]:
+            return self._escape_move(u, src, constraints)
+        return self._node_move(u, src, constraints, view)
 
     def best_moves(
         self, nodes: np.ndarray, constraints: ConstraintSpec
     ) -> list[tuple[float, float, int] | None]:
-        """:meth:`best_move` over *nodes* (order preserved)."""
-        return [self.best_move(int(u), constraints) for u in np.asarray(nodes)]
+        """:meth:`best_move` over *nodes* (order preserved).
+
+        The degree-local evaluator: a part none of a node's nets reaches
+        is no candidate, so only the parts in the connectivity sets of
+        the node's nets are scored.  From ``_BATCH_MIN_NODES`` nodes on,
+        one numpy pass over the nodes' flat incidence list scores the
+        whole batch (per-node sums by ``bincount``, the per-node minimum
+        by one ``lexsort``); smaller batches run the per-node loop.
+        Escape nodes score all k parts through :meth:`move_deltas`.
+        """
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.size < _BATCH_MIN_NODES:
+            return [self.best_move(u, constraints) for u in nodes.tolist()]
+        out: list = [None] * nodes.size
+        k, n_rows = self.k, nodes.size
+        srcs = self.assign[nodes]
+        escape = None
+        if any(self._view(constraints).over):
+            escape = self.overloaded_mask(constraints)[srcs]
+            for i in np.flatnonzero(escape).tolist():
+                out[i] = self._escape_move(
+                    int(nodes[i]), int(srcs[i]), constraints
+                )
+        indptr, inc = self.hg.incidence
+        lo = indptr[nodes]
+        deg = indptr[nodes + 1] - lo
+        rows, flat = _flat_slice_indices(lo, deg)
+        nets = inc[flat]
+        w = self.hg.net_weights[nets]
+        phi_g = self.phi.take(nets, axis=1)  # (k, pins of the batch)
+        total = np.bincount(rows, weights=w, minlength=n_rows)
+        last = phi_g[srcs[rows], np.arange(rows.size)] == 1
+        leaves = np.bincount(rows[last], weights=w[last], minlength=n_rows)
+        # weight of each node's nets with a pin in each part, summed in
+        # pin order per (node, part) — the order the per-node loop sums in
+        parts, slots = np.nonzero(phi_g)
+        present = np.bincount(
+            rows[slots] * k + parts, weights=w[slots], minlength=n_rows * k
+        ).reshape(n_rows, k)
+        present[np.arange(n_rows), srcs] = 0.0
+        if escape is not None:
+            present[escape] = 0.0
+        r, d = np.nonzero(present > 0.0)
+        if r.size == 0:
+            return out
+        dc = (total[r] - present[r, d]) - leaves[r]
+        rmax = constraints.rmax
+        if math.isfinite(rmax):
+            pw = self.part_weight
+            wu = self.hg.node_weights[nodes]
+            ps = pw[srcs]
+            shed = np.maximum(ps - wu - rmax, 0.0) - np.maximum(ps - rmax, 0.0)
+            pd = pw[d]
+            dv = shed[r] + (
+                np.maximum(pd + wu[r] - rmax, 0.0) - np.maximum(pd - rmax, 0.0)
+            )
+        else:
+            dv = np.zeros(r.size)
+        bmax = constraints.bmax
+        if math.isfinite(bmax):
+            start = np.cumsum(deg) - deg
+            bwd = np.empty(r.size)
+            cuts = np.flatnonzero(np.diff(r)) + 1
+            for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), r.size]):
+                i = int(r[a])
+                s, e = int(start[i]), int(start[i] + deg[i])
+                bwd[a:b] = self._bandwidth_deltas(
+                    int(nodes[i]), int(srcs[i]), d[a:b].tolist(),
+                    nets[s:e], w[s:e], phi_g[:, s:e], bmax,
+                )
+            dv = dv + bwd
+        # per node, the lexicographic min of (dv, dc, dest)
+        order = np.lexsort((d, dc, dv, r))
+        head = np.ones(order.size, dtype=bool)
+        head[1:] = r[order[1:]] != r[order[:-1]]
+        pick = order[head]
+        for i, a, b, c in zip(
+            r[pick].tolist(), dv[pick].tolist(), dc[pick].tolist(),
+            d[pick].tolist(),
+        ):
+            out[i] = (a, b, c)
+        return out
+
+    def _escape_move(self, u: int, src: int, constraints) -> tuple | None:
+        """The escape rule: every part but *src* is a candidate."""
+        dests = [d for d in range(self.k) if d != src]
+        dv, dc = self.move_deltas(u, constraints)
+        return select_best_move(dv[dests].tolist(), dc[dests].tolist(), dests)
+
+    def _node_move(
+        self, u: int, src: int, constraints, view: _EpochView
+    ) -> tuple[float, float, int] | None:
+        """Best move of the single node *u* among the parts its nets
+        reach — the Python-float twin of the :meth:`best_moves` pass,
+        summing in the same order, for calls too small to pay for it."""
+        hg = self.hg
+        indptr, inc = hg.incidence
+        nets = inc[indptr[u]:indptr[u + 1]]
+        if not nets.size:
+            return None
+        w = hg.net_weights[nets]
+        phi_e = self.phi.take(nets, axis=1)
+        wl = w.tolist()
+        total = leaves = 0.0
+        for c, x in zip(phi_e[src].tolist(), wl):
+            total += x
+            if c == 1:
+                leaves += x
+        present = [0.0] * self.k
+        parts, slots = np.nonzero(phi_e)
+        for p, j in zip(parts.tolist(), slots.tolist()):
+            present[p] += wl[j]
+        dests = [p for p, x in enumerate(present) if x > 0.0 and p != src]
+        if not dests:
+            return None
+        dc = [(total - present[p]) - leaves for p in dests]
+        rmax = constraints.rmax
+        if math.isfinite(rmax):
+            pw = view.pw
+            w_u = float(hg.node_weights[u])
+            t, o = pw[src] - w_u - rmax, pw[src] - rmax
+            shed = (t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)
+            dv = []
+            for d in dests:
+                t, o = pw[d] + w_u - rmax, pw[d] - rmax
+                dv.append(shed + ((t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)))
+        else:
+            dv = [0.0] * len(dests)
+        bmax = constraints.bmax
+        if math.isfinite(bmax):
+            bwd = self._bandwidth_deltas(u, src, dests, nets, w, phi_e, bmax)
+            dv = [a + b for a, b in zip(dv, bwd)]
+        return select_best_move(dv, dc, dests)
 
     def recompute(self) -> None:
         """Rebuild everything from scratch (tests/debugging only)."""
@@ -425,6 +617,7 @@ class HyperRefinementState:
         self.part_size = fresh.part_size
         self.bw = fresh.bw
         self._epoch += 1
+        self._view_cache = None
         self._trail.clear()
 
     def __repr__(self) -> str:

@@ -3,10 +3,11 @@
 
 Budget tests, not benchmarks: each asserts a representative Φ-engine
 workload finishes within a wall-clock budget an order of magnitude above
-what it needs today (~1.3 s for the 2k-node constrained FM, ~1.6 s for the
-400-node multilevel pipeline on the container this was tuned on).  They
-trip only when a change reintroduces super-linear Python work in the
-incremental move path; model-quality numbers live in
+what it needs today (~0.75 s for the 2k-node constrained FM, ~0.9 s for
+the 400-node multilevel pipeline on a shared 2-CPU x86-64 host, where the
+k-wide move evaluator took ~2.2 s and ~2.4 s).  They trip only when a
+change reintroduces super-linear Python work in the incremental move or
+move-evaluation path; model-quality numbers live in
 ``benchmarks/bench_hypergraph.py``.
 """
 

@@ -176,6 +176,35 @@ def test_hyper_multi_cycle_pinned(name):
     assert fingerprint(res) == HYPER_MULTI_CYCLE_EXPECTED[name]
 
 
+#: ``hyper_partition`` with its default config on
+#: ``multicast_network(120, i, fanout=8)`` at k=8, ``rmax = 1.1·W/k`` and
+#: no bandwidth cap — the ``multicast120`` benchmark path, the only pinned
+#: ``Bmax = ∞`` hypergraph runs.  Keyed by ``(i, seed)``; the seeds are
+#: ``np.random.default_rng([s, 3]).integers(2**31, size=4)`` at s = 0, 1,
+#: the partitioner seeds the benchmark draws for its run seeds 0 and 1.
+HYPER_UNCAPPED_EXPECTED = {
+    (0, 1081993679): ('b4400c730349c454', (0.0, 0.0, 0.0, 698.0)),
+    (1, 1921939326): ('ad57ad95ba7aef15', (0.0, 0.0, 0.0, 858.0)),
+    (2, 2050023942): ('fd5c359f18e1f0e9', (0.0, 0.0, 0.0, 642.0)),
+    (3, 1847725933): ('1b21276acca9ce75', (0.0, 0.0, 0.0, 809.0)),
+    (0, 958438296): ('62f2f17b87b87fb5', (0.0, 0.0, 0.0, 755.0)),
+    (1, 30212171): ('7ca085e9504e1d66', (0.0, 0.0, 0.0, 756.0)),
+    (2, 1763075151): ('0c08b9e3eb8c825d', (0.0, 0.0, 0.0, 675.0)),
+    (3, 293363876): ('df1bbcb6ba57050c', (0.0, 0.0, 0.0, 763.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(HYPER_UNCAPPED_EXPECTED), ids=lambda c: f"{c[0]}-{c[1]}"
+)
+def test_hyper_uncapped_pinned(case):
+    i, seed = case
+    hg = multicast_network(120, i, fanout=8)
+    cons = ConstraintSpec(rmax=1.1 * float(hg.node_weights.sum()) / 8)
+    res = hyper_partition(hg, 8, cons, seed=seed)
+    assert fingerprint(res) == HYPER_UNCAPPED_EXPECTED[case]
+
+
 VECTOR_BMAX = {"feasible": 40.0, "infeasible": 0.0}
 
 
