@@ -52,6 +52,7 @@ from repro.partition.refine_state import (
     constrained_key,
     metrics_from_matrices,
     select_best_move,
+    upper_flat_index,
 )
 from repro.util.errors import PartitionError
 
@@ -92,7 +93,7 @@ class HyperRefinementState:
         "part_size",
         "bw",
         "_trail",
-        "_iu",
+        "_iu_flat",
         "_epoch",
         "_view_cache",
     )
@@ -128,7 +129,7 @@ class HyperRefinementState:
         self.bw = bw
 
         self._trail: list[tuple[int, int]] = []
-        self._iu = np.triu_indices(self.k, k=1)
+        self._iu_flat = upper_flat_index(self.k)
         self._epoch = 0
         self._view_cache: _EpochView | None = None
 
@@ -138,7 +139,7 @@ class HyperRefinementState:
     @property
     def cut(self) -> float:
         """The (λ−1) connectivity objective (== triu of ``bw``)."""
-        return float(self.bw[self._iu].sum())
+        return float(self.bw.take(self._iu_flat).sum())
 
     @property
     def epoch(self) -> int:
@@ -173,7 +174,9 @@ class HyperRefinementState:
     def key(self, constraints: ConstraintSpec) -> tuple[float, float]:
         """``(total violation, connectivity objective)`` — the FM key,
         computed by the exact function the graph engine uses."""
-        return constrained_key(self.bw, self.part_weight, self._iu, constraints)
+        return constrained_key(
+            self.bw, self.part_weight, self._iu_flat, constraints
+        )
 
     def metrics(self, constraints: ConstraintSpec | None = None) -> PartitionMetrics:
         """:class:`PartitionMetrics` from the tracked matrices (no rescan)."""
@@ -335,7 +338,7 @@ class HyperRefinementState:
         out.part_size = self.part_size.copy()
         out.bw = self.bw.copy()
         out._trail = list(self._trail)
-        out._iu = self._iu
+        out._iu_flat = self._iu_flat
         out._epoch = 0
         out._view_cache = None
         return out

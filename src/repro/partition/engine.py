@@ -179,7 +179,8 @@ class GraphEngine(_Engine):
 
     def initial(self, structure: WGraph, constraints, restarts: int, seed):
         return greedy_initial_partition(
-            structure, self.k, constraints, restarts=restarts, seed=seed
+            structure, self.k, constraints, restarts=restarts, seed=seed,
+            conn_format=self.conn_format,
         )
 
     def level_fm(self, structure: WGraph, assign, constraints, max_passes,
@@ -342,7 +343,7 @@ class VectorGraphEngine(_Engine):
                 seed):
         return mr_greedy_initial(
             structure.graph, structure.weights, self.k, constraints,
-            restarts=restarts, seed=seed,
+            restarts=restarts, seed=seed, conn_format=self.conn_format,
         )
 
     def level_fm(self, structure: VectorGraph, assign, constraints,

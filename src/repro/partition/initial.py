@@ -127,6 +127,7 @@ def greedy_initial_partition(
     restarts: int = 10,
     seed=None,
     fm_passes: int = 4,
+    conn_format: str = "auto",
 ) -> np.ndarray:
     """Full initial-partitioning phase with restarts and the bandwidth FM pass.
 
@@ -134,7 +135,8 @@ def greedy_initial_partition(
     use randomly chosen seed nodes.  Every round ends with the constrained
     FM pass ("we check the bandwidth between each pair of partitions and use
     the FM algorithm to meet the bandwidth constraint"); the round with the
-    best goodness key wins.
+    best goodness key wins.  *conn_format* picks the FM state's
+    connectivity store (:mod:`repro.partition.conn_store`).
     """
     if restarts < 1:
         raise PartitionError(f"restarts must be >= 1, got {restarts}")
@@ -149,7 +151,7 @@ def greedy_initial_partition(
             r_rng = as_rng(round_seeds[r])
             seeds_r = r_rng.choice(g.n, size=min(k, g.n), replace=False).tolist()
         assign = greedy_grow_once(g, k, constraints.rmax, seed_nodes=seeds_r)
-        st = RefinementState(g, assign, k)
+        st = RefinementState(g, assign, k, conn_format=conn_format)
         assign = constrained_kway_fm(
             g, assign, k, constraints, max_passes=fm_passes,
             seed=round_seeds[r], state=st,

@@ -243,13 +243,15 @@ def mr_greedy_initial(
     cons: VectorConstraints,
     restarts: int = 10,
     seed=None,
+    conn_format: str = "auto",
 ) -> np.ndarray:
     """Vector-aware greedy growing with restarts (Section IV.B, lifted).
 
     A node fits a partition iff adding its whole resource *vector* keeps
     every component under ``rmax``; leftovers are placed by
     :func:`leftover_destination` (violation-aware when nothing fits).
-    Each restart ends with a short seam-based FM repair.
+    Each restart ends with a short seam-based FM repair on a state with
+    the *conn_format* connectivity store.
     """
     if restarts < 1:
         raise PartitionError(f"restarts must be >= 1, got {restarts}")
@@ -300,7 +302,7 @@ def mr_greedy_initial(
             dest = leftover_destination(loads, rmax, w[u])
             assign[u] = dest
             loads[dest] += w[u]
-        st = VectorRefinementState(g, w, assign, k)
+        st = VectorRefinementState(g, w, assign, k, conn_format=conn_format)
         assign = run_constrained_fm(
             st, g.n, g.neighbors, cons, max_passes=4, seed=round_seeds[r]
         )

@@ -54,6 +54,7 @@ __all__ = [
     "BucketQueue",
     "select_best_move",
     "constrained_key",
+    "upper_flat_index",
     "metrics_from_matrices",
 ]
 
@@ -61,21 +62,34 @@ __all__ = [
 def constrained_key(
     bw: np.ndarray,
     part_weight: np.ndarray,
-    iu: tuple[np.ndarray, np.ndarray],
+    iu_flat: np.ndarray,
     constraints: ConstraintSpec,
 ) -> tuple[float, float]:
     """``(total violation, cut)`` from tracked matrices — the FM best-prefix
     key.  Shared by the graph engine and the hypergraph Φ engine so the
     two can never drift apart (their 2-pin move-for-move parity depends on
-    computing this identically)."""
-    upper = bw[iu]
+    computing this identically).
+
+    *iu_flat* is the upper triangle's flat index into ``bw`` in
+    ``np.triu_indices`` order, so ``bw.take(iu_flat)`` reads the same
+    values in the same order as ``bw[np.triu_indices(k, 1)]`` with one
+    1-D gather instead of a 2-D one."""
+    upper = bw.take(iu_flat)
     cut = float(upper.sum())
     v = 0.0
-    if np.isfinite(constraints.rmax):
+    if math.isfinite(constraints.rmax):
         v += float(np.maximum(part_weight - constraints.rmax, 0.0).sum())
-    if np.isfinite(constraints.bmax):
+    if math.isfinite(constraints.bmax):
         v += float(np.maximum(upper - constraints.bmax, 0.0).sum())
     return (v, cut)
+
+
+def upper_flat_index(k: int) -> np.ndarray:
+    """Flat indices of a ``(k, k)`` matrix's strict upper triangle, in
+    ``np.triu_indices(k, 1)`` order (the *iu_flat* of
+    :func:`constrained_key`)."""
+    rows, cols = np.triu_indices(k, k=1)
+    return rows * k + cols
 
 
 def metrics_from_matrices(
@@ -263,7 +277,7 @@ class RefinementState:
         "part_size",
         "bw",
         "_trail",
-        "_iu",
+        "_iu_flat",
         "_epoch",
         "_relu_cache",
         "_view_cache",
@@ -308,7 +322,7 @@ class RefinementState:
         self.bw = bw
 
         self._trail: list[tuple[int, int]] = []
-        self._iu = np.triu_indices(self.k, k=1)
+        self._iu_flat = upper_flat_index(self.k)
         self._epoch = 0  # bumped on every move; keys the relu cache
         self._relu_cache: tuple[int, float, np.ndarray] | None = None
         self._view_cache: _EpochView | None = None
@@ -318,7 +332,7 @@ class RefinementState:
     # ------------------------------------------------------------------ #
     @property
     def cut(self) -> float:
-        return float(self.bw[self._iu].sum())
+        return float(self.bw.take(self._iu_flat).sum())
 
     @property
     def epoch(self) -> int:
@@ -386,7 +400,9 @@ class RefinementState:
     def key(self, constraints: ConstraintSpec) -> tuple[float, float]:
         """``(total violation, cut)`` — the FM best-prefix key — computed
         from one gather of the upper bandwidth triangle."""
-        return constrained_key(self.bw, self.part_weight, self._iu, constraints)
+        return constrained_key(
+            self.bw, self.part_weight, self._iu_flat, constraints
+        )
 
     def overloaded_mask(self, constraints: ConstraintSpec) -> np.ndarray:
         """Boolean ``(k,)`` mask of parts over the resource cap.
@@ -514,7 +530,7 @@ class RefinementState:
         out.part_size = self.part_size.copy()
         out.bw = self.bw.copy()
         out._trail = list(self._trail)
-        out._iu = self._iu
+        out._iu_flat = self._iu_flat
         out._epoch = 0
         out._relu_cache = None
         out._view_cache = None

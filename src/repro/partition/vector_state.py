@@ -253,7 +253,7 @@ class VectorRefinementState(RefinementState):
 
     def key(self, constraints: VectorConstraints) -> tuple[float, float]:
         """``(total violation, cut)`` under vector constraints."""
-        upper = self.bw[self._iu]
+        upper = self.bw.take(self._iu_flat)
         cut = float(upper.sum())
         v = float(
             np.maximum(self.loads - self._rmax(constraints), 0.0).sum()
@@ -272,7 +272,7 @@ class VectorRefinementState(RefinementState):
                 rmax=(float("inf"),) * self.n_resources,
             )
         rmax = self._rmax(constraints)
-        upper = self.bw[self._iu]
+        upper = self.bw.take(self._iu_flat)
         if np.isfinite(constraints.bmax):
             bw_violation = float(
                 np.maximum(upper - constraints.bmax, 0.0).sum()

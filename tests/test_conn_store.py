@@ -12,10 +12,16 @@ bounded-degree graph at k=64 lands far below the dense ``16·k·n``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import repro.obs as _obs
+from repro.bench.suites import bounded_degree_graph
 from repro.graph import random_process_network
 from repro.graph.wgraph import WGraph
+from repro.hypergraph import HGraph
+from repro.hypergraph.refine_state import HyperRefinementState
+from repro.partition import conn_store
 from repro.partition.conn_store import (
     AUTO_SPARSE_CELLS,
     DenseConnStore,
@@ -32,7 +38,11 @@ from repro.partition.kway_refine import (
 )
 from repro.partition.metrics import ConstraintSpec, evaluate_partition
 from repro.partition.mlkp import mlkp_partition
-from repro.partition.refine_state import RefinementState
+from repro.partition.refine_state import (
+    RefinementState,
+    constrained_key,
+    upper_flat_index,
+)
 from repro.partition.vector_state import VectorConstraints, VectorRefinementState
 from repro.util.errors import PartitionError
 
@@ -160,6 +170,163 @@ class TestStoreParity:
     def test_check_conn_format_rejects_junk(self):
         with pytest.raises(PartitionError, match="conn_format"):
             check_conn_format("csr")
+
+
+# --------------------------------------------------------------------- #
+# the sparse store's two update loops
+# --------------------------------------------------------------------- #
+_LAYOUT = ("parts", "weights", "counts", "nnz")
+
+
+@hst.composite
+def _hub_graph_moves(draw):
+    """A graph whose node 0 has more neighbours than the loop threshold,
+    integer edge weights in 0..3 (zero-weight edges included), a start
+    assignment, and a move sequence that opens with the hub, then random
+    moves, then drains one part completely and refills it."""
+    hub_deg = conn_store._VECTOR_MIN_NBRS + draw(hst.integers(0, 6))
+    n = hub_deg + 1 + draw(hst.integers(0, 12))
+    k = draw(hst.integers(2, 6))
+    node = hst.integers(0, n - 1)
+    extra = draw(hst.lists(hst.tuples(node, node), max_size=3 * n))
+    weights = draw(hst.lists(
+        hst.integers(0, 3), min_size=hub_deg + len(extra),
+        max_size=hub_deg + len(extra),
+    ))
+    pairs = [(0, v) for v in range(1, hub_deg + 1)] + extra
+    edges = [(u, v, w) for (u, v), w in zip(pairs, weights) if u != v]
+    g = WGraph(n, edges)
+    assign = draw(hst.lists(hst.integers(0, k - 1), min_size=n, max_size=n))
+    moves = [(0, (assign[0] + 1) % k)] + draw(hst.lists(
+        hst.tuples(node, hst.integers(0, k - 1)), max_size=40,
+    ))
+    drained = draw(hst.integers(0, k - 1))
+    return g, k, np.array(assign, dtype=np.int64), moves, drained
+
+
+def _apply(store, threshold, src, dest, nbrs, ws):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conn_store, "_VECTOR_MIN_NBRS", threshold)
+        store.apply_move(src, dest, nbrs, ws)
+
+
+class TestUpdateLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(_hub_graph_moves())
+    def test_loops_write_identical_bytes(self, case):
+        """The per-neighbour loop and the numpy pass leave every array
+        byte-identical after every move — the dead tail past ``nnz``
+        included — through zero-weight edges, hub moves, and a part
+        drained empty and refilled."""
+        g, k, assign, moves, drained = case
+        scalar = SparseConnStore(g, assign, k)
+        vector = scalar.copy()
+        assign = assign.copy()
+
+        def move(u, dest):
+            src = int(assign[u])
+            if dest == src:
+                return
+            nbrs, ws = g.neighbor_weights(u)
+            _apply(scalar, 10**9, src, dest, nbrs, ws)  # loop only
+            _apply(vector, 0, src, dest, nbrs, ws)  # numpy pass only
+            assign[u] = dest
+            for name in _LAYOUT:
+                assert (getattr(scalar, name).tobytes()
+                        == getattr(vector, name).tobytes()), name
+
+        for u, dest in moves:
+            move(u, dest)
+        members = np.flatnonzero(assign == drained).tolist()
+        for u in members:
+            move(u, (drained + 1) % k)
+        assert not np.any(assign == drained)
+        for u in members:
+            move(u, drained)
+        dense = DenseConnStore(g, assign, k)
+        np.testing.assert_array_equal(scalar.dense_conn(), dense.dense_conn())
+        np.testing.assert_array_equal(
+            scalar.dense_counts(), dense.dense_counts()
+        )
+
+    def test_bounded_degree_fm_never_takes_numpy_pass(self, monkeypatch):
+        """Every node of the ring graph has degree 6, far below the
+        threshold: one FM pass on the sparse store must update through
+        the per-neighbour loop alone."""
+        calls = []
+        real = SparseConnStore._apply_move_vector
+
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(SparseConnStore, "_apply_move_vector", counting)
+        k = 64
+        g = bounded_degree_graph(1500)
+        assert int(np.diff(g.csr[0]).max()) < conn_store._VECTOR_MIN_NBRS
+        a = np.random.default_rng(0).integers(0, k, size=g.n)
+        cons = ConstraintSpec(rmax=float(np.ceil(1.05 * g.n / k)))
+        st = RefinementState(g, a, k, conn_format="sparse")
+        constrained_kway_fm(g, a, k, cons, max_passes=1, seed=0, state=st)
+        assert st.epoch > 0  # moves were made (and some undone)
+        assert calls == []
+
+
+# --------------------------------------------------------------------- #
+# the FM key
+# --------------------------------------------------------------------- #
+def _triu_key(bw, part_weight, constraints):
+    """The FM key as the two-dimensional ``bw[triu_indices]`` gather."""
+    upper = bw[np.triu_indices(bw.shape[0], 1)]
+    cut = float(upper.sum())
+    v = 0.0
+    if np.isfinite(constraints.rmax):
+        v += float(np.maximum(part_weight - constraints.rmax, 0.0).sum())
+    if np.isfinite(constraints.bmax):
+        v += float(np.maximum(upper - constraints.bmax, 0.0).sum())
+    return (v, cut)
+
+
+_KEY_BOUNDS = [
+    ConstraintSpec(),
+    ConstraintSpec(rmax=2.5),
+    ConstraintSpec(bmax=0.75),
+    ConstraintSpec(bmax=0.75, rmax=2.5),
+]
+
+
+class TestKey:
+    @pytest.mark.parametrize("cons", _KEY_BOUNDS, ids=repr)
+    @pytest.mark.parametrize("k", [1, 2, 5, 64])
+    def test_flat_take_equals_triu_gather(self, k, cons):
+        rng = np.random.default_rng(k)
+        bw = rng.random((k, k)) * 3.0
+        bw = bw + bw.T
+        np.fill_diagonal(bw, 0.0)
+        part_weight = rng.random(k) * 4.0
+        got = constrained_key(bw, part_weight, upper_flat_index(k), cons)
+        want = _triu_key(bw, part_weight, cons)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("cons", _KEY_BOUNDS, ids=repr)
+    def test_engine_keys_equal_triu_gather(self, cons):
+        g = random_process_network(60, 150, seed=2)
+        k = 6
+        a = np.random.default_rng(2).integers(0, k, size=g.n)
+        states = [
+            RefinementState(g, a, k, conn_format="dense"),
+            RefinementState(g, a, k, conn_format="sparse"),
+            HyperRefinementState(HGraph.from_wgraph(g), a, k),
+        ]
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            u, dest = int(rng.integers(0, g.n)), int(rng.integers(0, k))
+            for st in states:
+                st.move(u, dest)
+                assert st.key(cons) == _triu_key(
+                    st.bw, st.part_weight, cons
+                )
+                assert st.cut == st.key(cons)[1]
 
 
 # --------------------------------------------------------------------- #
@@ -393,6 +560,44 @@ class TestEndToEnd:
     def test_gpconfig_validates(self):
         with pytest.raises(PartitionError, match="conn_format"):
             GPConfig(conn_format="csr")
+
+    @pytest.mark.parametrize("engine", ["graph", "vector"])
+    def test_initial_partitioning_honours_format(self, monkeypatch, engine):
+        """Every state a ``conn_format="sparse"`` run builds — initial
+        partitioning's included — is sparse, and the run returns the
+        assignment of a dense run."""
+        from repro.core.api import partition_graph
+        from repro.partition import refine_state
+
+        built = []
+        real = refine_state.make_conn_store
+
+        def spy(*args):
+            store = real(*args)
+            built.append(store.format)
+            return store
+
+        monkeypatch.setattr(refine_state, "make_conn_store", spy)
+        g = random_process_network(60, 140, seed=8, node_weight_range=(1, 6))
+        kwargs = dict(bmax=0.3 * g.total_edge_weight, seed=0)
+        if engine == "vector":
+            w = np.random.default_rng(8).integers(1, 5, size=(g.n, 2))
+            kwargs["rmax"] = tuple(
+                float(np.ceil(1.3 * c / 4)) for c in w.sum(axis=0)
+            )
+            kwargs.update(resources=w.astype(float), cache=False)
+        else:
+            kwargs["rmax"] = float(np.ceil(1.3 * g.total_node_weight / 4))
+        outs = {}
+        for fmt in ("dense", "sparse"):
+            built.clear()
+            cfg = GPConfig(max_cycles=2, conn_format=fmt)
+            outs[fmt] = partition_graph(g, 4, config=cfg, **kwargs)
+            # restarts=10 initial states, then the refinement states
+            assert len(built) > 10 and set(built) == {fmt}
+        np.testing.assert_array_equal(
+            outs["dense"].assign, outs["sparse"].assign
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -12,6 +12,9 @@ bandwidth_violation, resource_violation, cut)`` tuple.
   cycle wins) and on an infeasible one that uses every cycle.  The
   expected values were recorded with the three hand-written pipeline
   loops the driver replaced, so they prove scalar GP bit-identical.
+* **Scalar GP on the sparse store at k=64** — perfbench's ``ring1500``
+  calls, recorded before the sparse store's per-neighbour update loop
+  was added, so they prove the store rewrite bit-identical.
 * **Hypergraph GP, first cycle feasible** — recorded the same way.  The
   driver draws four seeds per cycle where the hypergraph loop drew three;
   the first three of four equal the three, so a run that stops after its
@@ -118,6 +121,32 @@ def test_scalar_gp_pinned(config, instance):
     res = run_scalar(config, instance)
     assert res.info["cycles"] == (1 if instance == "feasible" else 3)
     assert fingerprint(res) == SCALAR_EXPECTED[config, instance]
+
+
+#: The perfbench ``ring1500`` path: the X15b config on the sparse store,
+#: k=64, at the four partitioner seeds its workload seed 0 draws
+#: (``np.random.default_rng([0, 3]).integers(2**31, size=4)``).  Unlike the
+#: small-k rows above, its nodes' slices hold many parts, so a store
+#: update that drops, moves or misplaces an entry shows here.
+RING_EXPECTED = {
+    1081993679: ('8e3c0462a950e9f6', (0.0, 0.0, 0.0, 1784.0)),
+    1921939326: ('f263b31b92da524c', (0.0, 0.0, 0.0, 1794.0)),
+    2050023942: ('5eeb78cbaca01c89', (0.0, 0.0, 0.0, 1785.0)),
+    1847725933: ('73a6fedca821b1f2', (0.0, 0.0, 0.0, 1791.0)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RING_EXPECTED))
+def test_ring_sparse_pinned(seed):
+    from repro.bench.suites import bounded_degree_graph
+
+    k = 64
+    g = bounded_degree_graph(1500)
+    cons = ConstraintSpec(rmax=float(np.ceil(1.05 * g.n / k)))
+    cfg = GPConfig(max_cycles=1, restarts=2, level_candidates=1,
+                   matchings=("hem",), conn_format="sparse")
+    res = gp_partition(g, k, cons, cfg, seed=seed)
+    assert fingerprint(res) == RING_EXPECTED[seed]
 
 
 # --------------------------------------------------------------------- #
