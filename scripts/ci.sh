@@ -52,13 +52,12 @@
 # against a copy with a +25% injected runtime regression must exit 3
 # (the gate actually trips, not just runs);
 # stage 11 runs the million-node-scale track: first the connectivity
-# store suite (tests/test_conn_store.py — sparse/dense parity, the sparse
-# store's two update loops writing identical bytes, and the guard that
-# bounded-degree FM stays on the per-neighbour loop), so a store-parity
-# failure shows up here by name; then `repro bench --suite x15_scale`:
-# the sparse connectivity store at k=64 — the dense/sparse footprint
-# ratio is gated (a shrinking ratio past the band exits 3), exercised
-# exactly like stage 10 with a perturbed-copy trip check;
+# store suite (tests/test_conn_store.py — sparse/dense parity, including
+# sparse moves through hubs, zero-weight edges and emptied parts), so a
+# store-parity failure shows up here by name; then `repro bench --suite
+# x15_scale`: the sparse connectivity store at k=64 — the dense/sparse
+# footprint ratio is gated (a shrinking ratio past the band exits 3),
+# exercised exactly like stage 10 with a perturbed-copy trip check;
 # stage 12 runs the repository benchmark's batch workloads (ring1500,
 # tight400, multicast120; perfbench/run.py, 5 s each, untraced and
 # traced): each run recomputes every cut and violation independently and

@@ -31,10 +31,8 @@ interchangeable implementations:
     distinct neighbour parts ≤ min(deg, k), since every live entry has
     count ≥ 1 and counts sum to deg — guarantees a slice never
     overflows as long as zero-count entries are removed before new
-    parts are inserted.  A move updates the slices in one of two loops
-    that write the same bytes: per neighbour in Python below
-    :data:`_VECTOR_MIN_NBRS` neighbours (every node of a bounded-degree
-    network), or in one numpy pass over all the slices from it on.
+    parts are inserted.  A move updates the slices in a Python loop,
+    one neighbour at a time, through ``memoryview``s of the arrays.
 
 Exactness contract: like the engine itself, the sparse store is exact
 under **integer-valued weights** (the invariant the differential suites
@@ -75,13 +73,6 @@ __all__ = [
 AUTO_SPARSE_CELLS = 4_000_000
 
 CONN_FORMATS = ("auto", "dense", "sparse")
-
-#: :meth:`SparseConnStore.apply_move` updates a moved node's neighbours
-#: one slice at a time in Python below this many neighbours, and in one
-#: numpy pass over all their slices from it on.  The pass's ~25 array
-#: calls cost more than the loop on small neighbourhoods; timed on ring
-#: graphs at k = 8 and 64, the two break even between 32 and 40.
-_VECTOR_MIN_NBRS = 32
 
 
 def check_conn_format(conn_format: str) -> str:
@@ -384,14 +375,7 @@ class SparseConnStore:
         and only then insert a *dest* entry if the neighbour had none —
         after removal every slice holds exactly its live distinct parts,
         so the insert always fits.
-
-        Below :data:`_VECTOR_MIN_NBRS` neighbours each slice is updated
-        in a Python loop; from it on, :meth:`_apply_move_vector` does
-        all slices in one numpy pass.  Both write the same bytes.
         """
-        if len(nbrs) >= _VECTOR_MIN_NBRS:
-            self._apply_move_vector(src, dest, nbrs, ws)
-            return
         # memoryview items read and write Python scalars at a fraction of
         # the cost of numpy scalar indexing
         indptr, nnz = memoryview(self.indptr), memoryview(self.nnz)
@@ -421,53 +405,6 @@ class SparseConnStore:
                 weights[hi] = w
                 counts[hi] = 1
                 nnz[v] += 1
-
-    def _apply_move_vector(
-        self, src: int, dest: int, nbrs: np.ndarray, ws: np.ndarray
-    ) -> None:
-        """:meth:`apply_move` for many neighbours: one pass over all
-        their slices at once."""
-        nbrs = np.asarray(nbrs, dtype=np.int64)
-        if nbrs.size == 0:
-            return
-        lo = self.indptr[nbrs]
-        ln = self.nnz[nbrs].astype(np.int64)
-        rows, flat = _flat_slice_indices(lo, ln)
-        p = self.parts[flat]
-
-        # every neighbour has a src entry (the moved node sat in src);
-        # rows are ascending, so the selection aligns with nbrs order
-        src_flat = flat[p == src]
-        self.weights[src_flat] -= ws
-        self.counts[src_flat] -= 1
-
-        dest_sel = p == dest
-        dest_rows = rows[dest_sel]
-        dest_flat = flat[dest_sel]
-        self.weights[dest_flat] += ws[dest_rows]
-        self.counts[dest_flat] += 1
-
-        # remove src entries whose count hit zero: swap-with-last
-        dead = self.counts[src_flat] == 0
-        if np.any(dead):
-            rm_rows = np.nonzero(dead)[0]  # indices into nbrs
-            slot = src_flat[rm_rows]
-            last = lo[rm_rows] + ln[rm_rows] - 1
-            self.parts[slot] = self.parts[last]
-            self.weights[slot] = self.weights[last]
-            self.counts[slot] = self.counts[last]
-            self.nnz[nbrs[rm_rows]] -= 1
-
-        # insert dest entries for neighbours that had none
-        has_dest = np.zeros(nbrs.size, dtype=bool)
-        has_dest[dest_rows] = True
-        ins = np.nonzero(~has_dest)[0]
-        if ins.size:
-            slot = self.indptr[nbrs[ins]] + self.nnz[nbrs[ins]]
-            self.parts[slot] = dest
-            self.weights[slot] = ws[ins]
-            self.counts[slot] = 1
-            self.nnz[nbrs[ins]] += 1
 
     def copy(self) -> "SparseConnStore":
         out = object.__new__(SparseConnStore)

@@ -16,12 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import repro.obs as _obs
-from repro.bench.suites import bounded_degree_graph
 from repro.graph import random_process_network
 from repro.graph.wgraph import WGraph
 from repro.hypergraph import HGraph
 from repro.hypergraph.refine_state import HyperRefinementState
-from repro.partition import conn_store
 from repro.partition.conn_store import (
     AUTO_SPARSE_CELLS,
     DenseConnStore,
@@ -173,18 +171,15 @@ class TestStoreParity:
 
 
 # --------------------------------------------------------------------- #
-# the sparse store's two update loops
+# sparse moves through hubs, zero weights and emptied parts
 # --------------------------------------------------------------------- #
-_LAYOUT = ("parts", "weights", "counts", "nnz")
-
-
 @hst.composite
 def _hub_graph_moves(draw):
-    """A graph whose node 0 has more neighbours than the loop threshold,
-    integer edge weights in 0..3 (zero-weight edges included), a start
-    assignment, and a move sequence that opens with the hub, then random
-    moves, then drains one part completely and refills it."""
-    hub_deg = conn_store._VECTOR_MIN_NBRS + draw(hst.integers(0, 6))
+    """A graph whose node 0 neighbours many nodes, integer edge weights in
+    0..3 (zero-weight edges included), a start assignment, and a move
+    sequence that opens with the hub, then random moves, then drains one
+    part completely and refills it."""
+    hub_deg = draw(hst.integers(8, 40))
     n = hub_deg + 1 + draw(hst.integers(0, 12))
     k = draw(hst.integers(2, 6))
     node = hst.integers(0, n - 1)
@@ -204,23 +199,18 @@ def _hub_graph_moves(draw):
     return g, k, np.array(assign, dtype=np.int64), moves, drained
 
 
-def _apply(store, threshold, src, dest, nbrs, ws):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(conn_store, "_VECTOR_MIN_NBRS", threshold)
-        store.apply_move(src, dest, nbrs, ws)
-
-
-class TestUpdateLoops:
+class TestSparseMoves:
     @settings(max_examples=60, deadline=None)
     @given(_hub_graph_moves())
-    def test_loops_write_identical_bytes(self, case):
-        """The per-neighbour loop and the numpy pass leave every array
-        byte-identical after every move — the dead tail past ``nnz``
-        included — through zero-weight edges, hub moves, and a part
-        drained empty and refilled."""
+    def test_moves_match_dense_store(self, case):
+        """After every move the sparse store holds the dense store's
+        connectivity and counts, and no slice outgrows its capacity —
+        through zero-weight edges, hub moves, and a part drained empty
+        and refilled."""
         g, k, assign, moves, drained = case
-        scalar = SparseConnStore(g, assign, k)
-        vector = scalar.copy()
+        ss = SparseConnStore(g, assign, k)
+        sd = DenseConnStore(g, assign, k)
+        cap = ss.indptr[1:] - ss.indptr[:-1]
         assign = assign.copy()
 
         def move(u, dest):
@@ -228,12 +218,14 @@ class TestUpdateLoops:
             if dest == src:
                 return
             nbrs, ws = g.neighbor_weights(u)
-            _apply(scalar, 10**9, src, dest, nbrs, ws)  # loop only
-            _apply(vector, 0, src, dest, nbrs, ws)  # numpy pass only
+            ss.apply_move(src, dest, nbrs, ws)
+            sd.apply_move(src, dest, nbrs, ws)
             assign[u] = dest
-            for name in _LAYOUT:
-                assert (getattr(scalar, name).tobytes()
-                        == getattr(vector, name).tobytes()), name
+            np.testing.assert_array_equal(ss.dense_conn(), sd.dense_conn())
+            np.testing.assert_array_equal(
+                ss.dense_counts(), sd.dense_counts()
+            )
+            assert np.all(ss.nnz <= cap)
 
         for u, dest in moves:
             move(u, dest)
@@ -243,33 +235,6 @@ class TestUpdateLoops:
         assert not np.any(assign == drained)
         for u in members:
             move(u, drained)
-        dense = DenseConnStore(g, assign, k)
-        np.testing.assert_array_equal(scalar.dense_conn(), dense.dense_conn())
-        np.testing.assert_array_equal(
-            scalar.dense_counts(), dense.dense_counts()
-        )
-
-    def test_bounded_degree_fm_never_takes_numpy_pass(self, monkeypatch):
-        """Every node of the ring graph has degree 6, far below the
-        threshold: one FM pass on the sparse store must update through
-        the per-neighbour loop alone."""
-        calls = []
-        real = SparseConnStore._apply_move_vector
-
-        def counting(self, *args):
-            calls.append(args)
-            return real(self, *args)
-
-        monkeypatch.setattr(SparseConnStore, "_apply_move_vector", counting)
-        k = 64
-        g = bounded_degree_graph(1500)
-        assert int(np.diff(g.csr[0]).max()) < conn_store._VECTOR_MIN_NBRS
-        a = np.random.default_rng(0).integers(0, k, size=g.n)
-        cons = ConstraintSpec(rmax=float(np.ceil(1.05 * g.n / k)))
-        st = RefinementState(g, a, k, conn_format="sparse")
-        constrained_kway_fm(g, a, k, cons, max_passes=1, seed=0, state=st)
-        assert st.epoch > 0  # moves were made (and some undone)
-        assert calls == []
 
 
 # --------------------------------------------------------------------- #
