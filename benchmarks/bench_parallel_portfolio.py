@@ -31,11 +31,8 @@ from repro.graph import random_process_network
 from repro.obs.benchdb import BenchMetric
 from repro.partition.coarsen import coarsen_once
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.portfolio import (
-    clear_portfolio_cache,
-    default_portfolio,
-    portfolio_partition,
-)
+from repro.partition.portfolio import default_portfolio, portfolio_partition
+from repro.util.parallel import memo_cache
 from repro.util.rng import as_rng
 from repro.util.tables import format_table
 
@@ -124,7 +121,7 @@ def test_parallel_portfolio_and_coarsening(benchmark):
             )
 
         # ---- portfolio result cache -------------------------------------
-        clear_portfolio_cache()
+        memo_cache.clear()
         portfolio_partition(
             g, PORTFOLIO_K, cons, configs=configs, seed=0
         )
@@ -141,7 +138,7 @@ def test_parallel_portfolio_and_coarsening(benchmark):
         bench.append(BenchMetric(
             "x11.portfolio.cache_hit", t_hit * 1e3, "ms", p,
         ))
-        clear_portfolio_cache()
+        memo_cache.clear()
 
         # ---- coarsening microbenchmark ----------------------------------
         g10 = random_process_network(COARSEN_N, COARSEN_M, seed=0)

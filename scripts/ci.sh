@@ -10,7 +10,8 @@
 # differential corpus — so a connectivity-engine regression is named
 # in the CI log even when stage 1 already caught it; stage 4 re-runs the
 # parallel-execution differential suite with real worker processes
-# (REPRO_TEST_JOBS=2: parallel==serial bit-identity, cache behaviour,
+# (REPRO_TEST_JOBS=2: parallel==serial bit-identity for every
+# parallel_map submit shape and for the partitioners, cache behaviour,
 # vectorized-vs-legacy coarsening, the multilevel driver corpus on all
 # three engines) so a determinism break is named even
 # when stage 1 already caught it, plus the X8 V-cycle ablation on the
@@ -67,11 +68,17 @@
 # renamed or bypassed layer entry point (a refinement state, an FM
 # driver) fails here, not only in the benchmark.
 #
+# Before stage 1 the script prints the src code-line count
+# (scripts/code_lines.py: docstrings, comments and blank lines excluded),
+# the figure ROADMAP.md tracks for deletions.
+#
 # Usage: scripts/ci.sh [extra pytest args passed to stage 1]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+echo "== src code lines: $(python scripts/code_lines.py) =="
 
 echo "== stage 1: tier-1 test suite =="
 python -m pytest -x -q "$@"

@@ -369,14 +369,12 @@ def _x9_suite(seed: int = 0) -> list[BenchMetric]:
                 "plus the memo-cache hit",
 )
 def _x11_suite(seed: int = 0) -> list[BenchMetric]:
-    from repro.partition.portfolio import (
-        clear_portfolio_cache,
-        portfolio_partition,
-    )
+    from repro.partition.portfolio import portfolio_partition
+    from repro.util.parallel import memo_cache
 
     g, cons = tight_instance(180, 4, seed=seed)
     p = {"instance": "pn", "n": 180, "k": 4}
-    clear_portfolio_cache()
+    memo_cache.clear()
     out = _run_metrics(
         "x11.portfolio",
         lambda: portfolio_partition(g, 4, cons, seed=seed), p, seed,

@@ -20,7 +20,7 @@ Usage (see ``python -m repro --help``):
   ``--resources res.json`` a device-shaped per-node resource matrix is
   written alongside the graph.
 * ``python -m repro cache [--stats] [--clear] [--dir DIR]`` — inspect (or
-  drop) the in-process portfolio/evolve/multires memo caches, and with
+  drop) the in-process memo cache (portfolio, evolve, vector GP), and with
   ``--dir`` a persistent on-disk cache; ``partition --no-cache`` forces
   a cold evolve (or vector-gp) run.
 * ``python -m repro serve --port 8077 --cache-dir ~/.cache/repro`` — run
@@ -61,11 +61,7 @@ import repro.obs as _obs
 from repro.bench.experiments import paper_experiment_table
 from repro.bench.figures import write_figure_artifacts
 from repro.core.api import partition_graph
-from repro.evolve.ea import (
-    EvolveConfig,
-    clear_evolve_cache,
-    evolve_cache,
-)
+from repro.evolve.ea import EvolveConfig
 from repro.core.report import comparison_report, multires_report
 from repro.fpga.resources import random_device_matrix
 from repro.graph.generators import multicast_network, random_process_network
@@ -75,10 +71,9 @@ from repro.graph.metisio import parse_hmetis, parse_metis, save_hmetis
 from repro.graph.wgraph import WGraph
 from repro.hypergraph.hgraph import HGraph
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.multires import clear_multires_cache, multires_cache
-from repro.partition.portfolio import clear_portfolio_cache, portfolio_cache
 from repro.partition.vector_state import VectorConstraints
 from repro.util.errors import ReproError
+from repro.util.parallel import memo_cache
 from repro.viz.ascii_art import render_ascii
 from repro.viz.dot import to_dot
 
@@ -183,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pop-size", type=int, default=None, metavar="P",
                    help="evolve: population size (--method evolve only)")
     p.add_argument("--no-cache", action="store_true",
-                   help="skip the in-process memo caches (cold run; "
+                   help="skip the in-process memo cache (cold run; "
                         "--method evolve, or --method gp with --resources)")
     p.add_argument("--compare", action="store_true",
                    help="also run the METIS-like baseline and compare")
@@ -237,11 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser(
         "cache",
-        help="inspect or clear the in-process portfolio/evolve/multires "
-             "memo caches (and, with --dir, a persistent disk cache)",
+        help="inspect or clear the in-process memo cache (and, with "
+             "--dir, a persistent disk cache)",
     )
     c.add_argument("--stats", action="store_true",
-                   help="print per-cache size and hit/miss stats "
+                   help="print the memo's size and hit/miss stats "
                         "(the default action)")
     c.add_argument("--clear", action="store_true",
                    help="drop every memoised portfolio, evolve and "
@@ -615,9 +610,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    """Report (and optionally clear) the in-process memo caches.
+    """Report (and optionally clear) the in-process memo cache.
 
-    The in-process caches live in this process only — ``cache --clear``
+    The in-process memo lives in this process only — ``cache --clear``
     matters for long-lived hosts of :func:`main` (notebooks, tests,
     benchmark harnesses), not across separate CLI invocations; cold
     *runs* are what ``partition --no-cache`` is for.  ``--dir`` targets
@@ -625,17 +620,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     does span invocations; ``--stats`` is the (default) report action.
     """
     if args.clear:
-        clear_portfolio_cache()
-        clear_evolve_cache()
-        clear_multires_cache()
-        print("cleared portfolio, evolve and multires caches")
-    for name, c in (
-        ("portfolio", portfolio_cache),
-        ("evolve", evolve_cache),
-        ("multires", multires_cache),
-    ):
-        s = c.stats()
-        print(f"{name}: size={s['size']} hits={s['hits']} misses={s['misses']}")
+        memo_cache.clear()
+        print("cleared the memo cache")
+    s = memo_cache.stats()
+    print(f"memo: size={s['size']} hits={s['hits']} misses={s['misses']}")
     # the instrumented view: cache.* counter series from the metrics
     # registry (populated when observability was on during the runs)
     cache_series = [

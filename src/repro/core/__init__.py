@@ -15,10 +15,10 @@ from repro.core.api import (
     partition_ppn,
 )
 from repro.core.report import comparison_report, result_table
-from repro.evolve.ea import EvolveConfig, clear_evolve_cache, evolve_partition
+from repro.evolve.ea import EvolveConfig, evolve_partition
 from repro.partition.gp import GPConfig
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.portfolio import clear_portfolio_cache, portfolio_partition
+from repro.partition.portfolio import portfolio_partition
 
 __all__ = [
     "partition_graph",
@@ -31,8 +31,6 @@ __all__ = [
     "ConstraintSpec",
     "evolve_partition",
     "portfolio_partition",
-    "clear_evolve_cache",
-    "clear_portfolio_cache",
     "configure_cache_backend",
     "enable_disk_cache",
     "disable_disk_cache",

@@ -26,7 +26,7 @@
 
 ``enable_disk_cache`` / ``disable_disk_cache`` / ``configure_cache_backend``
     Inject a persistent :class:`~repro.util.diskcache.DiskCache` under
-    the in-process portfolio/evolve/multires memo caches, so memoised
+    the in-process memo cache (portfolio, evolve, vector GP), so memoised
     runs survive the process (the seam ``repro serve`` stands on — see
     ``docs/serve.md``).
 """
@@ -68,6 +68,7 @@ from repro.partition.vector_state import (
 from repro.polyhedral.ppn import PPN, derive_ppn
 from repro.polyhedral.program import SANLP
 from repro.util.errors import PartitionError
+from repro.util.parallel import memo_cache
 
 __all__ = [
     "partition_graph",
@@ -79,21 +80,8 @@ __all__ = [
 ]
 
 
-def _module_caches():
-    """The three in-process memo caches, imported lazily (no cycles)."""
-    from repro.evolve.ea import evolve_cache
-    from repro.partition.multires import multires_cache
-    from repro.partition.portfolio import portfolio_cache
-
-    return {
-        "portfolio": portfolio_cache,
-        "evolve": evolve_cache,
-        "multires": multires_cache,
-    }
-
-
 def configure_cache_backend(backend) -> None:
-    """Attach *backend* under every module memo cache (``None`` detaches).
+    """Attach *backend* under the memo cache (``None`` detaches).
 
     *backend* is any object with the :class:`~repro.util.parallel.
     KeyedCache` backend protocol (``lookup``/``put``/``stats``) —
@@ -101,12 +89,12 @@ def configure_cache_backend(backend) -> None:
     store is safe: the memo keys are namespaced tuples
     (``"portfolio"``/``"evolve"``/``"mr_gp"``-prefixed).
     """
-    for c in _module_caches().values():
-        c.set_backend(backend)
+    memo_cache.set_backend(backend)
 
 
 def enable_disk_cache(path, max_bytes: int = 256 * 1024 * 1024):
-    """Back the portfolio/evolve/multires memos with a persistent store.
+    """Back the memo cache (portfolio, evolve, vector GP) with a
+    persistent store.
 
     Returns the :class:`~repro.util.diskcache.DiskCache` so callers can
     inspect ``stats()`` or share it (the serve daemon layers its own
@@ -120,7 +108,7 @@ def enable_disk_cache(path, max_bytes: int = 256 * 1024 * 1024):
 
 
 def disable_disk_cache() -> None:
-    """Detach any persistent backend from the module memo caches."""
+    """Detach any persistent backend from the memo cache."""
     configure_cache_backend(None)
 
 _METHODS = ("gp", "mlkp", "spectral", "exact", "hyper", "evolve")

@@ -29,12 +29,7 @@ Entry points: ``partition_graph(method="evolve")``,
 ``--pop-size`` / ``--no-cache``.  See ``docs/evolve.md``.
 """
 
-from repro.evolve.ea import (
-    EvolveConfig,
-    clear_evolve_cache,
-    evolve_cache,
-    evolve_partition,
-)
+from repro.evolve.ea import EvolveConfig, evolve_partition
 from repro.partition.engine import (
     GraphEngine,
     HyperEngine,
@@ -47,8 +42,6 @@ from repro.evolve.population import Individual, Population, hamming
 __all__ = [
     "EvolveConfig",
     "evolve_partition",
-    "evolve_cache",
-    "clear_evolve_cache",
     "GraphEngine",
     "HyperEngine",
     "VectorGraphEngine",

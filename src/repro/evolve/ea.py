@@ -25,9 +25,10 @@ from this library's own primitives):
    generation boundaries).  The first budget to bind stops the run; see
    ``docs/evolve.md`` for which budgets preserve reproducibility.
 
-Completed runs are memoised in :data:`evolve_cache` keyed by
-``(structure digest, k, constraints, config, seed)``, exactly like the
-portfolio cache.
+Completed runs are memoised in the shared
+:data:`~repro.util.parallel.memo_cache` keyed by ``("evolve", engine
+kind, structure digest, k, constraints, config, seed)`` under the same
+policy as the portfolio (:func:`~repro.util.parallel.memoised`).
 """
 
 from __future__ import annotations
@@ -51,23 +52,13 @@ from repro.partition.portfolio import default_portfolio
 from repro.partition.vector_state import VectorConstraints, VectorGraph
 from repro.util.errors import InfeasibleError, PartitionError
 import repro.obs as _obs
-from repro.util.parallel import KeyedCache, parallel_map
+from repro.util.parallel import memoised, parallel_map
 from repro.util.rng import as_rng, spawn_seeds
 
 __all__ = [
     "EvolveConfig",
     "evolve_partition",
-    "evolve_cache",
-    "clear_evolve_cache",
 ]
-
-#: In-process memo of completed evolutionary runs (see module docstring).
-evolve_cache = KeyedCache(maxsize=32, name="evolve")
-
-
-def clear_evolve_cache() -> None:
-    """Drop every memoised evolve result (and reset hit/miss stats)."""
-    evolve_cache.clear()
 
 
 @dataclass(frozen=True)
@@ -375,10 +366,10 @@ def evolve_partition(
         order, so the returned partition **and the run history** are
         bit-identical for every ``n_jobs``; only wall-clock changes.
     cache:
-        Memoise the outcome in :data:`evolve_cache` keyed by ``(structure
-        digest, k, constraints, config, seed)``.  Hits return a fresh copy
-        flagged with ``info["cache_hit"]=True``; only ``int``/``None``
-        seeds participate.
+        Memoise the outcome in :data:`~repro.util.parallel.memo_cache`
+        keyed by ``(structure digest, k, constraints, config, seed)``.
+        Hits return a fresh copy flagged with ``info["cache_hit"]=True``;
+        only ``None`` and integer seeds participate.
 
     Returns
     -------
@@ -420,30 +411,30 @@ def evolve_partition(
     if k > structure.n:
         raise PartitionError(f"k={k} exceeds node count {structure.n}")
     run_seed = seed if seed is not None else config.seed
-    rng = as_rng(run_seed)
-
-    cacheable = cache and (run_seed is None or isinstance(run_seed, int))
-    key = None
-    if cacheable:
-        key = (
-            "evolve",
-            engine.kind,
-            engine.digest(),
-            k,
-            constraints,
-            config,
-            run_seed,
+    result = memoised(
+        ("evolve", engine.kind, engine.digest(), k, constraints, config),
+        run_seed,
+        lambda: _evolve(engine, structure, k, constraints, config, run_seed,
+                        n_jobs),
+        enabled=cache,
+    )
+    m = result.metrics
+    if not m.feasible and config.on_infeasible == "raise":
+        raise InfeasibleError(
+            f"evolutionary search found no feasible partitioning meeting "
+            f"Bmax={constraints.bmax}, Rmax={constraints.rmax} within "
+            f"{result.info['evals']} evaluations (best violation: bandwidth "
+            f"{m.bandwidth_violation:g}, resource "
+            f"{m.resource_violation:g})",
+            best=result,
         )
-        found, result = evolve_cache.lookup_result(key)
-        if found:
-            if not result.feasible and config.on_infeasible == "raise":
-                raise InfeasibleError(
-                    f"evolutionary search found no feasible partitioning "
-                    f"({result.info['evals']} evaluations)",
-                    best=result,
-                )
-            return result
+    return result
 
+
+def _evolve(engine, structure, k, constraints, config, run_seed,
+            n_jobs) -> PartitionResult:
+    """The memetic search itself (the memo wraps it)."""
+    rng = as_rng(run_seed)
     with _obs.timed_span("evolve", nodes=structure.n, k=k,
                          model=engine.kind) as sw:
         t0 = time.perf_counter()
@@ -539,7 +530,7 @@ def evolve_partition(
             )
 
     best = pop.best
-    result = PartitionResult(
+    return PartitionResult(
         assign=best.assign.copy(),
         k=k,
         metrics=best.metrics,
@@ -562,15 +553,3 @@ def evolve_partition(
             "history": history,
         },
     )
-    if cacheable:
-        evolve_cache.put_result(key, result)
-    if not best.metrics.feasible and config.on_infeasible == "raise":
-        raise InfeasibleError(
-            f"evolutionary search found no feasible partitioning meeting "
-            f"Bmax={constraints.bmax}, Rmax={constraints.rmax} within "
-            f"{evals} evaluations (best violation: bandwidth "
-            f"{best.metrics.bandwidth_violation:g}, resource "
-            f"{best.metrics.resource_violation:g})",
-            best=result,
-        )
-    return result

@@ -33,9 +33,7 @@ Contents
 from repro.partition.base import PartitionResult
 from repro.partition.flow_refine import (
     REFINE_MODES,
-    FlowConfig,
     check_refine_mode,
-    constrained_flow_pass,
     run_flow_refine,
 )
 from repro.partition.refine_state import BucketQueue, RefinementState
@@ -69,8 +67,6 @@ __all__ = [
     "VectorGraph",
     "VectorRefinementState",
     "REFINE_MODES",
-    "FlowConfig",
     "check_refine_mode",
-    "constrained_flow_pass",
     "run_flow_refine",
 ]

@@ -53,25 +53,19 @@ on every small graph), the refiner by invariant and cross-engine suites
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 import repro.obs as _obs
-from repro.graph.wgraph import WGraph
-from repro.partition.metrics import ConstraintSpec, check_assignment
-from repro.partition.refine_state import RefinementState
 from repro.util.errors import PartitionError
 
 __all__ = [
     "REFINE_MODES",
     "check_refine_mode",
-    "FlowConfig",
     "FlowNetwork",
     "most_balanced_min_cut",
     "extract_corridor",
     "run_flow_refine",
-    "constrained_flow_pass",
 ]
 
 _EPS = 1e-12
@@ -94,40 +88,6 @@ def check_refine_mode(refine: str) -> str:
     return refine
 
 
-@dataclass(frozen=True)
-class FlowConfig:
-    """Tuning knobs of the flow refinement pass.
-
-    Attributes
-    ----------
-    corridor_budget:
-        Corridor size cap per side of a pair, in nodes.  The pair
-        boundary itself is always included even when it exceeds the
-        budget (a corridor smaller than the boundary could not represent
-        the current cut).  ``None`` (default) scales with the instance:
-        ``max(8, n // k)``.
-    rounds:
-        Scheduler rounds over the active part pairs.  Pairs stay active
-        across rounds only while flow keeps improving them, so the
-        scheduler usually converges before the cap.
-    max_pairs:
-        Cap on pairs refined per round, highest-traffic first
-        (``None`` = every active pair).
-    """
-
-    corridor_budget: int | None = None
-    rounds: int = 2
-    max_pairs: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.corridor_budget is not None and self.corridor_budget < 1:
-            raise PartitionError("corridor_budget must be >= 1")
-        if self.rounds < 1:
-            raise PartitionError("rounds must be >= 1")
-        if self.max_pairs is not None and self.max_pairs < 1:
-            raise PartitionError("max_pairs must be >= 1")
-
-
 class FlowNetwork:
     """An s-t flow network over dense small integer node ids.
 
@@ -137,8 +97,8 @@ class FlowNetwork:
     everywhere a zero test is needed.  :meth:`max_flow` is Dinic's
     algorithm — incremental BFS level graphs, then blocking-flow DFS with
     per-node arc iterators — which is overkill for corridor-sized
-    networks but makes the solver's complexity independent of how large a
-    ``corridor_budget`` a caller picks.  ``paths`` counts augmenting
+    networks but keeps the solver's complexity independent of the
+    corridor budget.  ``paths`` counts augmenting
     paths for the obs spans.
     """
 
@@ -584,12 +544,13 @@ def _refine_pair(
         return ok, csize, paths, gain
 
 
-def run_flow_refine(
-    st,
-    constraints,
-    config: FlowConfig | None = None,
-    seed=None,
-) -> np.ndarray:
+#: Scheduler rounds over the active part pairs.  Pairs stay active across
+#: rounds only while flow keeps improving them, so the scheduler usually
+#: converges before the cap.
+FLOW_ROUNDS = 2
+
+
+def run_flow_refine(st, constraints) -> np.ndarray:
     """The flow pass discipline, engine-agnostic (pairwise scheduler).
 
     *st* is any refinement-state engine exposing the
@@ -611,20 +572,16 @@ def run_flow_refine(
     so the pass as a whole never worsens ``(violation, cut)`` and
     terminates (every acceptance strictly decreases a bounded key).
 
-    *seed* is accepted for signature parity with the FM driver and
-    unused: corridor growth, the flow computation and the most-balanced
-    selection are all deterministic.  Returns the refined assignment (a
-    copy); the state is left holding it, trail cleared.
+    Each corridor side holds at most ``max(8, n // k)`` nodes (the pair
+    boundary itself is always included, since a smaller corridor could
+    not represent the current cut).  Corridor growth, the flow
+    computation and the most-balanced selection are all deterministic.
+    Returns the refined assignment (a copy); the state is left holding
+    it, trail cleared.
     """
-    del seed  # the scheduler is deterministic; kept for API parity
-    cfg = config or FlowConfig()
     k = int(st.k)
     n = int(st.assign.shape[0])
-    budget = (
-        cfg.corridor_budget
-        if cfg.corridor_budget is not None
-        else max(8, n // max(k, 1))
-    )
+    budget = max(8, n // max(k, 1))
     rec = _obs.metrics_on()
     engine = type(st).__name__ if rec else ""
     pairs_run = accepted = corridor_total = paths_total = 0
@@ -633,7 +590,7 @@ def run_flow_refine(
     st.clear_trail()
     with _obs.trace_span("flow.refine", k=k, nodes=n) as sp:
         active = set(range(k))
-        for _ in range(cfg.rounds):
+        for _ in range(FLOW_ROUNDS):
             iu, ju = np.triu_indices(k, k=1)
             traffic = st.bw[iu, ju]
             pairs = [
@@ -642,8 +599,6 @@ def run_flow_refine(
                 if w > _EPS and (int(x) in active or int(y) in active)
             ]
             pairs.sort(key=lambda p: (-float(st.bw[p[0], p[1]]), p))
-            if cfg.max_pairs is not None:
-                pairs = pairs[: cfg.max_pairs]
             touched: set[int] = set()
             for x, y in pairs:
                 ok, csize, paths, gain = _refine_pair(
@@ -671,25 +626,3 @@ def run_flow_refine(
         _obs.add("flow.cut_improvement", gain_total, engine=engine)
     st.clear_trail()
     return st.assign.copy()
-
-
-def constrained_flow_pass(
-    g: WGraph,
-    assign: np.ndarray,
-    k: int,
-    constraints: ConstraintSpec,
-    config: FlowConfig | None = None,
-    state: RefinementState | None = None,
-) -> np.ndarray:
-    """Flow refinement on a plain graph — the convenience driver mirroring
-    :func:`~repro.partition.kway_refine.constrained_kway_fm`.
-
-    When *state* is given the engine is reused (and left holding the
-    returned assignment, so callers can read ``state.metrics()`` without
-    a from-scratch evaluation).
-    """
-    from repro.partition.kway_refine import _as_state
-
-    a = check_assignment(g, assign, k)
-    st = _as_state(g, a, k, state)
-    return run_flow_refine(st, constraints, config=config)

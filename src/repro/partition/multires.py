@@ -24,7 +24,8 @@ R)`` load matrix tracked incrementally with exact rollback).
 (:func:`~repro.partition.multilevel.multilevel_partition`) on the vector
 engine (:class:`~repro.partition.engine.VectorGraphEngine`), so its
 retry cycles race with results bit-identical for every ``n_jobs``.
-Completed runs are memoised in :data:`multires_cache` keyed by the
+Completed runs are memoised in the shared
+:data:`~repro.util.parallel.memo_cache` keyed by the
 :class:`~repro.partition.vector_state.VectorGraph` content digest
 (structure **and** weight matrix).  The pre-unification hand-rolled loop
 is frozen in ``benchmarks/_legacy_multires.py``;
@@ -56,7 +57,7 @@ from repro.partition.vector_state import (
     check_weight_matrix,
 )
 from repro.util.errors import PartitionError
-from repro.util.parallel import KeyedCache
+from repro.util.parallel import memoised
 from repro.util.rng import as_rng, spawn_seeds
 
 __all__ = [
@@ -69,26 +70,11 @@ __all__ = [
     "leftover_destination",
     "MultiResResult",
     "MR_GP_CONFIG",
-    "multires_cache",
-    "clear_multires_cache",
 ]
 
 #: What :func:`mr_gp_partition` runs given ``config=None``: 10 cycles and
 #: one FM candidate per level, the vector pipeline's historical budget.
 MR_GP_CONFIG = GPConfig(max_cycles=10, level_candidates=1)
-
-#: In-process memo of completed :func:`mr_gp_partition` runs, keyed by
-#: ``(VectorGraph digest, k, constraints, config, seed)``.  ``n_jobs`` is
-#: deliberately absent from the key: results are bit-identical for every
-#: worker count, so a serial run may serve a parallel request and vice
-#: versa.
-multires_cache = KeyedCache(maxsize=32, name="multires")
-
-
-def clear_multires_cache() -> None:
-    """Drop every memoised multi-resource result (and reset stats)."""
-    multires_cache.clear()
-
 
 @dataclass
 class MultiResResult:
@@ -345,11 +331,13 @@ def mr_gp_partition(
     every cycle's seeds are derived up front, results are consumed in
     cycle order and the first feasible cycle wins, so the returned
     partition is **bit-identical for every** ``n_jobs``.  *cache*
-    memoises completed runs in :data:`multires_cache` keyed by the
-    :class:`~repro.partition.vector_state.VectorGraph` content digest
-    (structure + weight matrix), constraints, the config and the seed;
-    hits return a fresh copy flagged ``info["cache_hit"]=True`` (only
-    ``int``/``None`` seeds participate).
+    memoises completed runs in :data:`~repro.util.parallel.memo_cache`
+    keyed by the :class:`~repro.partition.vector_state.VectorGraph`
+    content digest (structure + weight matrix), constraints, the config
+    and the seed; ``n_jobs`` is deliberately absent from the key, since
+    results are bit-identical for every worker count.  Hits return a
+    fresh copy flagged ``info["cache_hit"]=True`` (only ``None`` and
+    integer seeds participate).
     """
     # the engine module imports this one, so import it at call time
     from repro.partition.engine import VectorGraphEngine
@@ -360,29 +348,16 @@ def mr_gp_partition(
     engine = VectorGraphEngine(vg, k, conn_format=config.conn_format)
     run_seed = seed if seed is not None else config.seed
 
-    cacheable = cache and (
-        run_seed is None or isinstance(run_seed, (int, np.integer))
+    # on_infeasible only changes delivery, and the run's seed is keyed on
+    # its own
+    run_config = dataclasses.replace(config, on_infeasible="return")
+    result = memoised(
+        ("mr_gp", vg.content_digest(), k, cons,
+         dataclasses.replace(run_config, seed=None)),
+        run_seed,
+        lambda: multilevel_partition(
+            engine, cons, run_config, seed=run_seed, n_jobs=n_jobs
+        ),
+        enabled=cache,
     )
-    key = None
-    if cacheable:
-        key = (
-            "mr_gp",
-            vg.content_digest(),
-            k,
-            cons,
-            # on_infeasible only changes delivery, and the run's seed is
-            # keyed on its own
-            dataclasses.replace(config, on_infeasible="return", seed=None),
-            None if run_seed is None else int(run_seed),
-        )
-        found, hit = multires_cache.lookup_result(key)
-        if found:
-            return raise_if_infeasible(hit, config)
-
-    result = multilevel_partition(
-        engine, cons, dataclasses.replace(config, on_infeasible="return"),
-        seed=run_seed, n_jobs=n_jobs,
-    )
-    if cacheable:
-        multires_cache.put_result(key, result)
     return raise_if_infeasible(result, config)

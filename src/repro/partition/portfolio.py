@@ -16,11 +16,13 @@ Execution layer (see ``docs/parallel.md``):
   except measured runtime) is **bit-identical for every** ``n_jobs``.
 * **Early cancel** — ``stop_on_feasible`` truncates at the first feasible
   member in portfolio order, serial and parallel alike.
-* **Memoisation** — completed portfolio runs are cached in-process keyed
-  by ``(graph digest, k, constraints, configs, seed, stop_on_feasible)``;
-  repeated calls (parameter sweeps, notebook re-runs) are free.  Only
-  reproducible seeds (``int`` / ``None``) are cached — a live Generator
-  is consumed by the call and cannot key anything.
+* **Memoisation** — completed portfolio runs are cached in the shared
+  :data:`~repro.util.parallel.memo_cache` keyed by ``("portfolio", graph
+  digest, k, constraints, configs, stop_on_feasible, seed)``; repeated
+  calls (parameter sweeps, notebook re-runs) are free.  Only reproducible
+  seeds (``None`` or an integer) are cached — a live Generator is
+  consumed by the call and cannot key anything
+  (:func:`~repro.util.parallel.memoised`).
 
 ``race_models`` extends the idea across *traffic models*: the same PPN is
 partitioned once through the 2-pin edge-cut flattening and once through
@@ -42,24 +44,14 @@ from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec
 from repro.util.errors import InfeasibleError, PartitionError
 import repro.obs as _obs
-from repro.util.parallel import KeyedCache, parallel_map
+from repro.util.parallel import memoised, parallel_map
 from repro.util.rng import spawn_seeds
 
 __all__ = [
     "default_portfolio",
     "portfolio_partition",
     "race_models",
-    "portfolio_cache",
-    "clear_portfolio_cache",
 ]
-
-#: In-process memo of completed portfolio runs (see module docstring).
-portfolio_cache = KeyedCache(maxsize=64, name="portfolio")
-
-
-def clear_portfolio_cache() -> None:
-    """Drop every memoised portfolio result (and reset hit/miss stats)."""
-    portfolio_cache.clear()
 
 
 def default_portfolio() -> list[GPConfig]:
@@ -123,11 +115,11 @@ def portfolio_partition(
         ``-1`` = all CPUs).  The result is bit-identical for every value;
         see the module docstring.
     cache:
-        Memoise the outcome in :data:`portfolio_cache` and reuse it for
-        identical ``(graph, k, constraints, configs, seed,
-        stop_on_feasible)`` calls.  Hits return a fresh copy flagged with
-        ``info["cache_hit"]=True``; only ``int``/``None`` seeds
-        participate.
+        Memoise the outcome in :data:`~repro.util.parallel.memo_cache`
+        and reuse it for identical ``(graph, k, constraints, configs,
+        stop_on_feasible, seed)`` calls.  Hits return a fresh copy
+        flagged with ``info["cache_hit"]=True``; only ``None`` and
+        integer seeds participate.
 
     Returns
     -------
@@ -151,34 +143,26 @@ def portfolio_partition(
         for cfg in configs
     ]
 
-    cacheable = cache and (seed is None or isinstance(seed, int))
-    key = None
-    found = False
-    if cacheable:
-        key = (
-            "portfolio",
-            g.content_digest(),
-            k,
-            constraints,
-            tuple(members),
-            seed,
-            stop_on_feasible,
+    result = memoised(
+        ("portfolio", g.content_digest(), k, constraints, tuple(members),
+         stop_on_feasible),
+        seed,
+        lambda: _race_members(g, k, constraints, members, seed,
+                              stop_on_feasible, n_jobs),
+        enabled=cache,
+    )
+    if not result.feasible and on_infeasible == "raise":
+        raise InfeasibleError(
+            f"no portfolio member found a feasible partitioning "
+            f"({result.info['members']} configurations tried)",
+            best=result,
         )
-        try:
-            found, result = portfolio_cache.lookup_result(key)
-        except TypeError:
-            # a config subclass smuggled in an unhashable field: run
-            # uncached rather than refuse the call
-            cacheable, key = False, None
-        if found:
-            if not result.feasible and on_infeasible == "raise":
-                raise InfeasibleError(
-                    f"no portfolio member found a feasible partitioning "
-                    f"({result.info['members']} configurations tried)",
-                    best=result,
-                )
-            return result
+    return result
 
+
+def _race_members(g, k, constraints, members, seed, stop_on_feasible,
+                  n_jobs) -> PartitionResult:
+    """Race the portfolio *members*; the goodness-best result wins."""
     seeds = spawn_seeds(seed, len(members))
     with _obs.timed_span("portfolio", members=len(members), k=k) as sw:
         results = parallel_map(
@@ -201,7 +185,7 @@ def portfolio_partition(
             best, best_key = res, gkey
 
     assert best is not None
-    result = PartitionResult(
+    return PartitionResult(
         assign=best.assign,
         k=k,
         metrics=best.metrics,
@@ -210,15 +194,6 @@ def portfolio_partition(
         constraints=constraints,
         info={"members": len(runs), "runs": runs, "winner": best.info},
     )
-    if cacheable:
-        portfolio_cache.put_result(key, result)
-    if not result.feasible and on_infeasible == "raise":
-        raise InfeasibleError(
-            f"no portfolio member found a feasible partitioning "
-            f"({len(runs)} configurations tried)",
-            best=result,
-        )
-    return result
 
 
 def _run_race_member(task) -> PartitionResult:

@@ -11,10 +11,10 @@ Stdlib-only (``http.server`` / ``socketserver``): one
    — concurrent identical requests compute once — and the flight leader
    runs :func:`repro.core.api.partition_graph` and writes the cache.
 
-The daemon also injects the disk store under the library's own
-portfolio/evolve/multires memos (:func:`repro.core.api.
-configure_cache_backend`) and keeps a warm ``parallel_map`` worker pool
-across requests (:func:`repro.util.parallel.start_warm_pool`), so the
+The daemon also injects the disk store under the library's own memo
+cache (:func:`repro.core.api.configure_cache_backend`) and keeps a warm
+``parallel_map`` worker pool across requests
+(:func:`repro.util.parallel.start_warm_pool`), so the
 *library-level* caching and racing the CLI gets per process become
 persistent and warm here.  Endpoints, schema and operational notes:
 ``docs/serve.md``.
@@ -49,6 +49,7 @@ from repro.util.diskcache import DiskCache
 from repro.util.errors import ReproError
 from repro.util.parallel import (
     KeyedCache,
+    memo_cache,
     resolve_jobs,
     start_warm_pool,
     stop_warm_pool,
@@ -274,11 +275,7 @@ class ReproServer:
         return result_payload(req, result)
 
     def metrics_payload(self) -> dict:
-        from repro.core.api import _module_caches
-
-        caches = {"results": self.results.stats()}
-        for name, c in _module_caches().items():
-            caches[name] = c.stats()
+        caches = {"results": self.results.stats(), "memo": memo_cache.stats()}
         out = self.metrics.snapshot()
         out.update(
             {

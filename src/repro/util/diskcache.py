@@ -1,10 +1,11 @@
 """Persistent, digest-sharded, size-bounded on-disk cache.
 
 :class:`DiskCache` is the durable second level under the in-process
-:class:`~repro.util.parallel.KeyedCache` memos: partitioning results are
-keyed by content digests (``docs/parallel.md``), so a result computed
-once is valid for every later process — and for every *user* — that
-presents the same key.  The ``repro serve`` daemon leans on this store
+:class:`~repro.util.parallel.KeyedCache` layers (the library's
+``memo_cache`` and the serve daemon's request cache): partitioning
+results are keyed by content digests (``docs/parallel.md``), so a result
+computed once is valid for every later process — and for every *user* —
+that presents the same key.  The ``repro serve`` daemon leans on this store
 for warm restarts (``docs/serve.md``); ``repro cache --dir`` inspects it.
 
 Design:
@@ -22,7 +23,9 @@ Design:
 * **Atomic writes.**  Entries are written to a temporary file in the
   shard directory and ``os.replace``-d into place; readers never see a
   torn write.  Unreadable/corrupt entries are deleted and reported as
-  misses.
+  misses.  A write the disk refuses (full, read-only, no permission) is
+  counted under ``errors`` and dropped; the value it carried was already
+  computed, so the caller still gets it.
 * **LRU-ish size-bounded eviction.**  Hits touch the entry's mtime;
   when the store's total size passes *max_bytes* after a put, the
   oldest-mtime entries are removed until it fits again.  The total is
@@ -72,8 +75,8 @@ class DiskCache:
     ----------
     root:
         Directory holding the store (created if missing).  Safe to share
-        between the portfolio/evolve/multires memos and the serve
-        results cache — keys are namespaced tuples.
+        between the memo cache and the serve results cache — keys are
+        namespaced tuples.
     max_bytes:
         Soft cap on the store's total size; crossing it after a put
         evicts oldest-mtime entries until the store fits (the entry just
@@ -109,6 +112,7 @@ class DiskCache:
         self.misses = 0
         self.puts = 0
         self.evictions = 0
+        self.errors = 0
 
     # ------------------------------------------------------------------ #
     def _locate(self, key) -> tuple[Path, str]:
@@ -160,12 +164,14 @@ class DiskCache:
             _obs.cache_event(self.name, "hit")
             return True, value
 
-    def get(self, key, default=None):
-        found, value = self.lookup(key)
-        return value if found else default
-
     def put(self, key, value) -> None:
-        """Store *value* under *key* atomically; evict if over budget."""
+        """Store *value* under *key* atomically; evict if over budget.
+
+        A write that fails with :class:`OSError` (``ENOSPC``, ``EACCES``,
+        ``EROFS``) drops the entry instead of raising: the temporary file
+        is removed, ``stats()["errors"]`` counts it and
+        ``cache.errors{cache=<name>}`` records it.
+        """
         path, key_repr = self._locate(key)
         blob = pickle.dumps(
             {"key": key_repr, "value": value},
@@ -181,20 +187,28 @@ class DiskCache:
                 old_size = path.stat().st_size  # overwrite replaces this
             except OSError:
                 old_size = 0
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=".tmp-", suffix=_SUFFIX, dir=path.parent
-            )
+            tmp = None
             try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(
+                    prefix=".tmp-", suffix=_SUFFIX, dir=path.parent
+                )
                 with os.fdopen(fd, "wb") as fh:
                     fh.write(blob)
                 os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+                tmp = None
+            except OSError:
+                # a full, read-only or unwritable store loses this entry,
+                # never the caller's computed result
+                self.errors += 1
+                _obs.add("cache.errors", cache=self.name)
+                return
+            finally:
+                if tmp is not None:
+                    try:
+                        os.unlink(tmp)
+                    except OSError:
+                        pass
             self._total_bytes += len(blob) - old_size
             self.puts += 1
             _obs.add("cache.puts", cache=self.name)
@@ -245,6 +259,7 @@ class DiskCache:
             self.misses = 0
             self.puts = 0
             self.evictions = 0
+            self.errors = 0
             self._total_bytes = None  # re-seeded on the next put
 
     def stats(self) -> dict:
@@ -259,6 +274,7 @@ class DiskCache:
             "misses": self.misses,
             "puts": self.puts,
             "evictions": self.evictions,
+            "errors": self.errors,
         }
 
     def __contains__(self, key) -> bool:

@@ -18,13 +18,15 @@ builds on (see ``docs/parallel.md``):
     all, which doubles as the fallback path on platforms without a
     usable ``fork``/``spawn``.
 
-``KeyedCache``
-    A small LRU used to memoise full partitioning runs keyed by
-    ``(graph digest, k, constraints, configs, seed, ...)`` — see
-    :func:`repro.partition.portfolio.portfolio_partition`.  It can be
-    layered over a persistent backend (``repro.util.diskcache.DiskCache``)
-    so memoised results survive the process — the seam ``repro serve``
-    builds on (see ``docs/serve.md``).
+``KeyedCache`` / ``memo_cache`` / ``memoised``
+    A small LRU, and the one instance of it that memoises full
+    partitioning runs keyed by ``(namespace, content digest, k,
+    constraints, configs, ..., seed)``.  :func:`memoised` holds the memo
+    policy every memoising entry point shares (which seeds are
+    cacheable, copies in and out).  The cache can be layered over a
+    persistent backend (``repro.util.diskcache.DiskCache``) so memoised
+    results survive the process — the seam ``repro serve`` builds on
+    (see ``docs/serve.md``).
 
 ``start_warm_pool`` / ``stop_warm_pool``
     A long-lived shared worker pool that ``parallel_map`` reuses across
@@ -34,8 +36,10 @@ builds on (see ``docs/parallel.md``):
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
+import numbers
 import os
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
@@ -48,6 +52,8 @@ __all__ = [
     "resolve_jobs",
     "parallel_map",
     "KeyedCache",
+    "memo_cache",
+    "memoised",
     "start_warm_pool",
     "stop_warm_pool",
     "warm_pool_size",
@@ -98,7 +104,29 @@ def resolve_jobs(n_jobs: int | None) -> int:
     return n_jobs
 
 
-_NO_CONTEXT = object()
+class _Marker:
+    """A sentinel that unpickles as itself.
+
+    A bare ``object()`` sentinel loses its identity when it is pickled
+    into a worker; this one pickles by its module-level name instead.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __reduce__(self) -> str:
+        return self.name
+
+    def __repr__(self) -> str:
+        return f"<{self.name}>"
+
+
+#: No shared payload: *fn* is called as ``fn(task)``.
+_NO_CONTEXT = _Marker("_NO_CONTEXT")
+#: The payload an owned pool's initializer installed in the worker.
+_POOL_CONTEXT = _Marker("_POOL_CONTEXT")
 _WORKER_CONTEXT: Any = _NO_CONTEXT
 
 
@@ -106,15 +134,6 @@ def _set_worker_context(ctx) -> None:
     """Pool initializer: stash the shared per-call payload in the worker."""
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = ctx
-
-
-def _apply_with_context(fn, task):
-    return fn(_WORKER_CONTEXT, task)
-
-
-def _apply_with_payload(fn, ctx, task):
-    """Warm-pool variant: the payload travels with the task, not the pool."""
-    return fn(ctx, task)
 
 
 class _ObsResult:
@@ -134,32 +153,26 @@ class _ObsResult:
         self.payload = payload
 
 
-def _obs_reset_worker() -> None:
+def _run_task(fn, ctx, task, trace):
+    """Run one task — the single entry of every worker and the serial loop.
+
+    *ctx* is the shared payload, :data:`_NO_CONTEXT` (call ``fn(task)``)
+    or :data:`_POOL_CONTEXT` (the payload the pool initializer
+    installed).  When *trace* is not ``None`` the task runs inside an
+    observability capture (spans included iff *trace* is true) and the
+    result comes back as an :class:`_ObsResult`.
+    """
+    if ctx is _POOL_CONTEXT:
+        ctx = _WORKER_CONTEXT
+    if trace is None:
+        return fn(task) if ctx is _NO_CONTEXT else fn(ctx, task)
     # A fork-started worker inherits the parent's registry contents; a
     # gauge write equal to the inherited value would then vanish from
     # the task delta, making the merge depend on fork timing.  A worker
     # registry exists only to compute per-task deltas, so start clean.
     _obs.REGISTRY.reset()
-
-
-def _obs_apply(fn, task, trace):
-    _obs_reset_worker()
     with _obs.capture(tracing=trace) as cap:
-        res = fn(task)
-    return _ObsResult(res, cap.payload())
-
-
-def _obs_apply_with_context(fn, task, trace):
-    _obs_reset_worker()
-    with _obs.capture(tracing=trace) as cap:
-        res = fn(_WORKER_CONTEXT, task)
-    return _ObsResult(res, cap.payload())
-
-
-def _obs_apply_with_payload(fn, ctx, task, trace):
-    _obs_reset_worker()
-    with _obs.capture(tracing=trace) as cap:
-        res = fn(ctx, task)
+        res = fn(task) if ctx is _NO_CONTEXT else fn(ctx, task)
     return _ObsResult(res, cap.payload())
 
 
@@ -171,11 +184,10 @@ def _unwrap(res):
     return res
 
 
-def _serial_map(fn, tasks, stop, context=_NO_CONTEXT):
-    call = fn if context is _NO_CONTEXT else (lambda t: fn(context, t))
+def _serial_map(fn, tasks, stop, context):
     out = []
     for task in tasks:
-        res = call(task)
+        res = _run_task(fn, context, task, None)
         out.append(res)
         if stop is not None and stop(res):
             break
@@ -245,54 +257,26 @@ def _get_executor(fn, context, n_jobs, n_tasks, trace=None):
     """Per-call pool — or the shared warm pool when one is installed.
 
     Returns ``(executor, submit, owned)``; only an *owned* (per-call)
-    executor may be shut down by the caller.  When *trace* is not
-    ``None`` instrumentation is on: tasks run inside a child-process
-    observability capture (tracing spans included iff *trace* is true)
-    and futures resolve to :class:`_ObsResult` wrappers.
+    executor may be shut down by the caller.  An owned pool receives the
+    *context* once per worker through its initializer; on the warm pool
+    it travels with every task.  *trace* is handed to :func:`_run_task`.
     """
     from concurrent.futures import ProcessPoolExecutor
 
-    shared = _WARM_POOL
-    if shared is not None:
-        if trace is None:
-            if context is _NO_CONTEXT:
-                submit = lambda t: shared.submit(fn, t)  # noqa: E731
-            else:
-                submit = lambda t: shared.submit(  # noqa: E731
-                    _apply_with_payload, fn, context, t
-                )
-        elif context is _NO_CONTEXT:
-            submit = lambda t: shared.submit(  # noqa: E731
-                _obs_apply, fn, t, trace
-            )
-        else:
-            submit = lambda t: shared.submit(  # noqa: E731
-                _obs_apply_with_payload, fn, context, t, trace
-            )
-        return shared, submit, False
-    if context is _NO_CONTEXT:
-        executor = ProcessPoolExecutor(max_workers=min(n_jobs, n_tasks))
-        if trace is None:
-            submit = lambda t: executor.submit(fn, t)  # noqa: E731
-        else:
-            submit = lambda t: executor.submit(  # noqa: E731
-                _obs_apply, fn, t, trace
-            )
-    else:
+    executor = _WARM_POOL
+    owned = executor is None
+    if owned:
         executor = ProcessPoolExecutor(
             max_workers=min(n_jobs, n_tasks),
             initializer=_set_worker_context,
             initargs=(context,),
         )
-        if trace is None:
-            submit = lambda t: executor.submit(  # noqa: E731
-                _apply_with_context, fn, t
-            )
-        else:
-            submit = lambda t: executor.submit(  # noqa: E731
-                _obs_apply_with_context, fn, t, trace
-            )
-    return executor, submit, True
+        context = _POOL_CONTEXT
+
+    def submit(task):
+        return executor.submit(_run_task, fn, context, task, trace)
+
+    return executor, submit, owned
 
 
 def parallel_map(
@@ -384,40 +368,32 @@ def parallel_map(
                     fut.cancel()
 
         out: list[Any] = []
+        # without a stop predicate no early exit is possible: one wave of
+        # every task, so no worker idles at a wave boundary; with one,
+        # waves of n_jobs bound the speculation an early stop discards
+        wave_len = len(tasks) if stop is None else n_jobs
         try:
             try:
-                if stop is None:
-                    # no early exit possible: submit everything up front so no
-                    # worker idles at a wave boundary
-                    futures = [submit(t) for t in tasks]
-                    try:
-                        for fut in futures:
-                            out.append(_unwrap(fut.result()))
-                    except BrokenExecutor:
-                        raise
-                    except BaseException:
-                        _fail_fast(futures)
-                        raise
-                    if obs_on:
-                        _obs.add("pool.tasks", len(out), mode=mode)
-                    return out
-                # waves of n_jobs bound the speculation an early stop discards
-                for wave_start in range(0, len(tasks), n_jobs):
-                    wave = tasks[wave_start : wave_start + n_jobs]
-                    if obs_on:
-                        _obs.add("pool.waves", mode=mode)
-                    with _obs.trace_span(
-                        "parallel_map.wave",
-                        wave=wave_start // n_jobs,
-                        size=len(wave),
-                    ):
+                for wave_start in range(0, len(tasks), wave_len):
+                    wave = tasks[wave_start : wave_start + wave_len]
+                    if stop is None:
+                        span = contextlib.nullcontext()
+                    else:
+                        if obs_on:
+                            _obs.add("pool.waves", mode=mode)
+                        span = _obs.trace_span(
+                            "parallel_map.wave",
+                            wave=wave_start // n_jobs,
+                            size=len(wave),
+                        )
+                    with span:
                         futures = [submit(t) for t in wave]
                         stopped = False
                         try:
                             for fut in futures:
                                 res = _unwrap(fut.result())
                                 out.append(res)
-                                if stop(res):
+                                if stop is not None and stop(res):
                                     stopped = True
                                     break
                         except BrokenExecutor:
@@ -588,3 +564,48 @@ class KeyedCache:
         return key in self._data or (
             self.backend is not None and key in self.backend
         )
+
+
+#: The one in-process memo of completed partitioning runs
+#: (:func:`~repro.partition.portfolio.portfolio_partition`,
+#: :func:`~repro.evolve.ea.evolve_partition` and
+#: :func:`~repro.partition.multires.mr_gp_partition`).  Keys are tuples
+#: namespaced by their first element, so the three share one LRU and one
+#: persistent backend (``repro.core.api.configure_cache_backend``).
+memo_cache = KeyedCache(maxsize=128, name="memo")
+
+
+def memoised(key: tuple, seed, compute: Callable[[], Any],
+             enabled: bool = True):
+    """``compute()``, memoised in :data:`memo_cache` under ``(*key, seed)``.
+
+    The memo policy of every memoising entry point lives here:
+
+    * only ``None`` and integer seeds (numpy integers included) are
+      cacheable — a live ``Generator`` is consumed by the call and cannot
+      key anything; integer seeds are keyed as plain ``int``;
+    * a *key* that cannot be hashed runs uncached;
+    * a hit is delivered as a fresh copy flagged ``info["cache_hit"]``
+      and a put stores a copy (:meth:`KeyedCache.lookup_result` /
+      :meth:`KeyedCache.put_result`), so callers never alias the entry.
+
+    *compute* must return a result dataclass with ``assign`` and
+    ``info`` fields.  Infeasibility policy stays with the caller: the
+    memo stores the outcome, and the caller decides whether to raise on
+    whatever comes back, hit or not.  ``enabled=False`` bypasses the memo.
+    """
+    if not enabled or not (
+        seed is None or isinstance(seed, numbers.Integral)
+    ):
+        return compute()
+    key = (*key, None if seed is None else int(seed))
+    try:
+        found, result = memo_cache.lookup_result(key)
+    except TypeError:
+        # e.g. a config subclass smuggled in an unhashable field
+        return compute()
+    if found:
+        return result
+    result = compute()
+    memo_cache.put_result(key, result)
+    return result

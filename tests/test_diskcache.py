@@ -8,7 +8,10 @@ atomic/corruption-safe, and the store stays within its size budget by
 evicting oldest-recency entries.
 """
 
+import errno
+import os
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -20,15 +23,12 @@ from repro.core.api import (
     partition_graph,
 )
 from repro.graph.generators import random_process_network
+from repro.partition.gp import GPConfig
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.portfolio import (
-    clear_portfolio_cache,
-    portfolio_cache,
-    portfolio_partition,
-)
+from repro.partition.portfolio import portfolio_partition
 from repro.util.diskcache import DiskCache
 from repro.util.errors import ReproError
-from repro.util.parallel import KeyedCache
+from repro.util.parallel import KeyedCache, memo_cache
 
 
 class TestDiskCache:
@@ -237,10 +237,10 @@ class TestKeyedCacheBackend:
 
 @pytest.fixture
 def clean_caches():
-    clear_portfolio_cache()
+    memo_cache.clear()
     disable_disk_cache()
     yield
-    clear_portfolio_cache()
+    memo_cache.clear()
     disable_disk_cache()
 
 
@@ -259,11 +259,11 @@ class TestDiskBackedMemoisation:
 
         # "restart": drop the in-memory level entirely, attach a fresh
         # DiskCache instance — everything must come back from disk
-        clear_portfolio_cache()
+        memo_cache.clear()
         configure_cache_backend(DiskCache(tmp_path))
         restored = portfolio_partition(g, 3, cons, seed=4)
         assert restored.info.get("cache_hit")
-        assert portfolio_cache.backend_hits == 1
+        assert memo_cache.backend_hits == 1
 
         for res in (computed, restored):
             np.testing.assert_array_equal(res.assign, reference.assign)
@@ -272,29 +272,75 @@ class TestDiskBackedMemoisation:
 
     def test_enable_disable_disk_cache(self, tmp_path, clean_caches):
         backend = enable_disk_cache(tmp_path)
-        assert portfolio_cache.backend is backend
+        assert memo_cache.backend is backend
         disable_disk_cache()
-        assert portfolio_cache.backend is None
+        assert memo_cache.backend is None
 
     def test_partition_graph_evolve_survives_restart(
         self, tmp_path, clean_caches
     ):
         """The full api path: an evolve run memoised through the disk
         backend is served (bit-identically) after a simulated restart."""
-        from repro.evolve.ea import EvolveConfig, clear_evolve_cache, evolve_cache
+        from repro.evolve.ea import EvolveConfig
 
-        clear_evolve_cache()
+        memo_cache.clear()
         g = random_process_network(24, 50, seed=2)
         cfg = EvolveConfig(pop_size=4, generations=2)
         enable_disk_cache(tmp_path)
         try:
             first = partition_graph(g, 3, method="evolve", config=cfg, seed=9)
-            clear_evolve_cache()
+            memo_cache.clear()
             configure_cache_backend(DiskCache(tmp_path))
             second = partition_graph(g, 3, method="evolve", config=cfg, seed=9)
             assert second.info.get("cache_hit")
-            assert evolve_cache.backend_hits == 1
+            assert memo_cache.backend_hits == 1
             np.testing.assert_array_equal(second.assign, first.assign)
             assert second.metrics == first.metrics
         finally:
-            clear_evolve_cache()
+            memo_cache.clear()
+
+
+def _refuse(err):
+    def refuse(*args, **kwargs):
+        raise OSError(err, os.strerror(err))
+
+    return refuse
+
+
+class TestWriteFailures:
+    """A store the disk refuses to write drops entries, never results."""
+
+    @pytest.mark.parametrize("err", [errno.ENOSPC, errno.EROFS])
+    def test_put_counts_error_and_leaves_no_temp_file(
+        self, tmp_path, monkeypatch, err
+    ):
+        d = DiskCache(tmp_path)
+        monkeypatch.setattr(os, "replace", _refuse(err))
+        d.put(("k", 1), "value")
+        assert d.stats()["errors"] == 1 and d.stats()["puts"] == 0
+        assert d.lookup(("k", 1)) == (False, None)
+        assert list(tmp_path.rglob(".tmp-*")) == []
+
+    def test_unwritable_dir_counts_error(self, tmp_path, monkeypatch):
+        d = DiskCache(tmp_path)
+        monkeypatch.setattr(tempfile, "mkstemp", _refuse(errno.EACCES))
+        d.put("k", 1)
+        assert d.stats()["errors"] == 1
+
+    def test_full_disk_library_call_returns_its_result(
+        self, tmp_path, monkeypatch, clean_caches
+    ):
+        g = random_process_network(40, 90, seed=11)
+        cons = ConstraintSpec(bmax=64.0, rmax=400.0)
+        configs = [GPConfig(max_cycles=2)]
+        reference = portfolio_partition(g, 3, cons, configs, seed=4,
+                                        cache=False)
+        backend = enable_disk_cache(tmp_path)
+        monkeypatch.setattr(os, "replace", _refuse(errno.ENOSPC))
+        result = portfolio_partition(g, 3, cons, configs, seed=4)
+        np.testing.assert_array_equal(result.assign, reference.assign)
+        assert result.metrics == reference.metrics
+        assert backend.stats()["errors"] == 1
+        # the in-memory level still took the entry
+        hit = portfolio_partition(g, 3, cons, configs, seed=4)
+        assert hit.info["cache_hit"]

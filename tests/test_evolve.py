@@ -26,8 +26,6 @@ from repro.evolve import (
     EvolveConfig,
     Individual,
     Population,
-    clear_evolve_cache,
-    evolve_cache,
     evolve_partition,
     hamming,
     make_engine,
@@ -43,6 +41,7 @@ from repro.partition.goodness import goodness_key
 from repro.partition.gp import gp_partition
 from repro.partition.metrics import ConstraintSpec, evaluate_partition
 from repro.util.errors import InfeasibleError, PartitionError, ReproError
+from repro.util.parallel import memo_cache
 
 N_JOBS = int(os.environ.get("REPRO_TEST_JOBS", "2"))
 
@@ -391,10 +390,10 @@ class TestEvolveBudgets:
 
 class TestEvolveCache:
     def setup_method(self):
-        clear_evolve_cache()
+        memo_cache.clear()
 
     def teardown_method(self):
-        clear_evolve_cache()
+        memo_cache.clear()
 
     def test_hit_returns_equal_unaliased_copy(self):
         g = graph_instance()
@@ -415,7 +414,7 @@ class TestEvolveCache:
         evolve_partition(g, 3, cons, SMALL, seed=1)
         r = evolve_partition(g, 3, cons, SMALL, seed=1, cache=False)
         assert "cache_hit" not in r.info
-        assert len(evolve_cache) == 1  # cold run also didn't store
+        assert len(memo_cache) == 1  # cold run also didn't store
 
     def test_key_sensitivity(self):
         g = graph_instance()
@@ -424,14 +423,14 @@ class TestEvolveCache:
         evolve_partition(g, 3, cons, SMALL, seed=2)
         evolve_partition(g, 3, cons, SMALL.__class__(
             pop_size=4, generations=2, seed_max_cycles=1), seed=1)
-        assert len(evolve_cache) == 3
+        assert len(memo_cache) == 3
 
     def test_generator_seed_not_cached(self):
         g = graph_instance()
         cons = constraints_for(g, 3)
         rng = np.random.default_rng(0)
         evolve_partition(g, 3, cons, SMALL, seed=rng)
-        assert len(evolve_cache) == 0
+        assert len(memo_cache) == 0
 
 
 # --------------------------------------------------------------------- #
@@ -439,10 +438,10 @@ class TestEvolveCache:
 # --------------------------------------------------------------------- #
 class TestWiring:
     def setup_method(self):
-        clear_evolve_cache()
+        memo_cache.clear()
 
     def teardown_method(self):
-        clear_evolve_cache()
+        memo_cache.clear()
 
     def test_partition_graph_method_evolve(self):
         from repro.core.api import partition_graph
@@ -529,11 +528,11 @@ class TestWiring:
         evolve_partition(g, 3, constraints_for(g, 3), SMALL, seed=9)
         assert main(["cache"]) == 0
         out = capsys.readouterr().out
-        assert "evolve: size=1" in out
+        assert "memo: size=1" in out
         assert main(["cache", "--clear"]) == 0
         out = capsys.readouterr().out
         assert "cleared" in out
-        assert "evolve: size=0" in out
+        assert "memo: size=0" in out
 
     def test_cli_evolve_hypergraph_model(self, tmp_path, capsys):
         from repro.cli import main

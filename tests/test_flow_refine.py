@@ -33,9 +33,7 @@ from repro.hypergraph import HGraph, HyperRefinementState, constrained_hyper_fm
 from repro.hypergraph.partition import HYPER_CONFIG
 from repro.partition.flow_refine import (
     REFINE_MODES,
-    FlowConfig,
     check_refine_mode,
-    constrained_flow_pass,
     extract_corridor,
     run_flow_refine,
 )
@@ -233,27 +231,6 @@ class TestNeverWorse:
         fresh = VectorRefinementState(g, w, out, k)
         assert stx.key(cons) == pytest.approx(fresh.key(cons), abs=1e-9)
 
-    def test_pass_is_deterministic_and_seed_blind(self):
-        g, a, k, cons = _graph_case(17)
-        outs = [
-            run_flow_refine(RefinementState(g, a, k), cons, seed=s)
-            for s in (None, 0, 99)
-        ]
-        np.testing.assert_array_equal(outs[0], outs[1])
-        np.testing.assert_array_equal(outs[0], outs[2])
-
-    def test_convenience_driver_matches_and_reuses_state(self):
-        g, a, k, cons = _graph_case(23)
-        direct = run_flow_refine(RefinementState(g, a, k), cons)
-        stx = RefinementState(g, a, k)
-        via = constrained_flow_pass(g, a, k, cons, state=stx)
-        np.testing.assert_array_equal(direct, via)
-        np.testing.assert_array_equal(stx.assign, via)  # state left current
-        with pytest.raises(PartitionError):
-            constrained_flow_pass(
-                g, np.roll(a, 1), k, cons, state=stx
-            )  # stale state rejected
-
     def test_obs_metrics_recorded(self):
         g, a, k, cons = _graph_case(29)
         obs.REGISTRY.reset()
@@ -399,14 +376,6 @@ class TestValidation:
         }[surface]
         with pytest.raises(PartitionError, match="refine"):
             run()
-
-    def test_flow_config_rejects_bad_knobs(self):
-        with pytest.raises(PartitionError):
-            FlowConfig(corridor_budget=0)
-        with pytest.raises(PartitionError):
-            FlowConfig(rounds=0)
-        with pytest.raises(PartitionError):
-            FlowConfig(max_pairs=0)
 
     def test_configs_reject_bad_refine(self):
         with pytest.raises(PartitionError):

@@ -40,13 +40,11 @@ from repro.partition.multires import (
     MR_GP_CONFIG,
     MultiResResult,
     VectorConstraints,
-    clear_multires_cache,
     evaluate_multires,
     leftover_destination,
     mr_constrained_fm,
     mr_gp_partition,
     mr_greedy_initial,
-    multires_cache,
 )
 from repro.partition.vector_state import (
     VectorGraph,
@@ -54,6 +52,7 @@ from repro.partition.vector_state import (
     check_weight_matrix,
 )
 from repro.util.errors import PartitionError
+from repro.util.parallel import memo_cache
 
 N_JOBS = int(os.environ.get("REPRO_TEST_JOBS", "2"))
 
@@ -332,17 +331,17 @@ class TestExecution:
         assert serial.info["cycles"] == parallel.info["cycles"]
 
     def test_evolve_vector_serial_equals_parallel(self):
-        from repro.evolve import EvolveConfig, clear_evolve_cache
+        from repro.evolve import EvolveConfig
 
         g, w = instance(5, n=30, m=66)
         k = 3
         cons = cons_for(g, w, k, slack=1.25, bmax_frac=0.35)
         vg = VectorGraph(g, w)
         cfg = EvolveConfig(pop_size=4, generations=3)
-        clear_evolve_cache()
+        memo_cache.clear()
         serial = evolve_partition(vg, k, cons, config=cfg, seed=9,
                                   n_jobs=1, cache=False)
-        clear_evolve_cache()
+        memo_cache.clear()
         parallel = evolve_partition(vg, k, cons, config=cfg, seed=9,
                                     n_jobs=N_JOBS, cache=False)
         assert serial.algorithm == "EA-vector"
@@ -365,7 +364,7 @@ class TestExecution:
         g, w = instance(6, n=24, m=52)
         k = 3
         cons = cons_for(g, w, k)
-        clear_multires_cache()
+        memo_cache.clear()
         cold = mr_gp_partition(g, w, k, cons, seed=3, n_jobs=1)
         assert "cache_hit" not in cold.info
         # a parallel request must be served by the serial run's entry:
@@ -380,11 +379,11 @@ class TestExecution:
         again = mr_gp_partition(g, w, k, cons, seed=3)
         np.testing.assert_array_equal(again.assign, cold.assign)
         # cache=False stays cold
-        stats = multires_cache.stats()
+        stats = memo_cache.stats()
         cold2 = mr_gp_partition(g, w, k, cons, seed=3, cache=False)
         assert "cache_hit" not in cold2.info
-        assert multires_cache.stats()["hits"] == stats["hits"]
-        clear_multires_cache()
+        assert memo_cache.stats()["hits"] == stats["hits"]
+        memo_cache.clear()
 
     def test_cache_key_ignores_delivery_fields(self):
         # on_infeasible only changes how the result is delivered, and a
@@ -392,7 +391,7 @@ class TestExecution:
         g, w = instance(6, n=24, m=52)
         k = 3
         cons = cons_for(g, w, k)
-        clear_multires_cache()
+        memo_cache.clear()
         cold = mr_gp_partition(g, w, k, cons, seed=3)
         assert cold.feasible
         for config, seed in (
@@ -402,14 +401,14 @@ class TestExecution:
             warm = mr_gp_partition(g, w, k, cons, config, seed=seed)
             assert warm.info.get("cache_hit") is True
             np.testing.assert_array_equal(warm.assign, cold.assign)
-        clear_multires_cache()
+        memo_cache.clear()
 
     def test_cache_key_separates_result_knobs(self):
         # every knob that can change the partition is part of the key
         g, w = instance(6, n=24, m=52)
         k = 3
         cons = cons_for(g, w, k)
-        clear_multires_cache()
+        memo_cache.clear()
         mr_gp_partition(g, w, k, cons, seed=3)
         for changed in (
             replace(MR_GP_CONFIG, restarts=4),
@@ -418,5 +417,5 @@ class TestExecution:
         ):
             out = mr_gp_partition(g, w, k, cons, changed, seed=3)
             assert "cache_hit" not in out.info, changed
-        assert multires_cache.stats()["hits"] == 0
-        clear_multires_cache()
+        assert memo_cache.stats()["hits"] == 0
+        memo_cache.clear()

@@ -20,20 +20,17 @@ import os
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.graph.generators import paper_graph, random_process_network
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.portfolio import (
-    clear_portfolio_cache,
-    portfolio_cache,
-    portfolio_partition,
-    race_models,
-)
+from repro.partition.portfolio import portfolio_partition, race_models
 from repro.polyhedral.gallery import GALLERY
 from repro.util.errors import InfeasibleError, ReproError
 from repro.util.parallel import (
     KeyedCache,
+    memo_cache,
     parallel_map,
     resolve_jobs,
     start_warm_pool,
@@ -193,6 +190,60 @@ class TestParallelMap:
         finally:
             stop_warm_pool()
         assert warm_pool_size() == 0
+
+
+def _counted_square(x):
+    obs.add("shape.tasks")
+    obs.add("shape.sum", float(x))
+    return x * x
+
+
+def _counted_mul(ctx, x):
+    obs.add("shape.tasks")
+    obs.add("shape.sum", float(x))
+    return ctx * x
+
+
+class TestSubmitShapes:
+    """Every way ``parallel_map`` can submit work — owned or warm pool,
+    with or without a shared context, metrics off or on, with or without
+    an early stop — returns what the serial run returns, and with metrics
+    on merges the same task counters and ``pool.tasks`` total."""
+
+    @pytest.mark.parametrize("pool", ["owned", "warm"])
+    @pytest.mark.parametrize("with_context", [False, True])
+    @pytest.mark.parametrize("metrics", [False, True])
+    @pytest.mark.parametrize("with_stop", [False, True])
+    def test_matches_serial(self, pool, with_context, metrics, with_stop):
+        fn, kw = _counted_square, {}
+        if with_context:
+            fn, kw["context"] = _counted_mul, 3
+        if with_stop:
+            kw["stop"] = lambda r: r >= 12
+
+        def run(n_jobs):
+            obs.REGISTRY.reset()
+            if not metrics:
+                return parallel_map(fn, range(8), n_jobs=n_jobs, **kw), None
+            with obs.capture(tracing=False) as cap:
+                out = parallel_map(fn, range(8), n_jobs=n_jobs, **kw)
+            return out, cap.metrics["counters"]
+
+        serial, serial_counters = run(1)
+        if pool == "warm" and start_warm_pool(N_JOBS) == 0:
+            pytest.skip("no process pool on this platform")
+        try:
+            out, counters = run(N_JOBS)
+        finally:
+            stop_warm_pool()
+        assert out == serial
+        assert len(out) == (5 if with_stop else 8)
+        if metrics:
+            for name in ("shape.tasks", "shape.sum"):
+                assert counters[name] == serial_counters[name]
+            assert sum(counters["pool.tasks"].values()) == sum(
+                serial_counters["pool.tasks"].values()
+            ) == len(out)
 
 
 class TestKeyedCache:
@@ -357,10 +408,10 @@ class TestParallelEqualsSerial:
 
 class TestPortfolioCache:
     def setup_method(self):
-        clear_portfolio_cache()
+        memo_cache.clear()
 
     def teardown_method(self):
-        clear_portfolio_cache()
+        memo_cache.clear()
 
     def _instance(self):
         g, spec = paper_graph(1)
@@ -376,7 +427,7 @@ class TestPortfolioCache:
         assert np.array_equal(first.assign, second.assign)
         assert first.metrics == second.metrics
         assert second.assign is not first.assign  # no aliasing
-        assert portfolio_cache.stats()["hits"] == 1
+        assert memo_cache.stats()["hits"] == 1
 
     def test_equal_graph_rebuild_hits(self):
         """The key is the graph *content*, not the object identity."""
@@ -399,7 +450,7 @@ class TestPortfolioCache:
             kwargs.setdefault("configs", configs)
             res = portfolio_partition(g, k, cons, **kwargs)
             assert "cache_hit" not in res.info
-        assert portfolio_cache.stats()["hits"] == 0
+        assert memo_cache.stats()["hits"] == 0
 
     def test_list_matchings_config_is_cacheable(self):
         """GPConfig normalises matchings to a tuple, so a list-spelled
@@ -425,13 +476,13 @@ class TestPortfolioCache:
         configs = [GPConfig(max_cycles=1, restarts=2)]
         rng = np.random.default_rng(0)
         portfolio_partition(g, k, cons, configs=configs, seed=rng)
-        assert len(portfolio_cache) == 0
+        assert len(memo_cache) == 0
 
     def test_cache_false_bypasses(self):
         g, k, cons = self._instance()
         configs = [GPConfig(max_cycles=1, restarts=2)]
         portfolio_partition(g, k, cons, configs=configs, seed=0, cache=False)
-        assert len(portfolio_cache) == 0
+        assert len(memo_cache) == 0
 
     def test_cached_infeasible_still_raises(self):
         g = random_process_network(8, 14, seed=0, node_weight_range=(10, 20))
@@ -444,4 +495,4 @@ class TestPortfolioCache:
                 g, 2, cons, configs=configs, seed=0, on_infeasible="raise"
             )
         # and the raising path reused the cached run
-        assert portfolio_cache.stats()["hits"] == 1
+        assert memo_cache.stats()["hits"] == 1

@@ -9,8 +9,10 @@ through the disk store.  The subprocess variant of the same story runs
 in CI (``scripts/serve_smoke.py``).
 """
 
+import errno
 import http.client
 import json
+import os
 import socket
 import threading
 import time
@@ -249,10 +251,24 @@ class TestServerEndToEnd:
             "shared": 0,
             "in_flight": 0,
         }
-        assert "results" in out["caches"] and "portfolio" in out["caches"]
+        assert "results" in out["caches"] and "memo" in out["caches"]
         lat = out["latency"]
         assert lat["count"] == sum(lat["counts"]) >= 1
         assert "/healthz" in out["requests"]
+
+    def test_full_disk_still_serves(self, server, monkeypatch):
+        """ENOSPC on the disk store loses the cache entry, not the answer."""
+        def full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full)
+        g = random_process_network(30, 60, seed=7)
+        client = self._client(server)
+        out = client.partition(g, k=3, seed=2)
+        direct = partition_graph(g, 3, seed=2)
+        assert out["assign"] == direct.assign.tolist()
+        disk = client.metrics()["caches"]["results"]["backend"]
+        assert disk["errors"] == 1 and disk["entries"] == 0
 
     def test_metrics_prometheus_exposition(self, server):
         import urllib.request
