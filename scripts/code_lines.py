@@ -7,14 +7,11 @@ function, found with :mod:`ast`).  Blank lines and comment-only lines
 do not count.  This is the "src code lines" figure quoted in ROADMAP.md
 and CHANGES.md.
 
-Usage: ``python scripts/code_lines.py [ROOT]`` (default: ``src`` next to
-this script's directory).  Prints the total; ``--per-file`` also lists
-each file's count.
+Usage: ``python scripts/code_lines.py``; prints the total for ``src``.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import tokenize
@@ -59,20 +56,14 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument(
-        "root", nargs="?",
-        default=str(Path(__file__).resolve().parent.parent / "src"),
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def main() -> int:
+    total = sum(
+        code_lines(path.read_text(encoding="utf-8"))
+        for path in SRC.rglob("*.py")
     )
-    ap.add_argument("--per-file", action="store_true")
-    args = ap.parse_args(argv)
-    total = 0
-    for path in sorted(Path(args.root).rglob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        if args.per_file:
-            print(f"{n:7d} {path}")
     print(f"{total:,}")
     return 0
 
