@@ -5,7 +5,10 @@ Drives a *real* daemon subprocess (``python -m repro serve``) through
 the acceptance story of the serving subsystem:
 
 1. served results are **bit-identical** to the direct library call
-   (``partition_graph``), at any ``n_jobs``;
+   (``partition_graph``), at any ``n_jobs`` — for ``gp`` and for the
+   methods with nothing to race (``mlkp``, ``spectral``), which get the
+   daemon's ``--jobs`` like every request; an unknown method (``hyper``)
+   is answered 400;
 2. two concurrent identical requests on a cold cache collapse to **one
    compute** (single-flight) and return identical payloads;
 3. a daemon **restart** on the same cache directory answers from the
@@ -31,11 +34,14 @@ import numpy as np
 from repro.core.api import partition_graph
 from repro.graph.generators import random_process_network
 from repro.serve.client import ServeClient
+from repro.serve.schema import ServeError
 
 # big enough that the compute takes long enough for two requests to
 # genuinely overlap on a cold cache (single-flight, not luck)
 GRAPH_N, GRAPH_M, GRAPH_SEED = 400, 1100, 17
 K, BMAX, RMAX, SEED = 4, 6000.0, 12000.0, 3
+#: a method name the library no longer has (GP on a hypergraph is "gp")
+UNKNOWN_METHOD = "hyper"
 
 
 class Daemon:
@@ -77,7 +83,24 @@ class Daemon:
 
     def kill(self):
         if self.proc.poll() is None:
-            self.proc.kill()
+            # SIGTERM first: the daemon then stops its warm pool, which a
+            # SIGKILL would leave behind as orphaned worker processes
+            self.proc.terminate()
+            try:
+                self.proc.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+
+
+def assert_served_equals(out: dict, direct) -> None:
+    """A served payload carries the direct result, bit for bit."""
+    np.testing.assert_array_equal(out["assign"], direct.assign)
+    assert out["feasible"] == direct.feasible
+    assert out["metrics"] == {
+        name: float(getattr(direct.metrics, name))
+        for name in ("cut", "max_local_bandwidth", "max_resource",
+                     "bandwidth_violation", "resource_violation")
+    }, f"{out['method']}: served metrics differ from the direct call"
 
 
 def main() -> int:
@@ -128,9 +151,24 @@ def main() -> int:
 
             print("serve_smoke: served == direct (bit-identical) ...")
             for out in outs:
-                np.testing.assert_array_equal(out["assign"], direct.assign)
-                assert out["cut"] == direct.metrics.cut
-                assert out["feasible"] == direct.feasible
+                assert_served_equals(out, direct)
+
+            for method in ("mlkp", "spectral"):
+                print(f"serve_smoke: {method} on the --jobs 2 daemon ...")
+                out = daemon.client.partition(
+                    g, k=K, method=method, bmax=BMAX, rmax=RMAX, seed=SEED)
+                assert_served_equals(out, partition_graph(
+                    g, K, bmax=BMAX, rmax=RMAX, method=method, seed=SEED))
+
+            print(f"serve_smoke: method {UNKNOWN_METHOD!r} is a 400 ...")
+            try:
+                daemon.client.partition(
+                    g, k=K, method=UNKNOWN_METHOD, seed=SEED)
+            except ServeError as exc:
+                assert exc.status == 400, f"answered {exc.status}"
+                assert f"unknown method {UNKNOWN_METHOD!r}" in str(exc), exc
+            else:
+                raise AssertionError(f"{UNKNOWN_METHOD!r} was served")
 
             print("serve_smoke: clean shutdown ...")
             rc = daemon.shutdown_and_wait()

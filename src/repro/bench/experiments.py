@@ -22,6 +22,7 @@ III            GP      96     7.76  76       19
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro.bench.paper_values import PAPER_TABLES, PaperRow
@@ -66,7 +67,12 @@ class ExperimentOutcome:
             # "METIS always partitions, regardless of said constraints"
             "mlkp_violates_some_constraint": not self.mlkp.feasible,
             # runtime ordering: "METIS ... 0.02s" vs GP 0.25-7.76s
-            "gp_slower_than_mlkp": self.gp.runtime > self.mlkp.runtime,
+            "gp_slower_than_mlkp": (
+                _best_cpu_s(lambda: _run_gp(self.graph, self.spec.k,
+                                            self.constraints))
+                > _best_cpu_s(lambda: _run_mlkp(self.graph, self.spec.k,
+                                                self.constraints))
+            ),
         }
         paper_mlkp = next(r for r in self.paper if r.tool == "METIS")
         paper_gp = next(r for r in self.paper if r.tool == "GP")
@@ -88,15 +94,38 @@ class ExperimentOutcome:
         )
 
 
+def _run_mlkp(g: WGraph, k: int, constraints: ConstraintSpec):
+    return mlkp_partition(g, k, seed=MLKP_SEED, constraints=constraints)
+
+
+def _run_gp(g: WGraph, k: int, constraints: ConstraintSpec):
+    return gp_partition(
+        g, k, constraints, GPConfig(max_cycles=GP_MAX_CYCLES), seed=GP_SEED
+    )
+
+
+def _best_cpu_s(run, repeats: int = 3) -> float:
+    """The least CPU time ``run()`` takes over *repeats* calls.
+
+    A runtime ordering of millisecond runs read off single wall times
+    flips with the host's other load; the best of a few CPU times does
+    not.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.process_time()
+        run()
+        best = min(best, time.process_time() - t0)
+    return best
+
+
 def run_paper_experiment(experiment: int) -> ExperimentOutcome:
     """Run experiment 1, 2 or 3 exactly as the benchmarks do."""
     g, spec = paper_graph(experiment)
     constraints = ConstraintSpec(bmax=spec.bmax, rmax=spec.rmax)
-    mlkp = mlkp_partition(g, spec.k, seed=MLKP_SEED, constraints=constraints)
+    mlkp = _run_mlkp(g, spec.k, constraints)
     mlkp.algorithm = "MLKP (METIS-like)"
-    gp = gp_partition(
-        g, spec.k, constraints, GPConfig(max_cycles=GP_MAX_CYCLES), seed=GP_SEED
-    )
+    gp = _run_gp(g, spec.k, constraints)
     return ExperimentOutcome(
         experiment=experiment,
         spec=spec,

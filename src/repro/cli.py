@@ -10,8 +10,7 @@ Usage (see ``python -m repro --help``):
   2-pin hypergraphs, ``.hgr`` inputs are taken as-is.
   ``--resources res.json`` plus a comma-separated ``--rmax`` vector
   (e.g. ``--rmax 400,600,40,12``) switches to componentwise
-  multi-resource budgets (``--method gp``/``evolve`` with ``--model
-  graph`` only; see ``docs/multires.md``).
+  multi-resource budgets (see ``docs/multires.md``).
 * ``python -m repro tables [--experiment N]`` — regenerate the paper tables.
 * ``python -m repro figures --out DIR`` — regenerate Figures 2-13 artefacts.
 * ``python -m repro generate --n 12 --m 30 --out g.json`` — synthesise a
@@ -22,7 +21,7 @@ Usage (see ``python -m repro --help``):
 * ``python -m repro cache [--stats] [--clear] [--dir DIR]`` — inspect (or
   drop) the in-process memo cache (portfolio, evolve, vector GP), and with
   ``--dir`` a persistent on-disk cache; ``partition --no-cache`` forces
-  a cold evolve (or vector-gp) run.
+  a cold run.
 * ``python -m repro serve --port 8077 --cache-dir ~/.cache/repro`` — run
   the partitioning daemon: JSON requests over HTTP, digest-keyed results
   served from a persistent cache, concurrent duplicates computed once
@@ -33,14 +32,13 @@ Usage (see ``python -m repro --help``):
   ``--compare BASELINE.json`` judge the run against a stored baseline
   (exit 3 on regression — the CI gate; see ``docs/observability.md``).
 
-``--method evolve`` selects the memetic population search (either
-``--model``); ``--generations`` / ``--time-budget`` / ``--pop-size``
-shape its budget (see ``docs/evolve.md``).
+``--method evolve`` selects the memetic population search;
+``--generations`` / ``--time-budget`` / ``--pop-size`` shape its budget
+(see ``docs/evolve.md``).  ``--refine fm+flow`` adds a guarded corridor
+max-flow polish to the refinement stage (see ``docs/refinement.md``).
 
-``--refine fm+flow`` augments the multilevel methods' refinement stage
-with a guarded corridor max-flow polish (every method but
-``spectral``/``exact``, either ``--model``; see ``docs/refinement.md``).
-The partition flags are forwarded to :func:`repro.core.api.partition_graph`
+The ``--method`` choices are :data:`repro.core.api.METHODS`, and the
+partition flags are forwarded to :func:`repro.core.api.partition_graph`
 unchecked: the library rejects what a method cannot honour, so the CLI
 and the library agree by construction.
 
@@ -60,7 +58,7 @@ import numpy as np
 import repro.obs as _obs
 from repro.bench.experiments import paper_experiment_table
 from repro.bench.figures import write_figure_artifacts
-from repro.core.api import partition_graph
+from repro.core.api import METHODS, partition_graph
 from repro.evolve.ea import EvolveConfig
 from repro.core.report import comparison_report, multires_report
 from repro.fpga.resources import random_device_matrix
@@ -126,17 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", default="inf", metavar="R[,R...]",
                    help="per-partition resource budget; a comma-separated "
                         "vector (with --resources) caps each resource "
-                        "componentwise (--method gp/evolve only)")
+                        "componentwise")
     p.add_argument("--resources", metavar="FILE", default=None,
                    help="per-node resource matrix (JSON: [[...]] rows or "
                         "{'weights': ..., 'names': ...}); switches to "
-                        "vector budgets — needs a comma-separated --rmax "
-                        "(--method gp/evolve with --model graph only)")
-    p.add_argument(
-        "--method",
-        default="gp",
-        choices=["gp", "mlkp", "spectral", "exact", "hyper", "evolve"],
-    )
+                        "vector budgets — needs a comma-separated --rmax")
+    p.add_argument("--method", default="gp", choices=METHODS)
     p.add_argument(
         "--model",
         default="graph",
@@ -148,11 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--refine",
         default=None,
         choices=["fm", "fm+flow"],
-        help="refinement stage of the multilevel methods: the native "
-             "local search (fm, the default), or fm plus a guarded "
-             "corridor max-flow polish that is never worse than fm "
-             "(fm+flow) — every method but spectral/exact, either "
-             "--model; see docs/refinement.md",
+        help="refinement stage: the native local search (fm, the "
+             "default), or fm plus a guarded corridor max-flow polish "
+             "that is never worse than fm (fm+flow); see "
+             "docs/refinement.md",
     )
     p.add_argument(
         "--conn-format",
@@ -161,15 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="refinement engine connectivity store: dense (k,n) matrices, "
              "the degree-sized sparse store, or pick by instance size "
              "(auto, the default) — results are bit-identical either way; "
-             "--method gp/mlkp with --model graph (scalar or vector "
-             "budgets); see docs/refinement.md",
+             "see docs/refinement.md",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="worker processes racing the method's independent "
                         "randomized work (-1 = all CPUs; results are "
-                        "bit-identical to --jobs 1, only faster; --method "
-                        "gp, hyper or evolve)")
+                        "bit-identical to --jobs 1)")
     p.add_argument("--generations", type=int, default=None, metavar="G",
                    help="evolve: generation cap (--method evolve only)")
     p.add_argument("--time-budget", type=float, default=None, metavar="S",
@@ -178,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pop-size", type=int, default=None, metavar="P",
                    help="evolve: population size (--method evolve only)")
     p.add_argument("--no-cache", action="store_true",
-                   help="skip the in-process memo cache (cold run; "
-                        "--method evolve, or --method gp with --resources)")
+                   help="skip the in-process memo cache (cold run)")
     p.add_argument("--compare", action="store_true",
                    help="also run the METIS-like baseline and compare")
     p.add_argument("--dot", metavar="FILE", help="write partitioned DOT here")
@@ -260,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cache-mb", type=int, default=256, metavar="MB",
                    help="disk-cache size budget in MiB (default 256)")
     s.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes racing gp/evolve work per "
-                        "request (-1 = all CPUs available to the daemon); "
+                   help="worker processes racing each request's work "
+                        "(-1 = all CPUs available to the daemon); "
                         "kept warm across requests; results are "
                         "bit-identical for every value")
     s.add_argument("--memory-entries", type=int, default=256, metavar="E",
@@ -361,30 +350,33 @@ def _load_resource_matrix(path: str) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def _evolve_config(args: argparse.Namespace) -> EvolveConfig | None:
     """EvolveConfig from the CLI budget knobs (None = library defaults);
-    rejects the knobs for every other method so they stay honest."""
-    if args.method != "evolve":
-        given = [
-            name
-            for name, v in (
-                ("--generations", args.generations),
-                ("--time-budget", args.time_budget),
-                ("--pop-size", args.pop_size),
-            )
-            if v is not None  # `v` may be a legitimate (if invalid) 0
-        ]
-        if given:
-            raise ReproError(
-                f"{', '.join(given)} applies to --method evolve only"
-            )
-        return None
-    fields = {}
-    if args.generations is not None:
-        fields["generations"] = args.generations
-    if args.time_budget is not None:
-        fields["time_budget"] = args.time_budget
-    if args.pop_size is not None:
-        fields["pop_size"] = args.pop_size
+    the library rejects it on any method but evolve."""
+    fields = {
+        name: value
+        for name, value in (
+            ("generations", args.generations),
+            ("time_budget", args.time_budget),
+            ("pop_size", args.pop_size),
+        )
+        if value is not None  # a legitimate (if invalid) 0 still counts
+    }
     return EvolveConfig(**fields) if fields else None
+
+
+def _write_assignment(args, result, **extra) -> None:
+    """``--assign-out``: the assignment and its headline numbers as JSON."""
+    if not args.assign_out:
+        return
+    Path(args.assign_out).write_text(
+        json.dumps({
+            "k": args.k,
+            "assign": [int(c) for c in result.assign],
+            "feasible": result.feasible,
+            "cut": result.metrics.cut,
+            **extra,
+        }, indent=1)
+    )
+    print(f"wrote {args.assign_out}")
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -435,8 +427,8 @@ def _run_partition(args: argparse.Namespace) -> int:
         else (None, ())
     )
     # the library validates every knob and flag combination (method,
-    # model, budgets, --jobs, --no-cache, --refine, --conn-format); the
-    # CLI only forwards them, so both surfaces reject the same things
+    # model, budgets, config, --jobs, --refine, --conn-format); the CLI
+    # only forwards them, so both surfaces reject the same things
     result = partition_graph(
         structure, args.k, bmax=args.bmax, rmax=rmax, method=args.method,
         seed=args.seed, config=evolve_cfg, n_jobs=args.jobs,
@@ -469,16 +461,7 @@ def _run_partition(args: argparse.Namespace) -> int:
             to_dot(g, assign=result.assign, k=args.k)
         )
         print(f"wrote {args.dot}")
-    if args.assign_out:
-        Path(args.assign_out).write_text(
-            json.dumps({
-                "k": args.k,
-                "assign": [int(c) for c in result.assign],
-                "feasible": result.feasible,
-                "cut": result.metrics.cut,
-            }, indent=1)
-        )
-        print(f"wrote {args.assign_out}")
+    _write_assignment(args, result)
     return 0 if result.feasible or constraints.unconstrained else 2
 
 
@@ -502,19 +485,9 @@ def _report_hypergraph(args, hg: HGraph, result, constraints) -> int:
     print(comparison_report(results, constraints))
     print(f"(connectivity objective: {result.metrics.cut:g}; "
           f"a multicast net counts once per extra FPGA)")
-    if args.assign_out:
-        Path(args.assign_out).write_text(
-            json.dumps({
-                "k": args.k,
-                "assign": [int(c) for c in result.assign],
-                "feasible": result.feasible,
-                # "cut" keeps the graph branch's schema; here it is the
-                # connectivity objective, also under its proper name
-                "cut": result.metrics.cut,
-                "connectivity": result.metrics.cut,
-            }, indent=1)
-        )
-        print(f"wrote {args.assign_out}")
+    # "cut" keeps the graph branch's schema; here it is the connectivity
+    # objective, also under its proper name
+    _write_assignment(args, result, connectivity=result.metrics.cut)
     return 0 if result.feasible or constraints.unconstrained else 2
 
 
@@ -524,17 +497,7 @@ def _report_vector(args, g: WGraph, result, constraints) -> int:
     if args.dot:
         Path(args.dot).write_text(to_dot(g, assign=result.assign, k=args.k))
         print(f"wrote {args.dot}")
-    if args.assign_out:
-        Path(args.assign_out).write_text(
-            json.dumps({
-                "k": args.k,
-                "assign": [int(c) for c in result.assign],
-                "feasible": result.feasible,
-                "cut": result.metrics.cut,
-                "max_loads": list(result.metrics.max_loads),
-            }, indent=1)
-        )
-        print(f"wrote {args.assign_out}")
+    _write_assignment(args, result, max_loads=list(result.metrics.max_loads))
     return 0 if result.feasible else 2
 
 

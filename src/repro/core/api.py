@@ -2,12 +2,12 @@
 
 ``partition_graph``
     Graph + constraints → :class:`~repro.partition.base.PartitionResult`
-    via any of the partitioners: the paper's constrained ``"gp"``, the
-    METIS-like ``"mlkp"``, ``"spectral"``, ``"exact"``, ``"hyper"`` —
-    the connectivity-metric multilevel partitioner run on the graph's
-    2-pin hypergraph lift (equivalent objective, hypergraph machinery) —
-    or ``"evolve"``, the memetic population search over the GP machinery
-    (see ``docs/evolve.md``).
+    via any of the partitioners in ``METHODS``: the paper's constrained
+    ``"gp"``, the METIS-like ``"mlkp"``, ``"spectral"``, ``"exact"``, or
+    ``"evolve"``, the memetic population search over the GP machinery
+    (see ``docs/evolve.md``).  Its docstring states which method runs on
+    which structure (graph, vector budgets, hypergraph) and takes which
+    config.
 
 ``partition_ppn``
     SANLP or derived PPN → mapping model → partition.  Two traffic models:
@@ -34,11 +34,12 @@
 from __future__ import annotations
 
 import dataclasses
-
-import numpy as np
-
+from collections.abc import Callable
 from collections.abc import Mapping as MappingABC
 from collections.abc import Sequence
+from typing import NamedTuple
+
+import numpy as np
 
 import repro.obs as _obs
 from repro.evolve.ea import EvolveConfig, evolve_partition
@@ -47,30 +48,23 @@ from repro.fpga.resources import ResourceVector, resource_matrix
 from repro.fpga.system import MultiFPGASystem
 from repro.graph.wgraph import WGraph
 from repro.hypergraph.hgraph import HGraph
-from repro.hypergraph.partition import HYPER_CONFIG, hyper_partition
+from repro.hypergraph.partition import HYPER_CONFIG
 from repro.kpn.traffic import ppn_to_mapped_graph
 from repro.partition.base import PartitionResult
 from repro.partition.exact import exact_partition
-from repro.partition.gp import GPConfig, gp_partition
+from repro.partition.gp import GPConfig, run_gp
 from repro.partition.metrics import ConstraintSpec
 from repro.partition.mlkp import mlkp_partition
-from repro.partition.multires import (
-    MR_GP_CONFIG,
-    MultiResResult,
-    mr_gp_partition,
-)
+from repro.partition.multires import MR_GP_CONFIG, MultiResResult
 from repro.partition.spectral import spectral_partition
-from repro.partition.vector_state import (
-    VectorConstraints,
-    VectorGraph,
-    check_weight_matrix,
-)
+from repro.partition.vector_state import VectorConstraints, VectorGraph
 from repro.polyhedral.ppn import PPN, derive_ppn
 from repro.polyhedral.program import SANLP
 from repro.util.errors import PartitionError
-from repro.util.parallel import memo_cache
+from repro.util.parallel import memo_cache, resolve_jobs
 
 __all__ = [
+    "METHODS",
     "partition_graph",
     "partition_ppn",
     "map_to_fpgas",
@@ -111,25 +105,87 @@ def disable_disk_cache() -> None:
     """Detach any persistent backend from the memo cache."""
     configure_cache_backend(None)
 
-_METHODS = ("gp", "mlkp", "spectral", "exact", "hyper", "evolve")
+
 _MODELS = ("graph", "hypergraph")
-#: Methods with independent randomized work to race across processes.
-_JOBS_METHODS = ("gp", "hyper", "evolve")
-#: Methods that can partition under vector resource budgets.
-_VECTOR_METHODS = ("gp", "evolve")
-#: Methods that can partition a hypergraph (the connectivity model).
-_HYPER_METHODS = ("gp", "hyper", "evolve")
 
 
-def _configure(method: str, config, default, knobs: dict):
-    """The config *method* runs: *config* (``None`` → *default*) with the
-    given ``refine=``/``conn_format=`` *knobs* set on it.
+class _Method(NamedTuple):
+    """One row of the method table: what a method runs on, and how."""
+
+    #: ``run(structure, k, constraints, config, seed, n_jobs, cache)``
+    run: Callable
+    #: structure type it runs on -> its default config (``None``: the
+    #: method takes no config, and ``run`` gets its *knobs* as a dict)
+    configs: dict
+    #: engine knobs a method without a config takes as keywords
+    knobs: tuple = ()
+
+
+#: The whole method contract of :func:`partition_graph`.
+_METHOD_TABLE = {
+    "gp": _Method(
+        run_gp,
+        {WGraph: GPConfig(), VectorGraph: MR_GP_CONFIG, HGraph: HYPER_CONFIG},
+    ),
+    "mlkp": _Method(
+        lambda g, k, cons, knobs, seed, **_: mlkp_partition(
+            g, k, seed=seed, constraints=cons, **knobs
+        ),
+        {WGraph: None},
+        knobs=("refine", "conn_format"),
+    ),
+    "spectral": _Method(
+        lambda g, k, cons, knobs, **_: spectral_partition(
+            g, k, constraints=cons
+        ),
+        {WGraph: None},
+    ),
+    "exact": _Method(
+        lambda g, k, cons, knobs, **_: exact_partition(
+            g, k, cons, enforce=not cons.unconstrained
+        ),
+        {WGraph: None},
+    ),
+    "evolve": _Method(
+        evolve_partition,
+        dict.fromkeys((WGraph, VectorGraph, HGraph), EvolveConfig()),
+    ),
+}
+#: Every method name, in the order the CLI and ``repro serve`` list them.
+METHODS = tuple(_METHOD_TABLE)
+_STRUCTURE_NAMES = {
+    WGraph: "a graph",
+    VectorGraph: "vector budgets (resources=)",
+    HGraph: "a hypergraph (HGraph)",
+}
+
+
+def _configure(method: str, row: _Method, stype: type, config, knobs: dict):
+    """The config *method* runs on a *stype* structure: *config*
+    (``None`` → the row's default) with the given ``refine=`` /
+    ``conn_format=`` *knobs* set on it.
 
     The one place those arguments meet a config.  With no knobs *config*
     comes back as given (``None`` lets the callee apply its own default);
-    a knob the config class has no field for is rejected here, and a knob
-    value the config or engine cannot honour is rejected by them.
+    a config of another class, or a knob the method has no field for, is
+    rejected here, and a knob value the config or engine cannot honour is
+    rejected by them.  A method without a config gets its knobs as a
+    keyword dict.
     """
+    default = row.configs[stype]
+    if default is None:
+        if config is not None:
+            raise PartitionError(
+                f"method={method!r} takes no config, "
+                f"got {type(config).__name__}"
+            )
+        unknown = [name for name in knobs if name not in row.knobs]
+        if unknown:
+            raise PartitionError(
+                f"{' and '.join(f'{n}=' for n in unknown)} needs a "
+                f"refinement engine; method={method!r} has none"
+            )
+        return knobs
     cls = type(default)
     if config is not None and not isinstance(config, cls):
         raise PartitionError(
@@ -154,47 +210,35 @@ def _rmax_is_vector(rmax) -> bool:
     )
 
 
-def _partition_graph_vector(
-    g: WGraph,
-    k: int,
-    bmax,
-    rmax,
-    method: str,
-    seed,
-    config,
-    n_jobs,
-    cache,
-    resources,
-    knobs: dict,
-) -> MultiResResult | PartitionResult:
-    """The ``resources=W`` branch of :func:`partition_graph`."""
-    if method not in _VECTOR_METHODS:
+def _resolve(g, bmax, rmax, resources):
+    """The structure a call partitions and its constraints: *g* itself
+    under a :class:`ConstraintSpec`, or — with *resources* — *g* and its
+    weight matrix as a :class:`VectorGraph` under
+    :class:`VectorConstraints`."""
+    if resources is None:
+        if _rmax_is_vector(rmax):
+            raise PartitionError(
+                "a vector rmax needs the per-node resources matrix "
+                "(resources=W); pass a scalar rmax otherwise"
+            )
+        return g, ConstraintSpec(bmax=bmax, rmax=rmax)
+    if isinstance(g, HGraph):
         raise PartitionError(
-            f"resources (vector budgets) are supported by methods "
-            f"{_VECTOR_METHODS}, got method={method!r}"
+            "resources= (vector budgets) needs a graph, got a hypergraph"
         )
-    w = check_weight_matrix(g, resources)
+    vg = VectorGraph(g, resources)
     if not _rmax_is_vector(rmax):
         raise PartitionError(
-            f"a resources matrix with {w.shape[1]} columns needs a "
+            f"a resources matrix with {vg.n_resources} columns needs a "
             f"per-resource rmax vector, got {rmax!r}"
         )
     cons = VectorConstraints(bmax=bmax, rmax=tuple(float(r) for r in rmax))
-    if cons.n_resources != w.shape[1]:
+    if cons.n_resources != vg.n_resources:
         raise PartitionError(
             f"rmax caps {cons.n_resources} resources, the matrix has "
-            f"{w.shape[1]} columns"
+            f"{vg.n_resources} columns"
         )
-    if method == "evolve":
-        return evolve_partition(
-            VectorGraph(g, w), k, cons,
-            config=_configure(method, config, EvolveConfig(), knobs),
-            seed=seed, n_jobs=n_jobs, cache=cache,
-        )
-    return mr_gp_partition(
-        g, w, k, cons, _configure(method, config, MR_GP_CONFIG, knobs),
-        seed=seed, n_jobs=n_jobs, cache=cache,
-    )
+    return vg, cons
 
 
 def partition_graph(
@@ -214,60 +258,56 @@ def partition_graph(
 ) -> PartitionResult | MultiResResult | _obs.ProfileReport:
     """Partition *g* into *k* parts under the paper's two constraints.
 
-    *method*: ``"gp"`` (the paper's constrained partitioner, default),
-    ``"mlkp"`` (METIS-like, constraints audited only), ``"spectral"``,
-    ``"exact"`` (≤20 nodes, constraints enforced), ``"hyper"`` (the
-    connectivity-metric multilevel partitioner on the 2-pin hypergraph
-    lift), or ``"evolve"`` (the memetic population search; takes an
-    :class:`~repro.evolve.ea.EvolveConfig`, see ``docs/evolve.md``).
-    ``"gp"`` and ``"hyper"`` take a :class:`~repro.partition.gp.GPConfig`
-    (``"hyper"`` defaults to
-    :data:`~repro.hypergraph.partition.HYPER_CONFIG`); every field,
-    ``vcycles`` included, means the same on the graph, hypergraph and
-    vector engines.
+    One table (``METHODS`` names its rows) is the whole contract: the
+    structures each *method* runs on and the config class it takes.
 
-    *g* may also be an :class:`~repro.hypergraph.hgraph.HGraph` (the
-    connectivity model, ``docs/hypergraph.md``): ``"gp"`` and ``"hyper"``
-    then both run :func:`~repro.hypergraph.partition.hyper_partition` on
-    it and ``"evolve"`` runs on the hypergraph engine; the other methods
-    and *resources* are rejected.
+    * ``"gp"`` — graph, vector budgets or hypergraph;
+      :class:`~repro.partition.gp.GPConfig`.
+    * ``"mlkp"``, ``"spectral"``, ``"exact"`` (≤20 nodes) — graph only;
+      no config.
+    * ``"evolve"`` — graph, vector budgets or hypergraph;
+      :class:`~repro.evolve.ea.EvolveConfig`.
 
-    *resources* switches the resource model from scalar to vector
-    (``docs/multires.md``): pass the ``(n, R)`` weight matrix and a
-    per-resource *rmax* sequence, and the constraint becomes
-    componentwise (``VectorConstraints``).  Supported by ``"gp"`` (the
-    multi-resource multilevel partitioner, returning a
-    :class:`~repro.partition.multires.MultiResResult`; a
-    :class:`~repro.partition.gp.GPConfig` is honoured as given, and
-    ``None`` means :data:`~repro.partition.multires.MR_GP_CONFIG`) and
-    ``"evolve"`` (the memetic search on the vector engine) — other
-    methods reject it, as does a vector *rmax* without the matrix.
+    ``"gp"`` is the paper's constrained partitioner; on a hypergraph it
+    runs :func:`~repro.hypergraph.partition.hyper_partition` under the
+    (λ−1) connectivity metric (``docs/hypergraph.md``), and on vector
+    budgets :func:`~repro.partition.multires.mr_gp_partition`
+    (``docs/multires.md``).  ``config=None`` means the engine's own
+    default (:class:`~repro.partition.gp.GPConfig`,
+    :data:`~repro.hypergraph.partition.HYPER_CONFIG`,
+    :data:`~repro.partition.multires.MR_GP_CONFIG`).  ``"mlkp"`` is
+    METIS-like and ``"spectral"`` recursive spectral bisection — both
+    only audit the constraints; ``"exact"`` enforces them.  ``"evolve"``
+    is the memetic population search over the GP machinery
+    (``docs/evolve.md``).  A method without a config rejects any
+    *config*, and every method rejects a config of another class.
 
-    *n_jobs* races the method's independent randomized work across worker
-    processes (``-1`` = all CPUs): GP's retry cycles (scalar, vector or
-    hypergraph), or evolve's seeding members and offspring batches;
-    results are bit-identical for every value (see ``docs/parallel.md``).
-    It is honoured by ``"gp"``, ``"hyper"`` and ``"evolve"`` — the other
-    methods are
-    deterministic single-pass algorithms with nothing independent to
-    race — and rejected with any other method to keep the knob honest.
-    *cache* belongs to the memoised methods — ``"evolve"``, and ``"gp"``
-    with *resources* (the multires cache) — and is rejected elsewhere.
+    The structure is *g* — a :class:`~repro.graph.wgraph.WGraph` or an
+    :class:`~repro.hypergraph.hgraph.HGraph` — unless *resources* is
+    given: the ``(n, R)`` weight matrix of a graph, with a per-resource
+    *rmax* sequence, makes the constraint componentwise
+    (``VectorConstraints``).  A vector *rmax* without the matrix is
+    rejected, and so is a method on a structure it does not run on.
+
+    *n_jobs* caps the worker processes (``-1`` = all CPUs) and
+    ``cache=False`` forbids memo reads and writes.  Every method takes
+    both and returns bit-identical results for every value: GP races its
+    retry cycles and evolve its members and offspring batches
+    (``docs/parallel.md``); vector GP and evolve are memoised; a method
+    with nothing to race or memoise honours them by doing nothing.
 
     *refine* and *conn_format* override the config's own fields of the
     same name; ``None`` (default) keeps the config's value.  *refine*
     selects the refinement stage (``docs/refinement.md``): ``"fm"`` —
     each method's native local search; ``"fm+flow"`` — native refinement
     plus a guarded corridor max-flow polish that is never worse than
-    ``"fm"`` at equal seeds.
-    *conn_format* selects the refinement engine's connectivity store:
-    ``"auto"`` — dense below the ``k·n`` threshold, sparse above;
-    ``"dense"`` / ``"sparse"`` force a format, and the partition is
-    bit-identical either way.  Every method with a refinement engine
-    takes *refine* (``"gp"`` scalar and vector, ``"hyper"``, ``"mlkp"``,
-    ``"evolve"``); ``"spectral"`` and ``"exact"`` have none and reject
-    both knobs.  A *conn_format* other than ``"auto"`` is rejected by the
-    engines without a store — the hypergraph Φ engine (``"hyper"``) and
+    ``"fm"`` at equal seeds.  *conn_format* selects the refinement
+    engine's connectivity store: ``"auto"`` — dense below the ``k·n``
+    threshold, sparse above; ``"dense"`` / ``"sparse"`` force a format,
+    and the partition is bit-identical either way.  ``"mlkp"`` takes both
+    as keywords; ``"spectral"`` and ``"exact"`` have no refinement engine
+    and reject both.  A *conn_format* other than ``"auto"`` is rejected
+    by the engines without a store — the hypergraph Φ engine and
     ``"evolve"``, whose config has no such field.
 
     *profile* runs the call under an observability capture
@@ -295,75 +335,32 @@ def partition_graph(
             metrics=cap.metrics,
             wall_s=cap.wall_s,
         )
-    if n_jobs not in (None, 1) and method not in _JOBS_METHODS:
+    row = _METHOD_TABLE.get(method)
+    if row is None:
         raise PartitionError(
-            f"n_jobs is only supported by methods {_JOBS_METHODS}, "
-            f"got method={method!r}"
+            f"unknown method {method!r}; valid methods: {METHODS}"
         )
-    if cache is not True and method != "evolve" and not (
-        resources is not None and method == "gp"
-    ):
+    resolve_jobs(n_jobs)
+    structure, constraints = _resolve(g, bmax, rmax, resources)
+    stype = type(structure)
+    if stype not in row.configs:
+        runs_on = tuple(
+            name for name, r in _METHOD_TABLE.items() if stype in r.configs
+        )
         raise PartitionError(
-            f"cache is only supported by method='evolve' (and method='gp' "
-            f"with resources), got method={method!r}"
+            f"method={method!r} does not run on "
+            f"{_STRUCTURE_NAMES.get(stype, stype.__name__)}; "
+            f"methods that do: {runs_on}"
         )
     knobs = {
         name: value
         for name, value in (("refine", refine), ("conn_format", conn_format))
         if value is not None
     }
-    if knobs and method in ("spectral", "exact"):
-        raise PartitionError(
-            f"{' and '.join(f'{n}=' for n in knobs)} needs a refinement "
-            f"engine; method={method!r} has none"
-        )
-    hypergraph = isinstance(g, HGraph)
-    if hypergraph and (method not in _HYPER_METHODS or resources is not None):
-        raise PartitionError(
-            f"a hypergraph is partitioned by methods "
-            f"{'/'.join(_HYPER_METHODS)} with scalar budgets, "
-            f"got method={method!r}"
-            + (" with resources" if resources is not None else "")
-        )
-    if resources is not None:
-        return _partition_graph_vector(
-            g, k, bmax, rmax, method, seed, config, n_jobs, cache,
-            resources, knobs,
-        )
-    if _rmax_is_vector(rmax):
-        raise PartitionError(
-            "a vector rmax needs the per-node resources matrix "
-            "(resources=W); pass a scalar rmax otherwise"
-        )
-    constraints = ConstraintSpec(bmax=bmax, rmax=rmax)
-    if method == "evolve":
-        return evolve_partition(
-            g, k, constraints,
-            config=_configure(method, config, EvolveConfig(), knobs),
-            seed=seed, n_jobs=n_jobs, cache=cache,
-        )
-    if method == "hyper" or (method == "gp" and hypergraph):
-        return hyper_partition(
-            g if hypergraph else HGraph.from_wgraph(g), k, constraints,
-            config=_configure(method, config, HYPER_CONFIG, knobs),
-            seed=seed, n_jobs=n_jobs,
-        )
-    if method == "gp":
-        return gp_partition(
-            g, k, constraints,
-            config=_configure(method, config, GPConfig(), knobs),
-            seed=seed, n_jobs=n_jobs,
-        )
-    if method == "mlkp":
-        return mlkp_partition(
-            g, k, seed=seed, constraints=constraints, **knobs
-        )
-    if method == "spectral":
-        return spectral_partition(g, k, constraints=constraints)
-    if method == "exact":
-        return exact_partition(g, k, constraints, enforce=not constraints.unconstrained)
-    raise PartitionError(
-        f"unknown method {method!r}; valid methods: {_METHODS}"
+    return row.run(
+        structure, k, constraints,
+        _configure(method, row, stype, config, knobs),
+        seed=seed, n_jobs=n_jobs, cache=cache,
     )
 
 
@@ -415,25 +412,20 @@ def partition_ppn(
     """Derive (if needed), weight, and partition a process network.
 
     With ``model="graph"`` the PPN is flattened to the paper's 2-pin
-    mapping graph and *method* picks the graph partitioner.  With
-    ``model="hypergraph"`` multicast channels stay hyperedges and a
-    connectivity-metric partitioner runs (*method* must be ``"gp"``,
-    ``"hyper"`` or ``"evolve"`` — the latter is the memetic search on the
-    hypergraph engine; only ``bandwidth_mode="tokens"`` weights exist for
-    nets).
+    mapping graph; with ``model="hypergraph"`` multicast channels stay
+    hyperedges, partitioned under the connectivity metric (only
+    ``bandwidth_mode="tokens"`` weights exist for nets).
 
     *resources* assigns every process a resource **vector** (LUTs, FFs,
     BRAMs, DSPs — :mod:`repro.fpga.resources`) and *rmax* the matching
     per-resource budget sequence; the partition is then computed under
-    componentwise constraints by the vector path of
-    :func:`partition_graph` (``model="graph"`` with method ``"gp"`` /
-    ``"evolve"`` only).  Accepted spellings: a ``{process name:
+    componentwise constraints.  Accepted spellings: a ``{process name:
     ResourceVector}`` mapping, a node-ordered ``ResourceVector``
     sequence, or a ready ``(n, R)`` matrix.
 
-    Either model's structure is partitioned by :func:`partition_graph`,
-    so *config*, *n_jobs*, *cache* and *refine* follow its rules on both
-    (``refine`` overrides the config's own field; ``None`` keeps it).
+    The structure is partitioned by :func:`partition_graph`, so *method*,
+    *config*, *n_jobs*, *cache*, *resources* and *refine* follow its
+    rules.
 
     Returns ``(result, mapping_structure, names)`` — the second element is
     the :class:`WGraph` or :class:`HGraph` that was partitioned, and

@@ -40,16 +40,13 @@ from dataclasses import dataclass
 from repro.partition.flow_refine import check_refine_mode
 from repro.evolve.operators import mutate_perturb, mutate_walk, recombine
 from repro.evolve.population import Individual, Population
-from repro.graph.wgraph import WGraph
-from repro.hypergraph.partition import hyper_partition
 from repro.partition.base import PartitionResult
 from repro.partition.engine import make_engine
 from repro.partition.goodness import goodness_key
-from repro.partition.gp import GPConfig, gp_partition
+from repro.partition.gp import GPConfig, run_gp
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.multires import mr_gp_partition
 from repro.partition.portfolio import default_portfolio
-from repro.partition.vector_state import VectorConstraints, VectorGraph
+from repro.partition.vector_state import VectorConstraints
 from repro.util.errors import InfeasibleError, PartitionError
 import repro.obs as _obs
 from repro.util.parallel import memoised, parallel_map
@@ -225,26 +222,14 @@ def _seed_member_configs(kind: str, config: EvolveConfig) -> list:
     ]
 
 
-def _run_member(structure, k, constraints, cfg, seed):
-    """One portfolio-member run on any substrate (seeding/immigrants)."""
-    if isinstance(structure, VectorGraph):
-        # cache=False: member runs are EA-internal work units — memoising
-        # them would make the run's wall-clock depend on cache warmth
-        # while the EA's own cache already memoises the whole run
-        return mr_gp_partition(
-            structure.graph, structure.weights, k, constraints, cfg,
-            seed=seed, cache=False,
-        )
-    if isinstance(structure, WGraph):
-        return gp_partition(structure, k, constraints, cfg, seed=seed)
-    return hyper_partition(structure, k, constraints, config=cfg, seed=seed)
-
-
 def _run_seed_member(context, task):
     """Seeding worker (a parallel_map worker): ``task = (cfg, seed)``."""
     structure, k, constraints, _config = context
     cfg, s = task
-    res = _run_member(structure, k, constraints, cfg, s)
+    # cache=False: member runs are EA-internal work units — memoising
+    # them would make the run's wall-clock depend on cache warmth while
+    # the EA's own cache already memoises the whole run
+    res = run_gp(structure, k, constraints, cfg, seed=s, cache=False)
     return res.assign, res.metrics
 
 
@@ -280,7 +265,7 @@ def _run_offspring(context, task):
             refine_passes=config.refine_passes,
         )
     if op == "immigrant":
-        res = _run_member(structure, k, constraints, payload, s)
+        res = run_gp(structure, k, constraints, payload, seed=s, cache=False)
         return res.assign, res.metrics
     raise PartitionError(f"unknown offspring op {op!r}")
 

@@ -23,8 +23,8 @@ generates.
   :class:`~repro.partition.multilevel.GPConfig`).
 
 Entry points: ``PPN.to_hypergraph()``, ``partition_ppn(...,
-model="hypergraph")``, ``partition_graph(..., method="hyper")``, the CLI's
-``--model hypergraph``, and hMETIS ``.hgr`` I/O in
+model="hypergraph")``, ``partition_graph`` on an :class:`HGraph`, the
+CLI's ``--model hypergraph``, and hMETIS ``.hgr`` I/O in
 :mod:`repro.graph.metisio`.  See ``docs/hypergraph.md``.
 """
 

@@ -21,18 +21,22 @@ Pipeline (mirrors the paper's phases):
 The pipeline itself is :func:`~repro.partition.multilevel.
 multilevel_partition`, shared with the hypergraph and vector-resource
 partitioners, under the one :class:`~repro.partition.multilevel.GPConfig`
-(re-exported here); this module runs the driver on the graph engine.
+(re-exported here); this module runs the driver on the graph engine, and
+:func:`run_gp` is the one place that picks GP's engine by structure type.
 """
 
 from __future__ import annotations
 
 from repro.graph.wgraph import WGraph
+from repro.hypergraph.partition import hyper_partition
 from repro.partition.base import PartitionResult
 from repro.partition.engine import GraphEngine
 from repro.partition.metrics import ConstraintSpec
 from repro.partition.multilevel import GPConfig, multilevel_partition
+from repro.partition.multires import mr_gp_partition
+from repro.partition.vector_state import VectorGraph
 
-__all__ = ["GPConfig", "gp_partition"]
+__all__ = ["GPConfig", "gp_partition", "run_gp"]
 
 
 def gp_partition(
@@ -84,4 +88,38 @@ def gp_partition(
     engine = GraphEngine(g, k, conn_format=config.conn_format)
     return multilevel_partition(
         engine, constraints, config, seed=seed, n_jobs=n_jobs
+    )
+
+
+def run_gp(
+    structure,
+    k: int,
+    constraints,
+    config: GPConfig | None = None,
+    seed=None,
+    n_jobs: int | None = 1,
+    cache: bool = True,
+):
+    """GP on any structure, the engine picked by its type.
+
+    A :class:`~repro.graph.wgraph.WGraph` runs :func:`gp_partition`, a
+    :class:`~repro.partition.vector_state.VectorGraph` (with
+    ``VectorConstraints``) runs :func:`~repro.partition.multires.
+    mr_gp_partition` and anything else — an
+    :class:`~repro.hypergraph.hgraph.HGraph` — runs
+    :func:`~repro.hypergraph.partition.hyper_partition`; ``config=None``
+    means each one's own default.  *cache* reaches the one memoised
+    engine (vector GP); the others have nothing to memoise.
+    """
+    if isinstance(structure, VectorGraph):
+        return mr_gp_partition(
+            structure.graph, structure.weights, k, constraints, config,
+            seed=seed, n_jobs=n_jobs, cache=cache,
+        )
+    if isinstance(structure, WGraph):
+        return gp_partition(
+            structure, k, constraints, config, seed=seed, n_jobs=n_jobs
+        )
+    return hyper_partition(
+        structure, k, constraints, config=config, seed=seed, n_jobs=n_jobs
     )

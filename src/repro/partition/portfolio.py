@@ -40,7 +40,7 @@ from collections.abc import Sequence
 from repro.graph.wgraph import WGraph
 from repro.partition.base import PartitionResult
 from repro.partition.goodness import goodness_key
-from repro.partition.gp import GPConfig, gp_partition
+from repro.partition.gp import GPConfig, gp_partition, run_gp
 from repro.partition.metrics import ConstraintSpec
 from repro.util.errors import InfeasibleError, PartitionError
 import repro.obs as _obs
@@ -197,19 +197,9 @@ def _race_members(g, k, constraints, members, seed, stop_on_feasible,
 
 
 def _run_race_member(task) -> PartitionResult:
-    """Run one traffic-model candidate (a parallel_map worker).
-
-    Imports of the hypergraph substrate are deferred so the partition
-    package stays importable on its own.
-    """
-    kind, payload = task
-    if kind == "graph":
-        g, k, constraints, cfg, s = payload
-        return gp_partition(g, k, constraints, cfg, seed=s)
-    from repro.hypergraph.partition import hyper_partition
-
-    hg, k, constraints, cfg, s = payload
-    return hyper_partition(hg, k, constraints, config=cfg, seed=s)
+    """Run one traffic-model candidate (a parallel_map worker)."""
+    structure, k, constraints, cfg, s = task
+    return run_gp(structure, k, constraints, cfg, seed=s)
 
 
 def race_models(
@@ -264,8 +254,8 @@ def race_models(
         res_graph, res_hyper = parallel_map(
             _run_race_member,
             [
-                ("graph", (g, k, constraints, member_cfg, s_graph)),
-                ("hyper", (hg, k, constraints, hyper_config, s_hyper)),
+                (g, k, constraints, member_cfg, s_graph),
+                (hg, k, constraints, hyper_config, s_hyper),
             ],
             n_jobs=n_jobs,
         )

@@ -53,7 +53,13 @@ def fiedler_vector(g: WGraph) -> np.ndarray:
     if g.n <= _DENSE_CUTOVER:
         vals, vecs = scipy.linalg.eigh(lap.toarray())
         return vecs[:, 1]
-    vals, vecs = scipy.sparse.linalg.eigsh(lap, k=2, sigma=-1e-8, which="LM")
+    # ARPACK draws a random start vector unless given one, and the
+    # eigenvector's sign follows it: a fixed start keeps the partition
+    # reproducible
+    v0 = np.random.default_rng(0).random(g.n)
+    vals, vecs = scipy.sparse.linalg.eigsh(
+        lap, k=2, sigma=-1e-8, which="LM", v0=v0
+    )
     order = np.argsort(vals)
     return vecs[:, order[1]]
 

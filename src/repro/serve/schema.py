@@ -35,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from repro.core.api import METHODS
 from repro.graph.io import graph_from_json
 from repro.graph.wgraph import WGraph
 from repro.util.errors import ReproError
@@ -47,11 +48,7 @@ __all__ = [
     "parse_request",
     "request_cache_key",
     "result_payload",
-    "SERVE_METHODS",
 ]
-
-#: Methods servable on the graph model — the full partition_graph surface.
-SERVE_METHODS = ("gp", "mlkp", "spectral", "exact", "hyper", "evolve")
 
 
 class ServeError(ReproError):
@@ -126,9 +123,9 @@ def parse_request(doc) -> ServeRequest:
         raise BadRequest(f"'k' must be a positive integer, got {k!r}")
 
     method = doc.get("method", "gp")
-    if method not in SERVE_METHODS:
+    if method not in METHODS:
         raise BadRequest(
-            f"unknown method {method!r}; servable methods: {SERVE_METHODS}"
+            f"unknown method {method!r}; valid methods: {METHODS}"
         )
 
     bmax = _parse_bound(doc, "bmax")

@@ -31,11 +31,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import repro.obs as _obs
 from repro import __version__
-from repro.core.api import (
-    _JOBS_METHODS,
-    configure_cache_backend,
-    partition_graph,
-)
+from repro.core.api import configure_cache_backend, partition_graph
 from repro.obs import LATENCY_BUCKETS_MS
 from repro.serve.schema import (
     ServeError,
@@ -172,11 +168,11 @@ class ReproServer:
     memory_entries:
         In-memory LRU entries layered above the disk store.
     n_jobs:
-        Worker processes for methods with independent randomized work
-        (``gp``/``evolve``; other methods run serially — they have
-        nothing to race).  By the determinism contract the value cannot
-        change any result.  With ``n_jobs > 1`` a warm pool is started
-        once and reused across requests.
+        Worker processes every request may race its work across (a
+        method with nothing to race runs serially).  By the determinism
+        contract the value cannot change any result.  With
+        ``n_jobs > 1`` a warm pool is started once and reused across
+        requests.
     """
 
     def __init__(
@@ -269,8 +265,7 @@ class ReproServer:
             rmax=req.rmax,
             method=req.method,
             seed=req.seed,
-            # only methods with independent randomized work take the pool
-            n_jobs=self.n_jobs if req.method in _JOBS_METHODS else 1,
+            n_jobs=self.n_jobs,
         )
         return result_payload(req, result)
 

@@ -141,8 +141,8 @@ class TestParity:
         code, message = outcomes[0]
         assert code == 1
         # the library's message: the CLI forwards the flags unchecked
-        assert "resources (vector budgets) are supported by methods " \
-            "('gp', 'evolve'), got method='spectral'" in message
+        assert "method='spectral' does not run on vector budgets " \
+            "(resources=); methods that do: ('gp', 'evolve')" in message
 
     def test_refine_flag_on_every_entry_form(self):
         # --refine (with its three spellings) must surface identically via

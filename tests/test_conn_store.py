@@ -516,9 +516,12 @@ class TestEndToEnd:
 
         g = random_process_network(20, 40, seed=7)
         # no refinement engine, no store (Φ engine), no such config field
-        for method in ("spectral", "hyper", "evolve"):
+        for structure, method in ((g, "spectral"),
+                                  (HGraph.from_wgraph(g), "gp"),
+                                  (g, "evolve")):
             with pytest.raises(PartitionError, match="conn_format"):
-                partition_graph(g, 2, method=method, conn_format="sparse")
+                partition_graph(structure, 2, method=method,
+                                conn_format="sparse")
         with pytest.raises(PartitionError, match="conn_format"):
             partition_graph(g, 2, conn_format="blocked")
 

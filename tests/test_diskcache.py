@@ -249,9 +249,12 @@ class TestDiskBackedMemoisation:
 
     def test_portfolio_disk_hit_is_byte_identical(self, tmp_path, clean_caches):
         g = random_process_network(40, 90, seed=11)
-        cons = ConstraintSpec(bmax=64.0, rmax=400.0)
+        # a feasible instance: an infeasible one makes every member burn
+        # all its cycles, for the same disk round trip
+        cons = ConstraintSpec(bmax=64.0, rmax=600.0)
 
         reference = portfolio_partition(g, 3, cons, seed=4, cache=False)
+        assert reference.feasible
 
         enable_disk_cache(tmp_path)
         computed = portfolio_partition(g, 3, cons, seed=4)

@@ -462,9 +462,7 @@ class TestWiring:
         with pytest.raises(PartitionError):
             partition_graph(g, 3, method="evolve", config=GPConfig())
         with pytest.raises(PartitionError):
-            partition_graph(g, 3, method="mlkp", cache=False)
-        with pytest.raises(PartitionError):
-            partition_graph(g, 3, method="spectral", n_jobs=2)
+            partition_graph(g, 3, method="mlkp", config=SMALL)
 
     def test_partition_ppn_evolve_both_models(self):
         from repro.core.api import partition_ppn
@@ -477,14 +475,6 @@ class TestWiring:
             )
             assert res.algorithm == expect
             assert structure.n == len(names)
-
-    def test_partition_ppn_hypergraph_rejects_cache_for_hyper(self):
-        from repro.core.api import partition_ppn
-        from repro.polyhedral.gallery import lu
-
-        with pytest.raises(PartitionError):
-            partition_ppn(lu(6), 2, method="hyper", model="hypergraph",
-                          cache=False)
 
     def test_cli_evolve_graph(self, tmp_path, capsys):
         from repro.cli import main
@@ -510,16 +500,21 @@ class TestWiring:
 
         p = tmp_path / "g.json"
         p.write_text(graph_to_json(graph_instance()))
-        for flag in (["--generations", "2"], ["--pop-size", "4"],
-                     ["--time-budget", "1"], ["--no-cache"],
-                     # zero is falsy but still "given" — must be rejected
-                     # for non-evolve methods, not silently dropped
-                     ["--generations", "0"], ["--pop-size", "0"],
-                     ["--time-budget", "0"]):
+        # zero is falsy but still "given" — it must be rejected for
+        # non-evolve methods, not silently dropped: by the library's config
+        # check, or by EvolveConfig's own when zero is no valid budget
+        for flag, names in (
+            (["--generations", "2"], "EvolveConfig"),
+            (["--pop-size", "4"], "EvolveConfig"),
+            (["--time-budget", "1"], "EvolveConfig"),
+            (["--generations", "0"], "EvolveConfig"),
+            (["--pop-size", "0"], "pop_size"),
+            (["--time-budget", "0"], "time_budget"),
+        ):
             rc = main(["partition", "--input", str(p), "--k", "3",
                        "--method", "gp", *flag])
             assert rc == 1
-            assert "evolve" in capsys.readouterr().err
+            assert names in capsys.readouterr().err
 
     def test_cli_cache_subcommand(self, capsys):
         from repro.cli import main

@@ -88,7 +88,7 @@ def _vector_case(seed, n=26, m=60, k=3):
 
 #: ``partition_graph`` spellings whose config carries a ``refine`` field
 #: besides scalar gp: each engine, and evolve on top of them.
-REFINE_ENTRIES = ("hyper", "gp-hypergraph", "gp-vector", "evolve")
+REFINE_ENTRIES = ("gp-hypergraph", "gp-vector", "evolve")
 
 
 def _refine_entry(entry):
@@ -96,8 +96,6 @@ def _refine_entry(entry):
     entry spelling of :data:`REFINE_ENTRIES`, k = 3."""
     g = random_process_network(30, 70, seed=4, node_weight_range=(1, 6))
     cons = dict(bmax=16.0, rmax=g.total_node_weight / 3 * 1.2)
-    if entry == "hyper":
-        return dict(g=g, method="hyper", **cons), HYPER_CONFIG
     if entry == "gp-hypergraph":
         return dict(g=HGraph.from_wgraph(g), method="gp", **cons), HYPER_CONFIG
     if entry == "gp-vector":
@@ -398,7 +396,8 @@ class TestValidation:
         cons = dict(bmax=18.0, rmax=g.total_node_weight / 3 * 1.15)
         runs = {
             mode: partition_graph(
-                g, 3, method="hyper", seed=seed, refine=mode, **cons
+                HGraph.from_wgraph(g), 3, method="gp", seed=seed,
+                refine=mode, **cons
             )
             for mode in ("fm", "fm+flow")
         }

@@ -1,6 +1,6 @@
 """Tests for the hypergraph substrate: HGraph structure, PPN export,
 connectivity metrics, the multicast generator, and end-to-end wiring
-(`partition_graph(method="hyper")`, `partition_ppn(model="hypergraph")`,
+(`partition_graph` on an `HGraph`, `partition_ppn(model="hypergraph")`,
 `race_models`, CLI `--model hypergraph`)."""
 
 import numpy as np
@@ -297,14 +297,16 @@ class TestCoarsening:
 
 
 class TestEndToEndWiring:
-    def test_partition_graph_hyper_method(self):
+    def test_partition_graph_gp_on_lifted_graph(self):
         g = random_process_network(20, 40, seed=0)
-        res = partition_graph(g, 3, rmax=400.0, method="hyper", seed=0)
+        res = partition_graph(
+            HGraph.from_wgraph(g), 3, rmax=400.0, method="gp", seed=0
+        )
         assert res.algorithm == "GP-hyper"
         assert res.info["model"] == "hypergraph"
         assert res.assign.shape == (20,)
 
-    def test_partition_graph_hyper_takes_gpconfig(self):
+    def test_partition_graph_hypergraph_gp_takes_gpconfig(self):
         # hypergraph GP is configured by GP's own config; None means
         # GPConfig(max_cycles=10), and other config classes are refused
         from repro.evolve.ea import EvolveConfig
@@ -312,8 +314,8 @@ class TestEndToEndWiring:
 
         g = random_process_network(20, 40, seed=0)
         runs = [
-            partition_graph(g, 3, rmax=400.0, method="hyper", seed=0,
-                            config=config)
+            partition_graph(HGraph.from_wgraph(g), 3, rmax=400.0,
+                            method="gp", seed=0, config=config)
             for config in (None, GPConfig(max_cycles=10))
         ]
         direct = hyper_partition(
@@ -323,7 +325,8 @@ class TestEndToEndWiring:
         for res in runs:
             np.testing.assert_array_equal(res.assign, direct.assign)
         with pytest.raises(PartitionError, match="GPConfig"):
-            partition_graph(g, 2, method="hyper", config=EvolveConfig())
+            partition_graph(HGraph.from_wgraph(g), 2, method="gp",
+                            config=EvolveConfig())
 
     def test_partition_ppn_hypergraph_model(self):
         res, hg, names = partition_ppn(
@@ -463,7 +466,7 @@ class TestHypergraphCLI:
             "--model", "hypergraph", "--method", "exact",
         ])
         assert rc == 1
-        assert "gp/hyper" in capsys.readouterr().err
+        assert "('gp', 'evolve')" in capsys.readouterr().err
         rc = main([
             "partition", "--input", str(p), "--k", "2",
             "--model", "hypergraph", "--dot", str(tmp_path / "g.dot"),

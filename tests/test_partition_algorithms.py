@@ -252,6 +252,14 @@ class TestSpectral:
         res = spectral_partition(g, 2)
         assert res.assign.shape == (120,)
 
+    def test_sparse_path_is_reproducible(self):
+        # the sparse eigensolver used to start from a random vector, so
+        # repeated calls could return the parts relabelled or reshaped
+        g = random_process_network(400, 1100, seed=17)
+        runs = [spectral_partition(g, 4).assign for _ in range(4)]
+        for a in runs[1:]:
+            np.testing.assert_array_equal(a, runs[0])
+
     def test_k_validation(self):
         g = random_process_network(10, 18, seed=0)
         with pytest.raises(PartitionError):
