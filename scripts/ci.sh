@@ -13,7 +13,8 @@
 # (REPRO_TEST_JOBS=2: parallel==serial bit-identity for every
 # parallel_map submit shape and for the partitioners, cache behaviour,
 # vectorized-vs-legacy coarsening, the multilevel driver corpus on all
-# three engines) so a determinism break is named even
+# three engines, the pinned MLKP rows on the same driver) so a
+# determinism break is named even
 # when stage 1 already caught it, plus the X8 V-cycle ablation on the
 # graph, hypergraph and vector engines (gated: 2 V-cycles never worse
 # than 0 in goodness at the same seed; artefact
@@ -97,7 +98,8 @@ echo "== stage 4: parallel differential suite (n_jobs=2) =="
 REPRO_TEST_JOBS=2 python -m pytest -q \
   tests/test_parallel_portfolio.py \
   tests/test_coarsen_vectorized.py \
-  tests/test_multilevel.py
+  tests/test_multilevel.py \
+  "tests/test_partition_algorithms.py::test_mlkp_pinned"
 python -m pytest -q benchmarks/bench_ablation_vcycle.py
 
 echo "== stage 5: evolutionary search suite + equal-budget smoke =="

@@ -54,7 +54,7 @@ from repro.partition.base import PartitionResult
 from repro.partition.exact import exact_partition
 from repro.partition.gp import GPConfig, run_gp
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.mlkp import mlkp_partition
+from repro.partition.mlkp import MLKP_CONFIG, mlkp_partition
 from repro.partition.multires import MR_GP_CONFIG, MultiResResult
 from repro.partition.spectral import spectral_partition
 from repro.partition.vector_state import VectorConstraints, VectorGraph
@@ -115,10 +115,8 @@ class _Method(NamedTuple):
     #: ``run(structure, k, constraints, config, seed, n_jobs, cache)``
     run: Callable
     #: structure type it runs on -> its default config (``None``: the
-    #: method takes no config, and ``run`` gets its *knobs* as a dict)
+    #: method takes no config and no knob)
     configs: dict
-    #: engine knobs a method without a config takes as keywords
-    knobs: tuple = ()
 
 
 #: The whole method contract of :func:`partition_graph`.
@@ -128,20 +126,19 @@ _METHOD_TABLE = {
         {WGraph: GPConfig(), VectorGraph: MR_GP_CONFIG, HGraph: HYPER_CONFIG},
     ),
     "mlkp": _Method(
-        lambda g, k, cons, knobs, seed, **_: mlkp_partition(
-            g, k, seed=seed, constraints=cons, **knobs
+        lambda g, k, cons, config, seed, n_jobs, **_: mlkp_partition(
+            g, k, cons, config, seed=seed, n_jobs=n_jobs
         ),
-        {WGraph: None},
-        knobs=("refine", "conn_format"),
+        {WGraph: MLKP_CONFIG},
     ),
     "spectral": _Method(
-        lambda g, k, cons, knobs, **_: spectral_partition(
+        lambda g, k, cons, config, **_: spectral_partition(
             g, k, constraints=cons
         ),
         {WGraph: None},
     ),
     "exact": _Method(
-        lambda g, k, cons, knobs, **_: exact_partition(
+        lambda g, k, cons, config, **_: exact_partition(
             g, k, cons, enforce=not cons.unconstrained
         ),
         {WGraph: None},
@@ -169,8 +166,7 @@ def _configure(method: str, row: _Method, stype: type, config, knobs: dict):
     comes back as given (``None`` lets the callee apply its own default);
     a config of another class, or a knob the method has no field for, is
     rejected here, and a knob value the config or engine cannot honour is
-    rejected by them.  A method without a config gets its knobs as a
-    keyword dict.
+    rejected by them.
     """
     default = row.configs[stype]
     if default is None:
@@ -179,13 +175,12 @@ def _configure(method: str, row: _Method, stype: type, config, knobs: dict):
                 f"method={method!r} takes no config, "
                 f"got {type(config).__name__}"
             )
-        unknown = [name for name in knobs if name not in row.knobs]
-        if unknown:
+        if knobs:
             raise PartitionError(
-                f"{' and '.join(f'{n}=' for n in unknown)} needs a "
+                f"{' and '.join(f'{n}=' for n in knobs)} needs a "
                 f"refinement engine; method={method!r} has none"
             )
-        return knobs
+        return None
     cls = type(default)
     if config is not None and not isinstance(config, cls):
         raise PartitionError(
@@ -263,8 +258,8 @@ def partition_graph(
 
     * ``"gp"`` — graph, vector budgets or hypergraph;
       :class:`~repro.partition.gp.GPConfig`.
-    * ``"mlkp"``, ``"spectral"``, ``"exact"`` (≤20 nodes) — graph only;
-      no config.
+    * ``"mlkp"`` — graph only; :class:`~repro.partition.gp.GPConfig`.
+    * ``"spectral"``, ``"exact"`` (≤20 nodes) — graph only; no config.
     * ``"evolve"`` — graph, vector budgets or hypergraph;
       :class:`~repro.evolve.ea.EvolveConfig`.
 
@@ -276,10 +271,12 @@ def partition_graph(
     default (:class:`~repro.partition.gp.GPConfig`,
     :data:`~repro.hypergraph.partition.HYPER_CONFIG`,
     :data:`~repro.partition.multires.MR_GP_CONFIG`).  ``"mlkp"`` is
-    METIS-like and ``"spectral"`` recursive spectral bisection — both
-    only audit the constraints; ``"exact"`` enforces them.  ``"evolve"``
-    is the memetic population search over the GP machinery
-    (``docs/evolve.md``).  A method without a config rejects any
+    METIS-like: GP's driver on kmetis's steps under a balance objective
+    (:data:`~repro.partition.mlkp.MLKP_CONFIG` by default).  It and
+    ``"spectral"`` (recursive spectral bisection) only audit the
+    constraints — ``on_infeasible="raise"`` makes a failed audit raise —
+    while ``"exact"`` enforces them.  ``"evolve"`` is the memetic
+    population search over the GP machinery (``docs/evolve.md``).  A method without a config rejects any
     *config*, and every method rejects a config of another class.
 
     The structure is *g* — a :class:`~repro.graph.wgraph.WGraph` or an
@@ -293,8 +290,9 @@ def partition_graph(
     ``cache=False`` forbids memo reads and writes.  Every method takes
     both and returns bit-identical results for every value: GP races its
     retry cycles and evolve its members and offspring batches
-    (``docs/parallel.md``); vector GP and evolve are memoised; a method
-    with nothing to race or memoise honours them by doing nothing.
+    (``docs/parallel.md``), and so does MLKP when its config allows more
+    than one cycle; vector GP and evolve are memoised; a method with
+    nothing to race or memoise honours them by doing nothing.
 
     *refine* and *conn_format* override the config's own fields of the
     same name; ``None`` (default) keeps the config's value.  *refine*
@@ -304,11 +302,11 @@ def partition_graph(
     ``"fm"`` at equal seeds.  *conn_format* selects the refinement
     engine's connectivity store: ``"auto"`` — dense below the ``k·n``
     threshold, sparse above; ``"dense"`` / ``"sparse"`` force a format,
-    and the partition is bit-identical either way.  ``"mlkp"`` takes both
-    as keywords; ``"spectral"`` and ``"exact"`` have no refinement engine
-    and reject both.  A *conn_format* other than ``"auto"`` is rejected
-    by the engines without a store — the hypergraph Φ engine and
-    ``"evolve"``, whose config has no such field.
+    and the partition is bit-identical either way.  ``"spectral"`` and
+    ``"exact"`` have no refinement engine and reject both.  A
+    *conn_format* other than ``"auto"`` is rejected by the engines
+    without a store — the hypergraph Φ engine and ``"evolve"``, whose
+    config has no such field.
 
     *profile* runs the call under an observability capture
     (:func:`repro.obs.capture`) and returns a

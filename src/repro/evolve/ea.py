@@ -44,7 +44,7 @@ from repro.partition.base import PartitionResult
 from repro.partition.engine import make_engine
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, run_gp
-from repro.partition.metrics import ConstraintSpec
+from repro.partition.metrics import ConstraintSpec, check_k
 from repro.partition.portfolio import default_portfolio
 from repro.partition.vector_state import VectorConstraints
 from repro.util.errors import InfeasibleError, PartitionError
@@ -391,10 +391,7 @@ def evolve_partition(
             "VectorConstraints need a VectorGraph structure; wrap the "
             "graph and its weight matrix in one (or pass a ConstraintSpec)"
         )
-    if k < 1:
-        raise PartitionError(f"k must be >= 1, got {k}")
-    if k > structure.n:
-        raise PartitionError(f"k={k} exceeds node count {structure.n}")
+    check_k(k, structure.n)
     run_seed = seed if seed is not None else config.seed
     result = memoised(
         ("evolve", engine.kind, engine.digest(), k, constraints, config),

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.graph.wgraph import WGraph
 from repro.partition.base import PartitionResult
-from repro.partition.metrics import ConstraintSpec, evaluate_partition
+from repro.partition.metrics import ConstraintSpec, check_k, evaluate_partition
 import repro.obs as _obs
 from repro.util.errors import InfeasibleError, PartitionError
 
@@ -133,10 +133,7 @@ def exact_partition(
         If ``enforce`` and no assignment satisfies the constraints.
     """
     constraints = constraints or ConstraintSpec()
-    if k < 1:
-        raise PartitionError(f"k must be >= 1, got {k}")
-    if k > g.n:
-        raise PartitionError(f"k={k} exceeds node count {g.n}")
+    check_k(k, g.n)
     if g.n > _MAX_NODES:
         raise PartitionError(
             f"exact search is limited to {_MAX_NODES} nodes, got {g.n}"

@@ -33,7 +33,7 @@ from repro.partition.base import PartitionResult
 from repro.partition.engine import GraphEngine
 from repro.partition.metrics import ConstraintSpec
 from repro.partition.multilevel import GPConfig, multilevel_partition
-from repro.partition.multires import mr_gp_partition
+from repro.partition.multires import vector_gp_partition
 from repro.partition.vector_state import VectorGraph
 
 __all__ = ["GPConfig", "gp_partition", "run_gp"]
@@ -105,16 +105,16 @@ def run_gp(
     A :class:`~repro.graph.wgraph.WGraph` runs :func:`gp_partition`, a
     :class:`~repro.partition.vector_state.VectorGraph` (with
     ``VectorConstraints``) runs :func:`~repro.partition.multires.
-    mr_gp_partition` and anything else — an
+    vector_gp_partition` on the structure as given, and anything else — an
     :class:`~repro.hypergraph.hgraph.HGraph` — runs
     :func:`~repro.hypergraph.partition.hyper_partition`; ``config=None``
     means each one's own default.  *cache* reaches the one memoised
     engine (vector GP); the others have nothing to memoise.
     """
     if isinstance(structure, VectorGraph):
-        return mr_gp_partition(
-            structure.graph, structure.weights, k, constraints, config,
-            seed=seed, n_jobs=n_jobs, cache=cache,
+        return vector_gp_partition(
+            structure, k, constraints, config, seed=seed, n_jobs=n_jobs,
+            cache=cache,
         )
     if isinstance(structure, WGraph):
         return gp_partition(

@@ -21,7 +21,7 @@ import numpy as np
 from repro.graph.wgraph import WGraph
 from repro.partition.goodness import goodness_key
 from repro.partition.kway_refine import constrained_kway_fm
-from repro.partition.metrics import ConstraintSpec
+from repro.partition.metrics import ConstraintSpec, check_k
 from repro.partition.refine_state import RefinementState
 from repro.util.errors import PartitionError
 from repro.util.rng import as_rng, spawn_seeds
@@ -78,10 +78,7 @@ def greedy_grow_once(
     heaviest unassigned node takes its place — this realises both the
     "heaviest node" round (no seeds) and the random-restart rounds.
     """
-    if k < 1:
-        raise PartitionError(f"k must be >= 1, got {k}")
-    if k > g.n:
-        raise PartitionError(f"k={k} exceeds node count {g.n}")
+    check_k(k, g.n)
     assign = np.full(g.n, -1, dtype=np.int64)
     for part in range(k):
         unassigned = np.nonzero(assign < 0)[0]

@@ -29,6 +29,7 @@ __all__ = [
     "ConstraintSpec",
     "PartitionMetrics",
     "check_assignment",
+    "check_k",
     "cut_value",
     "bandwidth_matrix",
     "part_weights",
@@ -86,6 +87,14 @@ class PartitionMetrics:
     def as_row(self) -> list:
         """Columns in the paper's table order (sans runtime)."""
         return [self.cut, self.max_resource, self.max_local_bandwidth]
+
+
+def check_k(k: int, n: int) -> None:
+    """Reject a part count no partition of *n* nodes can have."""
+    if k < 1:
+        raise PartitionError(f"k must be >= 1, got {k}")
+    if k > n:
+        raise PartitionError(f"k={k} exceeds node count {n}")
 
 
 def check_assignment(g: WGraph, assign: np.ndarray, k: int) -> np.ndarray:

@@ -10,6 +10,12 @@ structural, not numeric (see DESIGN.md, Substitutions):
 3. **Un-coarsening** with greedy cut-driven k-way boundary refinement under a
    node-weight balance cap (METIS's default load-imbalance tolerance 1.03).
 
+The three steps are the hooks of :class:`MLKPEngine`; the level walk,
+seeding, ``fm+flow`` polish and ``n_jobs`` race are GP's own driver
+(:func:`~repro.partition.multilevel.multilevel_partition`), run under
+:data:`MLKP_CONFIG` and the baseline's own objective — the balance cap
+as the resource constraint.
+
 The baseline minimises *global* edge cut subject only to *balance* — it is
 deliberately oblivious to the paper's pairwise-bandwidth and absolute
 resource caps, which is precisely the behaviour the paper's experiments
@@ -20,22 +26,32 @@ from __future__ import annotations
 
 import numpy as np
 
-import repro.obs as _obs
 from repro.graph.wgraph import WGraph
 from repro.partition.base import PartitionResult
-from repro.partition.coarsen import build_hierarchy
-from repro.partition.flow_refine import check_refine_mode, run_flow_refine
+from repro.partition.engine import GraphEngine
 from repro.partition.fm import fm_refine_bisection
 from repro.partition.kway_refine import greedy_kway_refine, rebalance_pass
-from repro.partition.metrics import ConstraintSpec, evaluate_partition
-from repro.partition.refine_state import RefinementState
-from repro.util.errors import PartitionError
-from repro.util.rng import as_rng, spawn_seeds
+from repro.partition.metrics import ConstraintSpec, check_k, evaluate_partition
+from repro.partition.multilevel import GPConfig, multilevel_partition
+from repro.util.rng import as_rng
 
-__all__ = ["mlkp_partition", "recursive_bisection"]
+__all__ = [
+    "MLKP_CONFIG",
+    "MLKPEngine",
+    "mlkp_partition",
+    "recursive_bisection",
+]
 
 #: METIS's default load-imbalance tolerance for k-way (ufactor=30 -> 1.03).
 DEFAULT_BALANCE = 1.03
+
+#: kmetis's pipeline as a driver config: one heavy-edge hierarchy down to
+#: ``max(20, 4k)`` nodes, four bisection trials, one refinement run per
+#: level and no retry cycles — the baseline never retries.
+MLKP_CONFIG = GPConfig(
+    coarsen_to=20, restarts=4, max_cycles=1, level_candidates=1,
+    refine_passes=8, matchings=("hem",),
+)
 
 
 def _grow_bisection(
@@ -75,7 +91,6 @@ def recursive_bisection(
     g: WGraph,
     k: int,
     seed=None,
-    balance: float = DEFAULT_BALANCE,
     trials: int = 4,
 ) -> np.ndarray:
     """Recursive bisection into *k* weight-proportional parts.
@@ -84,10 +99,7 @@ def recursive_bisection(
     (balance-capped) and keeps the smallest cut — the strategy kmetis uses
     for its coarsest-level initial partitioning.
     """
-    if k < 1:
-        raise PartitionError(f"k must be >= 1, got {k}")
-    if k > g.n:
-        raise PartitionError(f"k={k} exceeds node count {g.n}")
+    check_k(k, g.n)
     rng = as_rng(seed)
     assign = np.zeros(g.n, dtype=np.int64)
 
@@ -112,8 +124,8 @@ def recursive_bisection(
         k1 = k_sub - k0
         frac0 = k0 / k_sub
         target0 = frac0 * sub.total_node_weight
-        cap0 = balance * target0
-        cap1 = balance * (sub.total_node_weight - target0)
+        cap0 = DEFAULT_BALANCE * target0
+        cap1 = DEFAULT_BALANCE * (sub.total_node_weight - target0)
         best = None
         for _ in range(max(1, trials)):
             a = _grow_bisection(sub, target0, rng)
@@ -130,108 +142,83 @@ def recursive_bisection(
     return assign
 
 
+class MLKPEngine(GraphEngine):
+    """kmetis's three steps on the graph engine's surface.
+
+    The driver hands every hook the balance objective — a
+    :class:`~repro.partition.metrics.ConstraintSpec` whose ``rmax`` is the
+    balance cap — while *audit* (the caller's constraints) only judges the
+    result.
+    """
+
+    span = "mlkp"
+    algorithm = "MLKP"
+
+    def __init__(self, g: WGraph, k: int, audit: ConstraintSpec,
+                 conn_format: str = "auto") -> None:
+        super().__init__(g, k, conn_format=conn_format)
+        self.audit = audit
+
+    def coarsen(self, coarsen_to: int, matchings, constraints, seed):
+        return super().coarsen(
+            max(coarsen_to, 4 * self.k), matchings, constraints, seed
+        )
+
+    def initial(self, structure: WGraph, constraints, restarts: int, seed):
+        return recursive_bisection(structure, self.k, seed=seed,
+                                   trials=restarts)
+
+    def level_fm(self, structure: WGraph, assign, constraints, max_passes,
+                 seed, state, seed_nodes):
+        # kmetis order on the level's one state: restore balance first,
+        # then chase the cut
+        cap = constraints.rmax
+        assign = rebalance_pass(structure, assign, self.k, cap, state=state)
+        return greedy_kway_refine(
+            structure, assign, self.k, max_part_weight=cap,
+            max_passes=max_passes, seed=seed, state=state,
+            seed_nodes=seed_nodes,
+        )
+
+    def result(self, assign, metrics, constraints, runtime: float,
+               info: dict):
+        """The result judged against the caller's constraints."""
+        return super().result(assign, self.evaluate(assign, self.audit),
+                              self.audit, runtime, info)
+
+
 def mlkp_partition(
     g: WGraph,
     k: int,
-    seed=None,
-    coarsen_to: int | None = None,
-    balance: float = DEFAULT_BALANCE,
-    refine_passes: int = 8,
     constraints: ConstraintSpec | None = None,
-    refine: str = "fm",
-    conn_format: str = "auto",
+    config: GPConfig | None = None,
+    seed=None,
+    n_jobs: int | None = 1,
 ) -> PartitionResult:
     """Partition *g* into *k* parts, METIS style.
 
     *constraints* (optional) are **not enforced** — they are only used to
     evaluate the result's feasibility, mirroring how the paper audits the
-    METIS output against ``Bmax``/``Rmax`` after the fact.
+    METIS output against ``Bmax``/``Rmax`` after the fact.  The pipeline
+    itself runs under the baseline's own objective, a balance cap of
+    ``DEFAULT_BALANCE · total / k`` as the resource constraint.
 
-    ``refine="fm+flow"`` (``"fm"``, the native pipeline, is the default)
-    appends a guarded corridor-flow stage
-    (:mod:`repro.partition.flow_refine`) after un-coarsening, run under
-    the baseline's *own* objective — a balance cap of
-    ``balance · total / k`` as the resource constraint — so the stage
-    polishes the cut without abandoning kmetis's balance contract.
-
-    *conn_format* selects the engine's connectivity representation
-    (``"auto"``/``"dense"``/``"sparse"``, see
-    :mod:`repro.partition.conn_store`); results are identical either way.
+    *config* is GP's :class:`~repro.partition.multilevel.GPConfig`
+    (:data:`MLKP_CONFIG` when omitted) and means what it means for
+    :func:`~repro.partition.gp.gp_partition`: ``refine="fm+flow"``
+    appends one guarded corridor-flow stage under the balance objective,
+    ``conn_format`` picks the connectivity store (results are identical
+    either way), ``matchings`` the coarsening heuristics, ``vcycles``
+    adds restricted V-cycles (refined with the graph engine's FM), and
+    ``on_infeasible="raise"`` raises when the audit fails.  *seed*
+    overrides ``config.seed``; *n_jobs* races retry cycles when
+    ``max_cycles > 1``.  ``info`` holds ``cycles``, ``levels`` and
+    ``max_cycles``.
     """
-    check_refine_mode(refine)
-    if k < 1:
-        raise PartitionError(f"k must be >= 1, got {k}")
-    if k > g.n:
-        raise PartitionError(f"k={k} exceeds node count {g.n}")
-    if balance < 1.0:
-        raise PartitionError(f"balance must be >= 1.0, got {balance}")
-    rng = as_rng(seed)
-    seed_hier, seed_init, seed_refine = spawn_seeds(rng, 3)
-    if coarsen_to is None:
-        coarsen_to = max(20, 4 * k)
-    with _obs.timed_span("mlkp", nodes=g.n, k=k) as sw:
-        hier = build_hierarchy(g, coarsen_to=max(coarsen_to, k),
-                               seed=seed_hier, methods=("hem",))
-        coarsest = hier.coarsest
-        with _obs.trace_span("mlkp.initial", nodes=coarsest.n):
-            assign = recursive_bisection(
-                coarsest, k, seed=seed_init, balance=balance
-            )
-
-        max_part_weight = balance * g.total_node_weight / k
-        refine_seeds = spawn_seeds(seed_refine, max(hier.depth, 1))
-
-        def refine_level(level, assign, seed_nodes=None):
-            level_graph = hier.levels[level].graph
-            with _obs.trace_span(
-                "mlkp.refine_level", level=level,
-                nodes=level_graph.n, edges=level_graph.m,
-            ):
-                # one engine state per level, shared by both phases so
-                # connectivity and bandwidth are never rebuilt between them
-                state = RefinementState(
-                    level_graph, assign, k, conn_format=conn_format
-                )
-                # kmetis order: restore balance first, then chase the cut
-                assign = rebalance_pass(
-                    level_graph, assign, k, max_part_weight, state=state,
-                )
-                return greedy_kway_refine(
-                    level_graph,
-                    assign,
-                    k,
-                    max_part_weight=max_part_weight,
-                    max_passes=refine_passes,
-                    seed=refine_seeds[level],
-                    state=state,
-                    seed_nodes=seed_nodes,
-                )
-
-        # the coarsest level is refined only when it is also the finest
-        # (the driver's rule); otherwise every projected level is
-        if hier.depth == 1:
-            assign = refine_level(0, assign)
-        for level in range(hier.depth - 1, 0, -1):
-            assign = refine_level(
-                level - 1, hier.project(assign, level),
-                seed_nodes=hier.uncontracted_nodes(level),
-            )
-        if refine == "fm+flow":
-            # guarded flow polish under the baseline's balance objective;
-            # the pass's never-worse guard keeps (balance violation, cut)
-            # from regressing, so the kmetis contract survives
-            st = RefinementState(g, assign, k, conn_format=conn_format)
-            assign = run_flow_refine(
-                st, ConstraintSpec(rmax=float(max_part_weight))
-            )
-
-    metrics = evaluate_partition(g, assign, k, constraints)
-    return PartitionResult(
-        assign=assign,
-        k=k,
-        metrics=metrics,
-        algorithm="MLKP",
-        runtime=sw.elapsed,
-        constraints=constraints or ConstraintSpec(),
-        info={"levels": hier.depth, "balance": balance, "refine": refine},
-    )
+    config = config or MLKP_CONFIG
+    check_k(k, g.n)
+    balance = ConstraintSpec(rmax=DEFAULT_BALANCE * g.total_node_weight / k)
+    engine = MLKPEngine(g, k, constraints or ConstraintSpec(),
+                        conn_format=config.conn_format)
+    return multilevel_partition(engine, balance, config, seed=seed,
+                                n_jobs=n_jobs)

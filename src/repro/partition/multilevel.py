@@ -1,7 +1,8 @@
 """The multilevel pipeline of the paper's Section IV, written once.
 
 One cycle worker and one driver run GP on every substrate through the
-engine adapters of :mod:`repro.partition.engine`:
+engine adapters of :mod:`repro.partition.engine` (and the METIS-like
+baseline through :class:`~repro.partition.mlkp.MLKPEngine`):
 
 1. **Coarsening** (IV.A) — ``engine.coarsen`` builds the hierarchy down to
    ``max(coarsen_to, 2k)`` nodes and returns one structure per level.
@@ -34,6 +35,7 @@ from repro.partition.coarsen import MATCHING_METHODS
 from repro.partition.conn_store import check_conn_format
 from repro.partition.flow_refine import check_refine_mode, run_flow_refine
 from repro.partition.goodness import goodness_key
+from repro.partition.metrics import check_k
 from repro.partition.vcycle import vcycle_refine
 from repro.util.errors import InfeasibleError, PartitionError
 from repro.util.parallel import parallel_map
@@ -47,9 +49,10 @@ class GPConfig:
     """Tuning knobs of the multilevel driver, with the paper's defaults.
 
     One config for every engine: :func:`~repro.partition.gp.gp_partition`,
-    :func:`~repro.hypergraph.partition.hyper_partition` and
-    :func:`~repro.partition.multires.mr_gp_partition` all take it (the
-    latter two with fewer cycles when given ``None``).
+    :func:`~repro.hypergraph.partition.hyper_partition`,
+    :func:`~repro.partition.multires.mr_gp_partition` and
+    :func:`~repro.partition.mlkp.mlkp_partition` all take it (the latter
+    three with their own defaults when given ``None``).
 
     Attributes
     ----------
@@ -152,13 +155,14 @@ def _refine_level(engine, structure, assign, constraints, config, rng,
         **engine.sizes(structure), local=seed_nodes is not None,
     ) as sp:
         # one engine build per level; each candidate run works on a copy
-        # and its goodness comes from the incrementally-tracked metrics
+        # (a lone candidate on the level's state itself) and its goodness
+        # comes from the incrementally-tracked metrics
         base = engine.make_state(structure, assign)
         if _obs.tracing_on():
             sp.set(cut_before=base.metrics(constraints).cut)
         best, best_key, best_cut = None, None, None
         for s in cand_seeds:
-            st = base.copy()
+            st = base if len(cand_seeds) == 1 else base.copy()
             cand = engine.level_fm(
                 structure, assign, constraints, config.refine_passes, s, st,
                 seed_nodes,
@@ -249,10 +253,7 @@ def multilevel_partition(engine, constraints, config: GPConfig, seed=None,
     """
     k = engine.k
     n = engine.structure.n
-    if k < 1:
-        raise PartitionError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise PartitionError(f"k={k} exceeds node count {n}")
+    check_k(k, n)
     rng = as_rng(seed if seed is not None else config.seed)
 
     with _obs.timed_span(engine.span, nodes=n, k=k) as sw:

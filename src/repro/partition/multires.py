@@ -67,6 +67,7 @@ __all__ = [
     "mr_constrained_fm",
     "mr_greedy_initial",
     "mr_gp_partition",
+    "vector_gp_partition",
     "leftover_destination",
     "MultiResResult",
     "MR_GP_CONFIG",
@@ -300,9 +301,16 @@ def mr_greedy_initial(
     return best_assign
 
 
-def mr_gp_partition(
-    g: WGraph,
-    weights: np.ndarray,
+def mr_gp_partition(g: WGraph, weights: np.ndarray, *args,
+                    **kwargs) -> MultiResResult:
+    """:func:`vector_gp_partition` on *g* bundled with its ``(n, R)``
+    resource matrix *weights*: ``mr_gp_partition(g, weights, k, cons,
+    config=None, seed=None, n_jobs=1, cache=True)``."""
+    return vector_gp_partition(VectorGraph(g, weights), *args, **kwargs)
+
+
+def vector_gp_partition(
+    vg: VectorGraph,
     k: int,
     cons: VectorConstraints,
     config: GPConfig | None = None,
@@ -343,7 +351,6 @@ def mr_gp_partition(
     from repro.partition.engine import VectorGraphEngine
 
     config = config or MR_GP_CONFIG
-    vg = VectorGraph(g, weights)
     _match_resources(vg.weights, cons)
     engine = VectorGraphEngine(vg, k, conn_format=config.conn_format)
     run_seed = seed if seed is not None else config.seed

@@ -17,7 +17,7 @@ import scipy.sparse.linalg
 from repro.graph.wgraph import WGraph
 from repro.partition.base import PartitionResult
 from repro.partition.fm import fm_refine_bisection
-from repro.partition.metrics import ConstraintSpec, evaluate_partition
+from repro.partition.metrics import ConstraintSpec, check_k, evaluate_partition
 import repro.obs as _obs
 from repro.util.errors import PartitionError
 
@@ -95,10 +95,7 @@ def spectral_partition(
     Like the METIS baseline, any *constraints* are only audited afterwards,
     never enforced.
     """
-    if k < 1:
-        raise PartitionError(f"k must be >= 1, got {k}")
-    if k > g.n:
-        raise PartitionError(f"k={k} exceeds node count {g.n}")
+    check_k(k, g.n)
     sw = _obs.timed_span("spectral", nodes=g.n, k=k)
     assign = np.zeros(g.n, dtype=np.int64)
 

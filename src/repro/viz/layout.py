@@ -36,9 +36,10 @@ def force_layout(
     pos = rng.random((n, 2))
     k = np.sqrt(1.0 / n)  # ideal pairwise distance
     eu, ev, ew = g.edge_array
-    if len(ew) and weight_attraction:
+    if len(ew) and weight_attraction and ew.max() > 0:
         w_norm = ew / ew.max()
     else:
+        # unweighted, or every channel weightless: uniform attraction
         w_norm = np.ones_like(ew)
     temperature = 0.1
     cooling = temperature / max(iterations, 1)

@@ -10,6 +10,8 @@ half pins the point of the exercise: the sparse footprint gauge on a
 bounded-degree graph at k=64 lands far below the dense ``16·k·n``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,7 +37,7 @@ from repro.partition.kway_refine import (
     run_constrained_fm,
 )
 from repro.partition.metrics import ConstraintSpec, evaluate_partition
-from repro.partition.mlkp import mlkp_partition
+from repro.partition.mlkp import MLKP_CONFIG, mlkp_partition
 from repro.partition.refine_state import (
     RefinementState,
     constrained_key,
@@ -473,7 +475,9 @@ class TestEndToEnd:
     def test_mlkp_sparse_equals_dense(self):
         g = random_process_network(60, 140, seed=5)
         outs = {
-            fmt: mlkp_partition(g, 4, seed=0, conn_format=fmt)
+            fmt: mlkp_partition(
+                g, 4, config=replace(MLKP_CONFIG, conn_format=fmt), seed=0
+            )
             for fmt in ("dense", "sparse")
         }
         np.testing.assert_array_equal(

@@ -40,7 +40,6 @@ from repro.partition.flow_refine import (
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec, check_assignment
-from repro.partition.mlkp import mlkp_partition
 from repro.partition.engine import GraphEngine
 from repro.partition.multires import MR_GP_CONFIG, mr_gp_partition
 from repro.partition.refine_state import RefinementState
@@ -367,7 +366,9 @@ class TestValidation:
             "GPConfig": lambda: GPConfig(refine="flow"),
             "EvolveConfig": lambda: EvolveConfig(refine="flow"),
             "engine": lambda: GraphEngine(g, 2, refine="flow"),
-            "mlkp": lambda: mlkp_partition(g, 2, seed=0, refine="flow"),
+            "mlkp": lambda: partition_graph(
+                g, 2, method="mlkp", refine="flow"
+            ),
             "partition_graph": lambda: partition_graph(
                 g, 2, method="gp", refine="flow"
             ),

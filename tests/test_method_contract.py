@@ -9,9 +9,10 @@ Everything else follows from it, and these tests pin that for every row:
   method on every structure it runs on, and change nothing — the result
   equals the default call's bit for bit;
 * what a method cannot honour raises a :class:`PartitionError` naming
-  the knob: a config of another class, ``refine=`` / ``conn_format=`` on
-  a method without a refinement engine, ``resources=`` on a method
-  without vector budgets, an ``HGraph`` on a graph-only method;
+  the knob: a config of another class, any config or ``refine=`` /
+  ``conn_format=`` on a method without a refinement engine,
+  ``resources=`` on a method without vector budgets, an ``HGraph`` on a
+  graph-only method;
 * the CLI rejects the same things with the library's message and exit
   code 1, in process (``repro.cli.main``) and as ``python -m repro``.
 """
@@ -21,6 +22,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +31,12 @@ import pytest
 from repro.cli import main
 from repro.core.api import METHODS, partition_graph
 from repro.evolve.ea import EvolveConfig
-from repro.graph.generators import random_process_network
+from repro.graph.generators import paper_graph, random_process_network
 from repro.graph.io import graph_to_json
 from repro.hypergraph.hgraph import HGraph
 from repro.partition.gp import GPConfig
-from repro.util.errors import PartitionError, ReproError
+from repro.partition.mlkp import MLKP_CONFIG
+from repro.util.errors import InfeasibleError, PartitionError, ReproError
 from repro.util.parallel import memo_cache
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -58,7 +61,8 @@ RUNS_ON = {
 #: a small budget so evolve's calls stay cheap; the other methods run as
 #: the table's default
 CONFIGS = {"evolve": EvolveConfig(generations=2, pop_size=4)}
-CONFIG_LESS = ("mlkp", "spectral", "exact")
+CONFIG_LESS = ("spectral", "exact")
+GRAPH_ONLY = ("mlkp", *CONFIG_LESS)
 
 
 def _call(method, structure, **knobs):
@@ -107,15 +111,15 @@ def _rejections():
         ("gp", "graph", {"config": EvolveConfig()}, "config"),
         ("evolve", "graph", {"config": GPConfig()}, "config"),
     ]
-    for m in CONFIG_LESS:
+    for m in GRAPH_ONLY:
         cases += [
-            (m, "graph", {"config": GPConfig(refine="fm+flow")}, "config"),
             (m, "graph", {"config": EvolveConfig()}, "config"),
             (m, "vector", {}, "resources="),
             (m, "hypergraph", {}, "HGraph"),
         ]
-    for m in ("spectral", "exact"):
+    for m in CONFIG_LESS:
         cases += [
+            (m, "graph", {"config": GPConfig(refine="fm+flow")}, "config"),
             (m, "graph", {"refine": "fm+flow"}, "refine="),
             (m, "graph", {"refine": "fm"}, "refine="),
             (m, "graph", {"conn_format": "dense"}, "conn_format="),
@@ -133,13 +137,33 @@ def test_unsupported_knob_rejected_by_name(method, structure, extra, names):
     assert repr(method) in str(err.value)
 
 
-def test_config_reaches_the_method_or_is_rejected():
-    # mlkp used to run plain FM under GPConfig(refine="fm+flow"); the
-    # refine knob itself is what reaches its engine
-    with pytest.raises(PartitionError, match="takes no config"):
-        partition_graph(G, K, method="mlkp", config=GPConfig(refine="fm+flow"))
-    res = partition_graph(G, K, method="mlkp", seed=0, refine="fm+flow")
-    assert res.info["refine"] == "fm+flow"
+def test_config_reaches_mlkp():
+    # the depth-1 instance of test_mlkp_pinned: fm+flow cuts 67, fm 93
+    g = random_process_network(16, 30, seed=1, node_weight_range=(1, 9))
+    kw = dict(method="mlkp", seed=3, bmax=40.0,
+              rmax=float(round(1.15 * g.total_node_weight / 4)))
+    cuts = {
+        refine: partition_graph(
+            g, 4, config=replace(MLKP_CONFIG, refine=refine), **kw
+        ).cut
+        for refine in ("fm", "fm+flow")
+    }
+    assert cuts == {"fm": 93.0, "fm+flow": 67.0}
+    # the knob and the config field are one setting
+    assert partition_graph(g, 4, refine="fm+flow", **kw).cut == 67.0
+
+
+def test_mlkp_raises_when_the_audit_fails():
+    # paper experiment 1: MLKP violates both caps (Table I)
+    g, spec = paper_graph(1)
+    kw = dict(method="mlkp", seed=0, bmax=spec.bmax, rmax=spec.rmax)
+    assert not partition_graph(g, spec.k, **kw).feasible
+    with pytest.raises(InfeasibleError) as err:
+        partition_graph(
+            g, spec.k, config=replace(MLKP_CONFIG, on_infeasible="raise"),
+            **kw,
+        )
+    assert err.value.best.algorithm == "MLKP"
 
 
 # ---------------------------------------------------------------- CLI --
@@ -158,7 +182,7 @@ def _cli_cases():
         (["--method", "gp", "--generations", "2"],
          dict(method="gp", config=EvolveConfig(generations=2))),
     ]
-    for m in CONFIG_LESS:
+    for m in GRAPH_ONLY:
         cases += [
             (["--method", m, "--pop-size", "4"],
              dict(method=m, config=EvolveConfig(pop_size=4))),
@@ -167,7 +191,7 @@ def _cli_cases():
             (["--method", m, "--model", "hypergraph"],
              dict(method=m, g=STRUCTURES["hypergraph"]["g"])),
         ]
-    for m in ("spectral", "exact"):
+    for m in CONFIG_LESS:
         cases += [
             (["--method", m, "--refine", "fm+flow"],
              dict(method=m, refine="fm+flow")),

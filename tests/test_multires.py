@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.api import partition_graph
 from repro.graph import random_process_network
 from repro.partition.multires import (
     MR_GP_CONFIG,
@@ -16,6 +17,7 @@ from repro.partition.multires import (
     mr_gp_partition,
     mr_greedy_initial,
 )
+from repro.partition.vector_state import VectorGraph
 from repro.util.errors import InfeasibleError, PartitionError
 
 
@@ -169,6 +171,22 @@ class TestMrInitialAndGP:
             mr_gp_partition(
                 g, w, 2, cons, replace(MR_GP_CONFIG, on_infeasible="explode")
             )
+
+    def test_partition_graph_bundles_the_matrix_once(self, monkeypatch):
+        """``partition_graph(resources=W)`` builds one VectorGraph and GP
+        runs on it; the only other build is the coarsening's level 0."""
+        g, w = instance(8, n=60, n_res=2)
+        built = []
+        init = VectorGraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(VectorGraph, "__init__", counting_init)
+        partition_graph(g, 4, rmax=loose_cons(w, 4).rmax, resources=w,
+                        seed=0, cache=False)
+        assert len(built) == 2
 
     def test_multilevel_path(self):
         g, w = instance(7, n=150, n_res=2)

@@ -1,6 +1,8 @@
 """Tests for the end-to-end partitioners: MLKP, GP, spectral, exact."""
 
 import hashlib
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,11 @@ from repro.partition.exact import (
 )
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec, cut_value, evaluate_partition
-from repro.partition.mlkp import mlkp_partition, recursive_bisection
+from repro.partition.mlkp import (
+    MLKP_CONFIG,
+    mlkp_partition,
+    recursive_bisection,
+)
 from repro.partition.spectral import (
     fiedler_vector,
     spectral_bisection,
@@ -78,8 +84,6 @@ class TestMLKP:
             mlkp_partition(g, 0)
         with pytest.raises(PartitionError):
             mlkp_partition(g, 11)
-        with pytest.raises(PartitionError):
-            mlkp_partition(g, 2, balance=0.9)
 
     def test_k1(self):
         g = random_process_network(10, 18, seed=0)
@@ -91,6 +95,9 @@ class TestMLKP:
         a = recursive_bisection(g, 5, seed=0)
         assert set(a.tolist()) == set(range(5))
 
+
+#: workers racing MLKP's cycles (CI re-runs the pinned rows with 2)
+N_JOBS = int(os.environ.get("REPRO_TEST_JOBS", "1"))
 
 #: ``(hierarchy, refine) -> (assign digest, (total, bandwidth, resource
 #: violation, cut))`` of MLKP at k=4, seed 3.  Recorded with the two
@@ -115,7 +122,10 @@ def test_mlkp_pinned(case):
     cons = ConstraintSpec(
         bmax=40.0, rmax=float(round(1.15 * g.total_node_weight / 4))
     )
-    res = mlkp_partition(g, 4, seed=3, constraints=cons, refine=refine)
+    res = mlkp_partition(
+        g, 4, cons, replace(MLKP_CONFIG, refine=refine), seed=3,
+        n_jobs=N_JOBS,
+    )
     assert res.info["levels"] == (1 if name == "depth1" else 5)
     m_ = res.metrics
     digest = hashlib.sha256(

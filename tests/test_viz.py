@@ -1,5 +1,7 @@
 """Tests for layout, DOT, SVG and ASCII rendering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,16 @@ class TestLayout:
     def test_degenerate_sizes(self):
         assert force_layout(WGraph(0)).shape == (0, 2)
         assert np.allclose(force_layout(WGraph(1)), [[0.5, 0.5]])
+
+    def test_all_zero_edge_weights_attract_uniformly(self):
+        g = WGraph(3, [(0, 1, 0.0), (1, 2, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pos = force_layout(g, seed=0)
+        assert np.all(np.isfinite(pos))
+        np.testing.assert_array_equal(
+            pos, force_layout(g, seed=0, weight_attraction=False)
+        )
 
     def test_connected_nodes_closer_than_random(self):
         """Heavy-edge endpoints should sit nearer than the global mean."""
