@@ -15,9 +15,8 @@ instrumentation on, asserting that
 
 ``matchings=("hem",)`` is deliberate: the kmeans matching builds an
 ``O(n²)``-shaped distance tensor during Lloyd iterations and is not a
-million-node algorithm; heavy-edge matching is linear.  The locality
-threshold (200k) sits far below 1M, so this run also exercises the
-uncontracted-node seeded FM path end to end.
+million-node algorithm; heavy-edge matching is linear.  Every level
+refines with the same whole-boundary FM as the small corpora.
 
 Not part of ``scripts/ci.sh`` (several minutes); the 80k-node
 ``x15_scale`` suite gates the same ratio in CI.

@@ -11,7 +11,7 @@ gates on — plus thin wrappers around the X9/X11/X13/X14 study workloads
 (``x9_refine``, ``x11_portfolio``, ``x13_multires``, ``x14_flow``) that
 emit the same structured BENCH metrics at benchmark-driver scale, and
 ``x15_scale`` — the million-node-scale track (sparse connectivity store
-footprint and localized-refinement time at k=64; the full 1M-node
+footprint and constrained-FM time at k=64; the full 1M-node
 acceptance driver lives in ``benchmarks/bench_scale_sparse.py``).
 """
 
@@ -459,7 +459,7 @@ def bounded_degree_graph(n: int, strides: tuple = (7, 101)) -> WGraph:
 @register_suite(
     "x15_scale",
     description="million-node-scale track: sparse vs dense connectivity "
-                "store footprint and localized refinement at k=64",
+                "store footprint and constrained-FM time at k=64",
 )
 def _x15_suite(seed: int = 0) -> list[BenchMetric]:
     """Sparse-engine scale telemetry on a bounded-degree 80k-node graph.
@@ -467,14 +467,15 @@ def _x15_suite(seed: int = 0) -> list[BenchMetric]:
     ``k·n`` sits above the auto-sparse threshold, so this measures the
     representation large instances actually get: per-format store bytes
     and build peaks, the dense/sparse footprint ratio (gated
-    ``better="higher"``), and constrained-FM wall clock both global and
-    localized to a just-uncontracted-style seed set.  The assignment is
+    ``better="higher"``), and the wall clock and cut of one
+    whole-boundary constrained-FM call.  The assignment is
     contiguous blocks with 2% random perturbation — the post-projection
     shape uncoarsening hands to refinement.
     """
     import tracemalloc
 
     from repro.partition.kway_refine import constrained_kway_fm
+    from repro.partition.metrics import evaluate_partition
     from repro.partition.refine_state import RefinementState
 
     n, k = 80_000, 64
@@ -518,24 +519,15 @@ def _x15_suite(seed: int = 0) -> list[BenchMetric]:
     ))
 
     cons = ConstraintSpec(rmax=float(np.ceil(1.03 * g.total_node_weight / k)))
-    for tag, seeds in (("local", perturbed), ("global", None)):
-        t0 = time.perf_counter()
-        res = constrained_kway_fm(
-            g, a.copy(), k, cons, max_passes=2, seed=seed, seed_nodes=seeds,
-        )
-        elapsed = time.perf_counter() - t0
-        from repro.partition.metrics import evaluate_partition
-
-        m = evaluate_partition(g, res, k, cons)
-        pf = {**p, "frontier": tag}
-        out.append(BenchMetric(
-            f"x15.fm.{tag}.runtime", elapsed, "s", pf, seed,
-        ))
-        out.append(BenchMetric(
-            f"x15.fm.{tag}.cut", float(m.cut), "", pf, seed,
-        ))
-        out.append(BenchMetric(
-            f"x15.fm.{tag}.feasible", float(m.feasible), "", pf, seed,
-            better="higher",
-        ))
+    t0 = time.perf_counter()
+    res = constrained_kway_fm(g, a.copy(), k, cons, max_passes=2, seed=seed)
+    elapsed = time.perf_counter() - t0
+    m = evaluate_partition(g, res, k, cons)
+    pf = {**p, "frontier": "global"}
+    out.append(BenchMetric("x15.fm.global.runtime", elapsed, "s", pf, seed))
+    out.append(BenchMetric("x15.fm.global.cut", float(m.cut), "", pf, seed))
+    out.append(BenchMetric(
+        "x15.fm.global.feasible", float(m.feasible), "", pf, seed,
+        better="higher",
+    ))
     return out

@@ -27,6 +27,21 @@ from repro.util.errors import GraphError
 __all__ = ["WGraph"]
 
 
+def _check_node_weights(n: int, node_weights: Iterable[float]) -> np.ndarray:
+    """*node_weights* as a float64 array, checked: *n* of them, finite and
+    non-negative."""
+    if not isinstance(node_weights, np.ndarray):
+        node_weights = list(node_weights)  # generators, tuples, ...
+    nw = np.array(node_weights, dtype=np.float64)  # never the caller's array
+    if nw.shape != (n,):
+        raise GraphError(f"expected {n} node weights, got {nw.shape}")
+    if not np.all(np.isfinite(nw)):
+        raise GraphError("node weights must be finite")
+    if np.any(nw < 0):
+        raise GraphError("node weights must be non-negative")
+    return nw
+
+
 class WGraph:
     """Undirected weighted graph with weighted nodes.
 
@@ -71,19 +86,10 @@ class WGraph:
             raise GraphError(f"node count must be >= 0, got {n}")
         self._n = int(n)
 
-        if node_weights is None:
-            nw = np.ones(self._n, dtype=np.float64)
-        else:
-            nw = np.asarray(list(node_weights), dtype=np.float64)
-            if nw.shape != (self._n,):
-                raise GraphError(
-                    f"expected {self._n} node weights, got {nw.shape}"
-                )
-            if not np.all(np.isfinite(nw)):
-                raise GraphError("node weights must be finite")
-            if np.any(nw < 0):
-                raise GraphError("node weights must be non-negative")
-        self._node_weights = nw
+        self._node_weights = (
+            np.ones(self._n) if node_weights is None
+            else _check_node_weights(self._n, node_weights)
+        )
         self._node_weights.setflags(write=False)
 
         # Merge duplicate / reversed edges by summing weights.
@@ -381,7 +387,10 @@ class WGraph:
     # ------------------------------------------------------------------ #
     def with_node_weights(self, node_weights: Iterable[float]) -> "WGraph":
         """Copy of the graph with node weights replaced."""
-        return WGraph(self._n, list(self.edges()), node_weights=node_weights)
+        return WGraph._from_canonical(
+            self._n, self._edge_u, self._edge_v, self._edge_w,
+            _check_node_weights(self._n, node_weights),
+        )
 
     def _check_node(self, u: int) -> None:
         if not (0 <= u < self._n):

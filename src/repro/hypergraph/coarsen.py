@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hypergraph.hgraph import HGraph
-from repro.partition.coarsen import greedy_match_by_rank
+from repro.partition.coarsen import MIN_SHRINK, greedy_match_by_rank
 from repro.util.errors import PartitionError
 from repro.util.rng import as_rng
 
@@ -247,12 +247,12 @@ def build_hyper_hierarchy(
     hg: HGraph,
     coarsen_to: int = 100,
     seed=None,
-    min_shrink: float = 0.02,
 ) -> HyperHierarchy:
     """Coarsen *hg* until it has at most *coarsen_to* nodes.
 
     Stops early when a step shrinks the node count by less than
-    *min_shrink* (no useful matching left, e.g. one giant net).
+    :data:`~repro.partition.coarsen.MIN_SHRINK` (no useful matching left,
+    e.g. one giant net).
     """
     if coarsen_to < 1:
         raise PartitionError(f"coarsen_to must be >= 1, got {coarsen_to}")
@@ -261,7 +261,7 @@ def build_hyper_hierarchy(
     current = hg
     while current.n > coarsen_to:
         coarse, node_map = coarsen_hyper_once(current, seed=rng)
-        if coarse.n >= current.n * (1 - min_shrink):
+        if coarse.n >= current.n * (1 - MIN_SHRINK):
             break
         hier.levels.append(HyperLevel(hgraph=coarse, node_map=node_map))
         current = coarse

@@ -45,7 +45,6 @@ def constrained_hyper_fm(
     constraints: ConstraintSpec,
     max_passes: int = 6,
     seed=None,
-    abort_after: int | None = None,
     state: HyperRefinementState | None = None,
 ) -> np.ndarray:
     """Constraint-driven FM refinement of a k-way hypergraph partition.
@@ -62,5 +61,5 @@ def constrained_hyper_fm(
     st = _as_state(hg, a, k, state)
     return run_constrained_fm(
         st, hg.n, hg.adjacent_nodes, constraints,
-        max_passes=max_passes, seed=seed, abort_after=abort_after,
+        max_passes=max_passes, seed=seed,
     )

@@ -57,6 +57,7 @@ __all__ = [
     "Hierarchy",
     "build_hierarchy",
     "MATCHING_METHODS",
+    "MIN_SHRINK",
 ]
 
 
@@ -388,11 +389,9 @@ def coarsen_once(
     return coarse, node_map, name
 
 
-#: Un-coarsening levels with at least this many nodes refine locally: the
-#: FM frontier is seeded from the nodes the projection just un-contracted
-#: instead of the whole boundary (n-level style).  Set above every pinned
-#: corpus so small runs keep the historical global sweep.
-LOCAL_REFINE_FROM = 200_000
+#: Coarsening stops early when a step shrinks the node count by less than
+#: this share (no useful matching left, e.g. star graphs or one giant net).
+MIN_SHRINK = 0.02
 
 
 @dataclass
@@ -428,31 +427,18 @@ class Hierarchy:
         node_map = self.levels[level].node_map
         return np.asarray(assign_coarse, dtype=np.int64)[node_map]
 
-    def uncontracted_nodes(self, level: int) -> np.ndarray | None:
-        """Locality seeds for refining ``levels[level-1]`` after projecting
-        from ``levels[level]``: the fine nodes whose coarse parent merged
-        ≥2 nodes.  ``None`` (refine the whole boundary) when the fine
-        level has fewer than :data:`LOCAL_REFINE_FROM` nodes."""
-        if self.levels[level - 1].graph.n < LOCAL_REFINE_FROM:
-            return None
-        node_map = self.levels[level].node_map
-        members = np.bincount(node_map, minlength=self.levels[level].graph.n)
-        return np.nonzero(members[node_map] >= 2)[0]
-
 
 def build_hierarchy(
     g: WGraph,
     coarsen_to: int = 100,
     seed=None,
     methods: tuple[str, ...] = ("random", "hem", "kmeans"),
-    min_shrink: float = 0.02,
 ) -> Hierarchy:
     """Coarsen *g* until it has at most *coarsen_to* nodes.
 
-    Stops early when a step shrinks the graph by less than ``min_shrink``
-    (no useful matching left, e.g. star graphs).  ``coarsen_to=100`` is the
-    paper's default ("the input graph is coarsened to a parametrized size
-    (default is 100)").
+    Stops early when a step shrinks the graph by less than
+    :data:`MIN_SHRINK`.  ``coarsen_to=100`` is the paper's default ("the
+    input graph is coarsened to a parametrized size (default is 100)").
     """
     if coarsen_to < 1:
         raise PartitionError(f"coarsen_to must be >= 1, got {coarsen_to}")
@@ -468,7 +454,7 @@ def build_hierarchy(
                     current, seed=rng, methods=methods
                 )
                 lv.set(nodes_out=coarse.n, method=method)
-            if coarse.n >= current.n * (1 - min_shrink):
+            if coarse.n >= current.n * (1 - MIN_SHRINK):
                 break
             hier.levels.append(
                 CoarseLevel(graph=coarse, node_map=node_map, method=method)

@@ -92,6 +92,9 @@ class _Engine:
     #: the initial partition is computed on a proxy structure (not the
     #: coarsest level itself), so the driver refines the coarsest level too
     refines_coarsest = False
+    #: the hooks run under an objective of their own; the caller's
+    #: constraints only audit the result
+    audit_only = False
 
     def __init__(self, structure, k: int, refine: str = "fm",
                  conn_format: str = "auto") -> None:
@@ -140,10 +143,6 @@ class _Engine:
             out = run_flow_refine(st, constraints)
         return out, st.metrics(constraints)
 
-    def locality_seeds(self, hier, level: int) -> np.ndarray | None:
-        """FM frontier seeds for the level below *level* (None = global)."""
-        return None
-
     def result(self, assign, metrics, constraints, runtime: float,
                info: dict):
         return PartitionResult(
@@ -184,15 +183,11 @@ class GraphEngine(_Engine):
         )
 
     def level_fm(self, structure: WGraph, assign, constraints, max_passes,
-                 seed, state, seed_nodes):
+                 seed, state):
         return constrained_kway_fm(
             structure, assign, self.k, constraints,
             max_passes=max_passes, seed=seed, state=state,
-            seed_nodes=seed_nodes,
         )
-
-    def locality_seeds(self, hier, level: int) -> np.ndarray | None:
-        return hier.uncontracted_nodes(level)
 
     def restricted_matching(
         self, structure: WGraph, labels: np.ndarray, n_labels: int, seed
@@ -256,7 +251,7 @@ class HyperEngine(_Engine):
         )
 
     def level_fm(self, structure: HGraph, assign, constraints, max_passes,
-                 seed, state, seed_nodes):
+                 seed, state):
         return constrained_hyper_fm(
             structure, assign, self.k, constraints,
             max_passes=max_passes, seed=seed, state=state,
@@ -347,7 +342,7 @@ class VectorGraphEngine(_Engine):
         )
 
     def level_fm(self, structure: VectorGraph, assign, constraints,
-                 max_passes, seed, state, seed_nodes):
+                 max_passes, seed, state):
         return mr_constrained_fm(
             structure.graph, structure.weights, assign, self.k, constraints,
             max_passes=max_passes, seed=seed, state=state,

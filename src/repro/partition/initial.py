@@ -117,13 +117,16 @@ def greedy_grow_once(
     return assign
 
 
+#: FM passes that close every initial-partitioning round.
+_FM_PASSES = 4
+
+
 def greedy_initial_partition(
     g: WGraph,
     k: int,
     constraints: ConstraintSpec,
     restarts: int = 10,
     seed=None,
-    fm_passes: int = 4,
     conn_format: str = "auto",
 ) -> np.ndarray:
     """Full initial-partitioning phase with restarts and the bandwidth FM pass.
@@ -131,9 +134,10 @@ def greedy_initial_partition(
     Round 0 uses the paper's heaviest-node seeding; rounds ``1..restarts-1``
     use randomly chosen seed nodes.  Every round ends with the constrained
     FM pass ("we check the bandwidth between each pair of partitions and use
-    the FM algorithm to meet the bandwidth constraint"); the round with the
-    best goodness key wins.  *conn_format* picks the FM state's
-    connectivity store (:mod:`repro.partition.conn_store`).
+    the FM algorithm to meet the bandwidth constraint", at most
+    :data:`_FM_PASSES` passes); the round with the best goodness key wins.
+    *conn_format* picks the FM state's connectivity store
+    (:mod:`repro.partition.conn_store`).
     """
     if restarts < 1:
         raise PartitionError(f"restarts must be >= 1, got {restarts}")
@@ -150,7 +154,7 @@ def greedy_initial_partition(
         assign = greedy_grow_once(g, k, constraints.rmax, seed_nodes=seeds_r)
         st = RefinementState(g, assign, k, conn_format=conn_format)
         assign = constrained_kway_fm(
-            g, assign, k, constraints, max_passes=fm_passes,
+            g, assign, k, constraints, max_passes=_FM_PASSES,
             seed=round_seeds[r], state=st,
         )
         key = goodness_key(st.metrics(constraints), constraints)

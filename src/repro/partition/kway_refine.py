@@ -207,34 +207,22 @@ def greedy_kway_refine(
     max_passes: int = 8,
     seed=None,
     state: RefinementState | None = None,
-    seed_nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cut-driven greedy boundary refinement (METIS style).
 
     Moves a boundary node to the *adjacent* part with the highest positive
     gain, provided the destination stays under *max_part_weight*.  Among
     equal-gain destinations the one improving balance wins.  Passes repeat
-    until no move fires.
-
-    *seed_nodes* localises the pass (n-level style): only boundary nodes
-    in the given set are scanned, widened to every moved node's
-    neighbourhood as the frontier expands — O(local boundary) per pass
-    instead of O(global boundary).  ``None`` (default) scans everything.
+    over the whole boundary until no move fires.
     """
     if max_passes < 1:
         raise PartitionError(f"max_passes must be >= 1, got {max_passes}")
     a = check_assignment(g, assign, k)
     st = _as_state(g, a, k, state)
     rng = as_rng(seed)
-    active = None
-    if seed_nodes is not None:
-        active = np.zeros(g.n, dtype=bool)
-        active[np.asarray(seed_nodes, dtype=np.int64)] = True
 
     for _ in range(max_passes):
         boundary = st.boundary_nodes()
-        if active is not None:
-            boundary = boundary[active[boundary]]
         if boundary.size == 0:
             break
         rng.shuffle(boundary)
@@ -265,9 +253,6 @@ def greedy_kway_refine(
             if best_dest >= 0:
                 st.move(u, best_dest)
                 moved += 1
-                if active is not None:
-                    # frontier growth: a move re-opens its neighbourhood
-                    active[g.neighbors(u)] = True
         if moved == 0:
             break
     st.clear_trail()
@@ -328,9 +313,7 @@ def constrained_kway_fm(
     constraints: ConstraintSpec,
     max_passes: int = 6,
     seed=None,
-    abort_after: int | None = None,
     state: RefinementState | None = None,
-    seed_nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Constraint-driven FM k-way refinement (the GP local search).
 
@@ -339,15 +322,13 @@ def constrained_kway_fm(
     would *increase* violation are never taken; cut-worsening moves with
     non-increasing violation are taken FM-style (best state by
     ``(total violation, cut)`` is restored at the end — via the engine's
-    move trail, not an O(n) assignment copy per improvement).  *abort_after*
-    bounds consecutive non-improving moves per pass (defaults to
-    ``max(50, n // 10)``), the standard early-exit that keeps passes cheap
-    on large graphs.
+    move trail, not an O(n) assignment copy per improvement).  A pass
+    stops after ``max(50, n // 10)`` consecutive non-improving moves (see
+    :func:`run_constrained_fm`).
 
     When *state* is given the engine is reused (and left holding the
     returned assignment, so callers can read ``state.metrics()`` without a
-    from-scratch evaluation).  *seed_nodes* localises the FM frontier —
-    see :func:`run_constrained_fm`.
+    from-scratch evaluation).
     """
     if max_passes < 1:
         raise PartitionError(f"max_passes must be >= 1, got {max_passes}")
@@ -355,8 +336,7 @@ def constrained_kway_fm(
     st = _as_state(g, a, k, state)
     return run_constrained_fm(
         st, g.n, g.neighbors, constraints,
-        max_passes=max_passes, seed=seed, abort_after=abort_after,
-        seed_nodes=seed_nodes,
+        max_passes=max_passes, seed=seed,
     )
 
 
@@ -367,8 +347,6 @@ def run_constrained_fm(
     constraints: ConstraintSpec,
     max_passes: int = 6,
     seed=None,
-    abort_after: int | None = None,
-    seed_nodes: np.ndarray | None = None,
 ) -> np.ndarray:
     """The constrained-FM pass discipline, engine-agnostic.
 
@@ -390,22 +368,14 @@ def run_constrained_fm(
     discipline and best-prefix recovery — the 2-pin differential parity
     between the graph and Φ engines is a property of their states alone.
 
-    *seed_nodes* localises the frontier, n-level style: only boundary
-    nodes inside the given set seed the queue (overloaded nodes always
-    do — violations must be reachable), and every move re-opens its
-    neighbourhood, so the pass expands outward from the seeds instead of
-    scanning the whole boundary.  On a fine level after uncoarsening,
-    seeding from the recently-uncontracted nodes gives O(changed region)
-    passes.  ``None`` (default) keeps the historical whole-boundary
-    behaviour, bit for bit.
+    Every pass seeds the queue with the whole boundary plus the
+    overloaded nodes (so violations stay reachable from an empty
+    boundary), and stops after ``max(50, n // 10)`` consecutive
+    non-improving moves — the standard early exit that keeps passes
+    cheap on large graphs.
     """
     rng = as_rng(seed)
-    if abort_after is None:
-        abort_after = max(50, n // 10)
-    active = None
-    if seed_nodes is not None:
-        active = np.zeros(n, dtype=bool)
-        active[np.asarray(seed_nodes, dtype=np.int64)] = True
+    abort_after = max(50, n // 10)
 
     # Pass statistics ship to the obs registry, labeled by engine — the
     # local accumulators keep the per-move cost at zero lock traffic
@@ -437,8 +407,6 @@ def run_constrained_fm(
                     queue.push((dv, dc), (int(u), dest, epoch))
 
         seeds = st.boundary_nodes()
-        if active is not None:
-            seeds = seeds[active[seeds]]
         extra = st.overloaded_nodes(constraints)
         if extra.size:
             if rec:
@@ -482,8 +450,6 @@ def run_constrained_fm(
             if stagnant > abort_after:
                 break
             nbrs = neighbors_of(u)
-            if active is not None:
-                active[nbrs] = True  # later passes may re-seed from here
             push_all(nbrs[~locked[nbrs]])
 
         # FM discipline: rewind to the best prefix seen so far

@@ -153,6 +153,7 @@ class MLKPEngine(GraphEngine):
 
     span = "mlkp"
     algorithm = "MLKP"
+    audit_only = True
 
     def __init__(self, g: WGraph, k: int, audit: ConstraintSpec,
                  conn_format: str = "auto") -> None:
@@ -169,7 +170,7 @@ class MLKPEngine(GraphEngine):
                                    trials=restarts)
 
     def level_fm(self, structure: WGraph, assign, constraints, max_passes,
-                 seed, state, seed_nodes):
+                 seed, state):
         # kmetis order on the level's one state: restore balance first,
         # then chase the cut
         cap = constraints.rmax
@@ -177,7 +178,6 @@ class MLKPEngine(GraphEngine):
         return greedy_kway_refine(
             structure, assign, self.k, max_part_weight=cap,
             max_passes=max_passes, seed=seed, state=state,
-            seed_nodes=seed_nodes,
         )
 
     def result(self, assign, metrics, constraints, runtime: float,

@@ -147,12 +147,12 @@ class GPConfig:
 
 
 def _refine_level(engine, structure, assign, constraints, config, rng,
-                  level: int, seed_nodes=None) -> np.ndarray:
+                  level: int) -> np.ndarray:
     """Race ``level_candidates`` FM runs on one level; goodness picks."""
     cand_seeds = spawn_seeds(rng, config.level_candidates)
     with _obs.trace_span(
         f"{engine.span}.refine_level", level=level,
-        **engine.sizes(structure), local=seed_nodes is not None,
+        **engine.sizes(structure),
     ) as sp:
         # one engine build per level; each candidate run works on a copy
         # (a lone candidate on the level's state itself) and its goodness
@@ -165,7 +165,6 @@ def _refine_level(engine, structure, assign, constraints, config, rng,
             st = base if len(cand_seeds) == 1 else base.copy()
             cand = engine.level_fm(
                 structure, assign, constraints, config.refine_passes, s, st,
-                seed_nodes,
             )
             m = st.metrics(constraints)
             key = goodness_key(m, constraints)
@@ -214,7 +213,6 @@ def _run_cycle(context, seeds):
                 assign = _refine_level(
                     engine, levels[level - 1], assign, constraints, config,
                     rng, level - 1,
-                    seed_nodes=engine.locality_seeds(hier, level),
                 )
         if config.vcycles:
             assign = vcycle_refine(
@@ -226,20 +224,29 @@ def _run_cycle(context, seeds):
     return assign, metrics, hier.depth
 
 
-def raise_if_infeasible(result, config):
+def raise_if_infeasible(result, config, audit_only: bool = False):
     """Raise :class:`InfeasibleError` (carrying *result*) when *result*
-    missed the constraints and ``config.on_infeasible == "raise"``."""
+    missed the constraints and ``config.on_infeasible == "raise"``.
+
+    *audit_only* says the search never tried to meet the constraints (MLKP
+    runs under its own balance objective), so the message blames the
+    audit rather than the cycle budget."""
     m = result.metrics
-    if not m.feasible and config.on_infeasible == "raise":
-        c = result.constraints
-        raise InfeasibleError(
-            f"no partitioning met Bmax={c.bmax}, Rmax={c.rmax} within "
-            f"{config.max_cycles} cycles (best violation: bandwidth "
-            f"{m.bandwidth_violation:g}, resource {m.resource_violation:g}); "
-            f"the instance is either impossible or needs more iterations",
-            best=result,
-        )
-    return result
+    if m.feasible or config.on_infeasible != "raise":
+        return result
+    c = result.constraints
+    caps = f"Bmax={c.bmax}, Rmax={c.rmax}"
+    violation = (f"bandwidth {m.bandwidth_violation:g}, "
+                 f"resource {m.resource_violation:g}")
+    if audit_only:
+        msg = (f"the {result.algorithm} result failed the audit of {caps} "
+               f"(violation: {violation}); {result.algorithm} does not try "
+               f"to meet these caps")
+    else:
+        msg = (f"no partitioning met {caps} within {config.max_cycles} "
+               f"cycles (best violation: {violation}); the instance is "
+               f"either impossible or needs more iterations")
+    raise InfeasibleError(msg, best=result)
 
 
 def multilevel_partition(engine, constraints, config: GPConfig, seed=None,
@@ -291,4 +298,4 @@ def multilevel_partition(engine, constraints, config: GPConfig, seed=None,
             "max_cycles": config.max_cycles,
         },
     )
-    return raise_if_infeasible(result, config)
+    return raise_if_infeasible(result, config, audit_only=engine.audit_only)

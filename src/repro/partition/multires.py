@@ -155,7 +155,6 @@ def mr_constrained_fm(
     cons: VectorConstraints,
     max_passes: int = 6,
     seed=None,
-    abort_after: int | None = None,
     state: VectorRefinementState | None = None,
 ) -> np.ndarray:
     """Violation-lexicographic FM with vector resource deltas.
@@ -189,7 +188,7 @@ def mr_constrained_fm(
         st = state
     return run_constrained_fm(
         st, g.n, g.neighbors, cons,
-        max_passes=max_passes, seed=seed, abort_after=abort_after,
+        max_passes=max_passes, seed=seed,
     )
 
 

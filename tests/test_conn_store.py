@@ -400,55 +400,22 @@ class TestEngineParity:
 
 
 # --------------------------------------------------------------------- #
-# localized refinement (seed_nodes)
+# escape seeds: global FM from an empty boundary
 # --------------------------------------------------------------------- #
-class TestLocalizedRefinement:
-    def test_full_seed_set_matches_global(self):
-        g, a = _case(*CORPUS[1])
-        k = CORPUS[1][2]
-        cons = ConstraintSpec(
-            bmax=0.2 * g.total_edge_weight,
-            rmax=float(np.ceil(1.2 * g.total_node_weight / k)),
-        )
-        st_g = RefinementState(g, a.copy(), k)
-        st_l = RefinementState(g, a.copy(), k)
-        out_g = run_constrained_fm(st_g, g.n, g.neighbors, cons, seed=7)
-        out_l = run_constrained_fm(
-            st_l, g.n, g.neighbors, cons, seed=7, seed_nodes=np.arange(g.n),
-        )
-        np.testing.assert_array_equal(out_g, out_l)
-
-    def test_partial_seed_set_never_worse(self):
-        g, a = _case(*CORPUS[2])
-        k = CORPUS[2][2]
-        cons = ConstraintSpec(
-            bmax=0.2 * g.total_edge_weight,
-            rmax=float(np.ceil(1.2 * g.total_node_weight / k)),
-        )
-        before = evaluate_partition(g, a, k, cons)
-        rng = np.random.default_rng(1)
-        seeds = rng.choice(g.n, size=g.n // 4, replace=False)
-        out = constrained_kway_fm(g, a, k, cons, seed=3, seed_nodes=seeds)
-        after = evaluate_partition(g, out, k, cons)
-        assert (after.total_violation, after.cut) <= (
-            before.total_violation, before.cut,
-        )
-
+class TestEscapeSeeds:
     def test_empty_seed_set_still_fixes_violations(self):
-        # overloaded nodes always seed, even with an empty locality set
+        # everything in part 0 leaves an empty boundary: only the
+        # overloaded-node (escape) seeds can start the pass
         g, a = _case(*CORPUS[0])
         k = CORPUS[0][2]
         a = np.zeros(g.n, dtype=np.int64)  # everything violates rmax
         cons = ConstraintSpec(
             rmax=float(np.ceil(1.5 * g.total_node_weight / k))
         )
-        out = constrained_kway_fm(
-            g, a, k, cons, seed=0,
-            seed_nodes=np.empty(0, dtype=np.int64),
-        )
+        out = constrained_kway_fm(g, a, k, cons, seed=0)
         after = evaluate_partition(g, out, k, cons)
         before = evaluate_partition(g, a, k, cons)
-        assert after.total_violation < before.total_violation
+        assert before.total_violation > 0 and after.total_violation == 0
 
 
 # --------------------------------------------------------------------- #

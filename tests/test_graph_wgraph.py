@@ -180,6 +180,33 @@ class TestStructure:
         assert g.total_node_weight == 3.0
         assert g.m == 3
 
+    def test_with_node_weights_matches_edge_list_construction(self):
+        # duplicate and reversed edges merge on construction; the copy
+        # must equal the graph rebuilt from its merged edge list
+        g = WGraph(5, [(3, 1, 2.0), (1, 3, 1.5), (0, 4, 1.0), (4, 0, 0.5),
+                       (2, 1, 3.0), (0, 2, 1.0), (2, 0, 1.0)],
+                   node_weights=[1, 2, 3, 4, 5])
+        w = np.array([0.5, 0.0, 7.25, 1.0, 2.0])
+        out = g.with_node_weights(w)
+        ref = WGraph(g.n, list(g.edges()), node_weights=w)
+        assert out == ref
+        assert out.content_digest() == ref.content_digest()
+        for u in range(g.n):
+            np.testing.assert_array_equal(out.neighbors(u), ref.neighbors(u))
+            np.testing.assert_array_equal(
+                out.neighbor_weights(u), ref.neighbor_weights(u)
+            )
+        assert g.node_weights.tolist() == [1, 2, 3, 4, 5]  # g untouched
+        assert w.flags.writeable  # the copy owns its weights
+
+    @pytest.mark.parametrize("bad", [
+        [1.0, 1.0], [1.0, float("nan"), 1.0], [1.0, float("inf"), 1.0],
+        [1.0, -1.0, 1.0],
+    ])
+    def test_with_node_weights_rejects_bad_weights(self, bad):
+        with pytest.raises(GraphError):
+            triangle().with_node_weights(bad)
+
 
 class TestValidation:
     def test_check_graph_passes(self):

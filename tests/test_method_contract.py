@@ -164,6 +164,10 @@ def test_mlkp_raises_when_the_audit_fails():
             **kw,
         )
     assert err.value.best.algorithm == "MLKP"
+    msg = str(err.value)
+    assert "MLKP result failed the audit of" in msg
+    assert f"Bmax={spec.bmax}" in msg and f"Rmax={spec.rmax}" in msg
+    assert "cycles" not in msg and "more iterations" not in msg
 
 
 # ---------------------------------------------------------------- CLI --

@@ -45,7 +45,6 @@ import pytest
 from repro.graph import multicast_network, random_process_network
 from repro.hypergraph import HGraph
 from repro.hypergraph.partition import hyper_partition
-from repro.partition import coarsen
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec
@@ -416,13 +415,3 @@ class TestValidation:
         with pytest.raises(PartitionError, match="conn_format"):
             run()
 
-
-def test_uncontracted_nodes_are_merged_parents_children(monkeypatch):
-    g = _graph()
-    hier = coarsen.build_hierarchy(g, coarsen_to=30, seed=0)
-    assert hier.uncontracted_nodes(1) is None  # below the locality size
-    monkeypatch.setattr(coarsen, "LOCAL_REFINE_FROM", 1)
-    seeds = hier.uncontracted_nodes(1)
-    node_map = hier.levels[1].node_map
-    merged = [u for u in range(g.n) if (node_map == node_map[u]).sum() >= 2]
-    assert seeds.tolist() == merged
