@@ -2,7 +2,9 @@
 
 Every driver regenerates one paper table or figure (or one extended study)
 and prints the measured-vs-paper comparison; artefacts land in
-``benchmarks/artifacts/``.
+``benchmarks/artifacts/``, or in the directory ``--artifacts-dir`` names
+(``scripts/ci.sh`` passes a scratch directory, so a CI run leaves the
+tracked artefacts as they are).
 """
 
 from __future__ import annotations
@@ -12,6 +14,21 @@ from pathlib import Path
 import pytest
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--artifacts-dir", default=None, metavar="DIR",
+        help="write the drivers' artefacts here instead of "
+             "benchmarks/artifacts/",
+    )
+
+
+def pytest_configure(config):
+    global ARTIFACTS
+    out = config.getoption("--artifacts-dir")
+    if out:
+        ARTIFACTS = Path(out)
 
 
 @pytest.fixture(scope="session")

@@ -17,20 +17,18 @@
 # determinism break is named even
 # when stage 1 already caught it, plus the X8 V-cycle ablation on the
 # graph, hypergraph and vector engines (gated: 2 V-cycles never worse
-# than 0 in goodness at the same seed; artefact
-# benchmarks/artifacts/x8_vcycle_ablation.txt); stage 5 runs the
-# evolutionary-search suite with real workers plus the X12 equal-budget
-# smoke benchmark (evolve vs restart-only GP vs portfolio on LU +
-# multicast synthetics;
-# the gated asserts fail the stage if the EA ever loses to GP, and the
-# artefact lands in benchmarks/artifacts/x12_evolve_quality.txt);
+# than 0 in goodness at the same seed; artefact x8_vcycle_ablation.txt);
+# stage 5 runs the evolutionary-search suite with real workers plus the
+# X12 equal-budget smoke benchmark (evolve vs restart-only GP vs
+# portfolio on LU + multicast synthetics; the gated asserts fail the
+# stage if the EA ever loses to GP; artefact x12_evolve_quality.txt);
 # stage 6 runs the vector-resource engine suites with real workers
 # (REPRO_TEST_JOBS=2 for the mr_gp/evolve serial==parallel bit-identity
 # tests) — the seam FM differential against the frozen
 # benchmarks/_legacy_multires.py corpus and the (k, R) load-matrix
 # invariants — plus the X13 engine-unification smoke benchmark (gated:
 # FM speedup, feasibility parity, evolve never losing to restart-only
-# vector GP; artefact benchmarks/artifacts/x13_multires_engine.txt);
+# vector GP; artefact x13_multires_engine.txt);
 # stage 7 runs the serving-subsystem suites (disk cache + serve) and the
 # live-daemon smoke (scripts/serve_smoke.py): a real `repro serve`
 # subprocess on an ephemeral port must collapse two concurrent identical
@@ -47,7 +45,7 @@
 # corridor/never-worse/cross-engine invariants, and the fm+flow
 # serial==parallel bit-identity) plus the X14 equal-budget smoke
 # benchmark (gated: fm+flow never worse than fm anywhere, strictly
-# better somewhere; artefact benchmarks/artifacts/x14_flow_quality.txt);
+# better somewhere; artefact x14_flow_quality.txt);
 # stage 10 exercises the benchmark telemetry gate end to end: `repro
 # bench --suite smoke` must write a schema-valid BENCH JSON artifact,
 # comparing the run against its own artifact must pass, and comparing
@@ -73,11 +71,19 @@
 # (scripts/code_lines.py: docstrings, comments and blank lines excluded),
 # the figure ROADMAP.md tracks for deletions.
 #
+# Every artefact a stage writes (the benchmark drivers' tables and BENCH
+# JSONs, the stage-10/11 suite runs and their perturbed copies) goes to a
+# temporary directory that is removed on exit, so a CI run leaves the
+# tracked files under benchmarks/artifacts/ as they are.
+#
 # Usage: scripts/ci.sh [extra pytest args passed to stage 1]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+ART="$(mktemp -d)"
+trap 'rm -rf "$ART"' EXIT
 
 echo "== src code lines: $(python scripts/code_lines.py) =="
 
@@ -100,21 +106,21 @@ REPRO_TEST_JOBS=2 python -m pytest -q \
   tests/test_coarsen_vectorized.py \
   tests/test_multilevel.py \
   "tests/test_partition_algorithms.py::test_mlkp_pinned"
-python -m pytest -q benchmarks/bench_ablation_vcycle.py
+python -m pytest -q benchmarks/bench_ablation_vcycle.py --artifacts-dir "$ART"
 
 echo "== stage 5: evolutionary search suite + equal-budget smoke =="
 REPRO_TEST_JOBS=2 python -m pytest -q \
   tests/test_evolve.py \
   tests/test_rng_properties.py \
   tests/test_cli_parity.py
-python -m pytest -q benchmarks/bench_evolve.py
+python -m pytest -q benchmarks/bench_evolve.py --artifacts-dir "$ART"
 
 echo "== stage 6: vector-resource engine suite (n_jobs=2) =="
 REPRO_TEST_JOBS=2 python -m pytest -q \
   tests/test_multires.py \
   tests/test_multires_differential.py \
   tests/test_multires_invariants.py
-python -m pytest -q benchmarks/bench_multires_engine.py
+python -m pytest -q benchmarks/bench_multires_engine.py --artifacts-dir "$ART"
 
 echo "== stage 7: serving subsystem + live-daemon smoke =="
 python -m pytest -q \
@@ -130,18 +136,19 @@ echo "== stage 9: flow refinement suite + equal-budget smoke =="
 REPRO_TEST_JOBS=2 python -m pytest -q \
   tests/test_flow_core.py \
   tests/test_flow_refine.py
-python -m pytest -q benchmarks/bench_flow_refine.py
+python -m pytest -q benchmarks/bench_flow_refine.py --artifacts-dir "$ART"
 
 echo "== stage 10: benchmark telemetry + regression gate =="
-python -m repro bench --suite smoke
-python - <<'EOF'
-import json, sys
+python -m repro bench --suite smoke --out "$ART/BENCH_smoke.json"
+ART="$ART" python - <<'EOF'
+import json, os, sys
 
 from repro.obs.benchdb import load_bench
 
 # re-validate the artifact the bench run just wrote, then derive a
 # perturbed copy: every timing metric 25% slower must trip the 15% band
-doc = load_bench("benchmarks/artifacts/BENCH_smoke.json")
+art = os.environ["ART"]
+doc = load_bench(f"{art}/BENCH_smoke.json")
 bad = json.loads(json.dumps(doc))
 slowed = 0
 for m in bad["metrics"]:
@@ -150,16 +157,16 @@ for m in bad["metrics"]:
         slowed += 1
 if not slowed:
     sys.exit("smoke suite has no timing metrics to perturb")
-with open("benchmarks/artifacts/BENCH_smoke_perturbed.json", "w") as fh:
+with open(f"{art}/BENCH_smoke_perturbed.json", "w") as fh:
     json.dump(bad, fh)
 print(f"validated BENCH_smoke.json; perturbed {slowed} timing metrics")
 EOF
 # identical comparison must pass ...
-python -m repro bench --compare benchmarks/artifacts/BENCH_smoke.json \
-  --current benchmarks/artifacts/BENCH_smoke.json
+python -m repro bench --compare "$ART/BENCH_smoke.json" \
+  --current "$ART/BENCH_smoke.json"
 # ... and the injected regression must trip the gate (exit 3)
-if python -m repro bench --compare benchmarks/artifacts/BENCH_smoke.json \
-     --current benchmarks/artifacts/BENCH_smoke_perturbed.json; then
+if python -m repro bench --compare "$ART/BENCH_smoke.json" \
+     --current "$ART/BENCH_smoke_perturbed.json"; then
   echo "regression gate FAILED to trip on a 25% injected slowdown" >&2
   exit 1
 else
@@ -169,21 +176,21 @@ else
     exit 1
   fi
 fi
-rm -f benchmarks/artifacts/BENCH_smoke_perturbed.json
 echo "regression gate trips correctly"
 
 echo "== stage 11: million-node-scale track (sparse conn engine) =="
 python -m pytest -q tests/test_conn_store.py
-python -m repro bench --suite x15_scale
-python - <<'PYEOF'
-import json, sys
+python -m repro bench --suite x15_scale --out "$ART/BENCH_x15_scale.json"
+ART="$ART" python - <<'PYEOF'
+import json, os, sys
 
 from repro.obs.benchdb import load_bench
 
 # validate the artifact, check the footprint ratio actually reports the
 # sparse win, then derive a perturbed copy: timings 25% slower AND the
 # dense/sparse ratio 30% smaller must both trip the gate
-doc = load_bench("benchmarks/artifacts/BENCH_x15_scale.json")
+art = os.environ["ART"]
+doc = load_bench(f"{art}/BENCH_x15_scale.json")
 by_name = {m["name"]: m for m in doc["metrics"]}
 ratio = by_name["x15.conn_ratio"]["value"]
 if ratio < 4.0:
@@ -199,17 +206,17 @@ for m in bad["metrics"]:
         m["value"] *= 0.70
 if not slowed:
     sys.exit("x15_scale suite has no timing metrics to perturb")
-with open("benchmarks/artifacts/BENCH_x15_scale_perturbed.json", "w") as fh:
+with open(f"{art}/BENCH_x15_scale_perturbed.json", "w") as fh:
     json.dump(bad, fh)
 print(f"validated BENCH_x15_scale.json (ratio {ratio:.1f}x); "
       f"perturbed {slowed} timing metrics + the footprint ratio")
 PYEOF
 # identical comparison must pass ...
-python -m repro bench --compare benchmarks/artifacts/BENCH_x15_scale.json \
-  --current benchmarks/artifacts/BENCH_x15_scale.json
+python -m repro bench --compare "$ART/BENCH_x15_scale.json" \
+  --current "$ART/BENCH_x15_scale.json"
 # ... and the injected regression must trip the gate (exit 3)
-if python -m repro bench --compare benchmarks/artifacts/BENCH_x15_scale.json \
-     --current benchmarks/artifacts/BENCH_x15_scale_perturbed.json; then
+if python -m repro bench --compare "$ART/BENCH_x15_scale.json" \
+     --current "$ART/BENCH_x15_scale_perturbed.json"; then
   echo "x15 regression gate FAILED to trip on the injected regression" >&2
   exit 1
 else
@@ -219,7 +226,6 @@ else
     exit 1
   fi
 fi
-rm -f benchmarks/artifacts/BENCH_x15_scale_perturbed.json
 echo "x15 scale gate trips correctly"
 
 echo "== stage 12: repository benchmark correctness (batch workloads) =="

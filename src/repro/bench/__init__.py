@@ -4,18 +4,3 @@ The library-side machinery behind the ``benchmarks/`` drivers: the three
 paper experiments (Tables I-III + Figures 2-13), the extended random
 suites (scaling, ablations, constraint sweeps) and artefact generation.
 """
-
-from repro.bench.experiments import (
-    ExperimentOutcome,
-    paper_experiment_table,
-    run_paper_experiment,
-)
-from repro.bench.figures import figure_artifacts, write_figure_artifacts
-
-__all__ = [
-    "ExperimentOutcome",
-    "run_paper_experiment",
-    "paper_experiment_table",
-    "figure_artifacts",
-    "write_figure_artifacts",
-]

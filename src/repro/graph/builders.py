@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.graph.wgraph import WGraph
 from repro.util.errors import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["from_edges", "from_adjacency", "from_networkx", "to_networkx"]
 
@@ -75,6 +78,8 @@ def from_networkx(
 
 def to_networkx(g: WGraph) -> nx.Graph:
     """Convert to a networkx ``Graph`` with ``weight`` node/edge attributes."""
+    import networkx as nx  # ~0.2 s to import, and no partitioner needs it
+
     out = nx.Graph()
     for u in range(g.n):
         out.add_node(u, weight=float(g.node_weights[u]))

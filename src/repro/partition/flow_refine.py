@@ -153,22 +153,42 @@ class FlowNetwork:
         return level if level[t] >= 0 else None
 
     def _augment(
-        self, u: int, t: int, f: float, level: list[int], it: list[int]
+        self, s: int, t: int, level: list[int], it: list[int]
     ) -> float:
-        if u == t:
-            return f
-        while it[u] < len(self.head[u]):
-            i = self.head[u][it[u]]
-            v = self.to[i]
-            if self.cap[i] > _EPS and level[v] == level[u] + 1:
-                d = self._augment(v, t, min(f, self.cap[i]), level, it)
-                if d > _EPS:
-                    self.cap[i] -= d
-                    self.cap[i ^ 1] += d
-                    return d
-            it[u] += 1
-        level[u] = -1  # dead end: prune for the rest of this phase
-        return 0.0
+        """Push one augmenting path of the level graph; returns its
+        bottleneck, or 0.0 once *s* is a dead end.
+
+        Depth-first from *s* with an explicit stack, because a path can
+        be longer than Python's recursion limit: arcs are tried in
+        insertion order from ``it[u]``, which advances only past arcs
+        that are inadmissible or lead to a dead end, and a dead end's
+        level is cleared for the rest of the phase."""
+        head, to, cap = self.head, self.to, self.cap
+        path: list[int] = []  # arcs from s to u
+        flow = [float("inf")]  # flow[j]: bottleneck of path[:j]
+        u = s
+        while u != t:
+            arcs = head[u]
+            while it[u] < len(arcs):
+                i = arcs[it[u]]
+                if cap[i] > _EPS and level[to[i]] == level[u] + 1:
+                    path.append(i)
+                    flow.append(min(flow[-1], cap[i]))
+                    u = to[i]
+                    break
+                it[u] += 1
+            else:
+                level[u] = -1  # dead end: prune for the rest of this phase
+                if not path:
+                    return 0.0
+                flow.pop()
+                u = to[path.pop() ^ 1]  # back to the arc's tail
+                it[u] += 1
+        d = flow[-1]
+        for i in path:
+            cap[i] -= d
+            cap[i ^ 1] += d
+        return d
 
     def max_flow(self, s: int, t: int) -> float:
         """Maximum s-t flow value (mutates residual capacities)."""
@@ -181,7 +201,7 @@ class FlowNetwork:
                 return total
             it = [0] * self.n
             while True:
-                pushed = self._augment(s, t, float("inf"), level, it)
+                pushed = self._augment(s, t, level, it)
                 if pushed <= _EPS:
                     break
                 total += pushed

@@ -9,10 +9,9 @@ global-method comparator the related-work section discusses, and as the
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from repro.graph.wgraph import WGraph
 from repro.partition.base import PartitionResult
@@ -21,6 +20,9 @@ from repro.partition.metrics import ConstraintSpec, check_k, evaluate_partition
 import repro.obs as _obs
 from repro.util.errors import PartitionError
 
+if TYPE_CHECKING:
+    import scipy.sparse
+
 __all__ = ["fiedler_vector", "spectral_bisection", "spectral_partition"]
 
 _DENSE_CUTOVER = 64  # below this, dense eigensolve is faster and more robust
@@ -28,6 +30,9 @@ _DENSE_CUTOVER = 64  # below this, dense eigensolve is faster and more robust
 
 def laplacian(g: WGraph) -> scipy.sparse.csr_matrix:
     """Weighted combinatorial Laplacian L = D - A as sparse CSR."""
+    # scipy costs ~0.3 s to import and only this module uses it: load on call
+    import scipy.sparse
+
     eu, ev, ew = g.edge_array
     n = g.n
     rows = np.concatenate([eu, ev])
@@ -49,6 +54,9 @@ def fiedler_vector(g: WGraph) -> np.ndarray:
         raise PartitionError("Fiedler vector needs at least 2 nodes")
     if not g.is_connected():
         raise PartitionError("spectral bisection requires a connected graph")
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     lap = laplacian(g)
     if g.n <= _DENSE_CUTOVER:
         vals, vecs = scipy.linalg.eigh(lap.toarray())

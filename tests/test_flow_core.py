@@ -329,3 +329,15 @@ class TestNetworkBasics:
         assert net.paths == 0
         net.max_flow(0, 2)
         assert net.paths >= 1
+
+    def test_path_longer_than_the_recursion_limit(self):
+        # one augmenting path through 2,000 levels: the blocking-flow DFS
+        # must not recurse once per level
+        n = 2001
+        net = FlowNetwork(n)
+        for u in range(n - 1):
+            cap = 3.0 if u == 1234 else 5.0 + u % 3
+            net.add_arc(u, u + 1, cap, rev_cap=1.0)
+        assert net.max_flow(0, n - 1) == 3.0
+        assert net.paths == 1
+        assert_flow_is_valid(net, 0, n - 1, 3.0)
