@@ -13,7 +13,11 @@ the acceptance story of the serving subsystem:
    compute** (single-flight) and return identical payloads;
 3. a daemon **restart** on the same cache directory answers from the
    persistent store (``cached: true``), again bit-identically;
-4. ``POST /shutdown`` exits the process cleanly (exit code 0).
+4. the library counters of the computes (``fm.*``), which run in the
+   daemon's compute worker, reach ``/metrics``;
+5. ``POST /shutdown`` exits the process cleanly (exit code 0) and leaves
+   none of its child processes (the compute worker, its warm pool)
+   alive.
 
 Run directly: ``PYTHONPATH=src python scripts/serve_smoke.py``.
 """
@@ -70,7 +74,25 @@ class Daemon:
         self.url = line.split("listening on ")[1]
         self.client = ServeClient(self.url, timeout=600)
 
+    def descendants(self) -> list[int]:
+        """Pids of the daemon's child processes and theirs (Linux
+        ``/proc``; empty elsewhere)."""
+        out, todo = [], [self.proc.pid]
+        while todo:
+            pid = todo.pop()
+            try:
+                with open(f"/proc/{pid}/task/{pid}/children") as fh:
+                    kids = [int(p) for p in fh.read().split()]
+            except OSError:
+                kids = []
+            out += kids
+            todo += kids
+        return out
+
     def shutdown_and_wait(self) -> int:
+        """``POST /shutdown``, then wait for the daemon and every process
+        it started to exit; returns the daemon's exit code."""
+        children = self.descendants()
         self.client.shutdown()
         try:
             out, _ = self.proc.communicate(timeout=60)
@@ -79,6 +101,15 @@ class Daemon:
             raise RuntimeError("daemon did not exit after /shutdown")
         if "shut down cleanly" not in out:
             raise RuntimeError(f"missing clean-shutdown line in:\n{out}")
+        deadline = time.monotonic() + 10
+        while True:
+            alive = [pid for pid in children if _alive(pid)]
+            if not alive:
+                break
+            if time.monotonic() > deadline:
+                raise RuntimeError(
+                    f"daemon child processes {alive} outlived /shutdown")
+            time.sleep(0.05)
         return self.proc.returncode
 
     def kill(self):
@@ -90,6 +121,15 @@ class Daemon:
                 self.proc.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 self.proc.kill()
+
+
+def _alive(pid: int) -> bool:
+    """True while *pid* runs (a zombie awaiting its reaper counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def assert_served_equals(out: dict, direct) -> None:
@@ -159,6 +199,14 @@ def main() -> int:
                     g, k=K, method=method, bmax=BMAX, rmax=RMAX, seed=SEED)
                 assert_served_equals(out, partition_graph(
                     g, K, bmax=BMAX, rmax=RMAX, method=method, seed=SEED))
+
+            print("serve_smoke: worker fm.* counters reach /metrics ...")
+            library = daemon.client.metrics()["library"]
+            fm = {name: sum(row["value"] for row in series["series"])
+                  for name, series in library.items()
+                  if name.startswith("fm.") and series["type"] == "counter"}
+            assert fm.get("fm.passes", 0) > 0 and fm.get(
+                "fm.moves_tried", 0) > 0, f"fm.* counters in /metrics: {fm}"
 
             print(f"serve_smoke: method {UNKNOWN_METHOD!r} is a 400 ...")
             try:

@@ -42,6 +42,74 @@ def _check_node_weights(n: int, node_weights: Iterable[float]) -> np.ndarray:
     return nw
 
 
+def _check_edge(n: int, u: int, v: int, w: float) -> None:
+    """Raise the :class:`GraphError` a bad edge ``(u, v, w)`` earns."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+    if u == v:
+        raise GraphError(f"self loop on node {u} is not allowed")
+    if not np.isfinite(w):
+        raise GraphError(f"edge ({u}, {v}) has non-finite weight {w}")
+    if w < 0:
+        raise GraphError(f"edge ({u}, {v}) has negative weight {w}")
+
+
+def _canonical_edges(
+    n: int, edges: Iterable[tuple[int, int, float]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked ``(u, v, w)`` triples as canonical arrays: ``u < v``, pairs
+    sorted and unique, duplicate and reversed edges merged by summing
+    their weights in input order.
+
+    Errors match a one-pass check in input order: the first bad edge
+    raises, and an item that cannot be converted raises only when every
+    edge before it is good.
+    """
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
+    try:
+        for item in edges:
+            try:
+                u, v, w = item
+            except (TypeError, ValueError) as exc:
+                raise GraphError(f"edge {item!r} is not a (u, v, w) triple") from exc
+            u, v, w = int(u), int(v), float(w)
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
+    except Exception:
+        for edge in zip(us, vs, ws):
+            _check_edge(n, *edge)
+        raise
+    try:
+        u = np.array(us, dtype=np.int64)
+        v = np.array(vs, dtype=np.int64)
+    except OverflowError:
+        # an endpoint beyond int64 is out of range for any n
+        for edge in zip(us, vs, ws):
+            _check_edge(n, *edge)
+        raise
+    w = np.array(ws, dtype=np.float64)
+    ok = (u >= 0) & (u < n) & (v >= 0) & (v < n) & (u != v)
+    ok &= np.isfinite(w) & (w >= 0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        _check_edge(n, us[i], vs[i], ws[i])
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    first = np.ones(lo.size, dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    group = np.empty(lo.size, dtype=np.int64)
+    group[order] = np.cumsum(first) - 1
+    # bincount adds each edge's weight to its pair's total in input order:
+    # the same float sums a running per-pair total makes (with no edges
+    # it returns integers, hence the cast)
+    merged = np.bincount(group, weights=w, minlength=int(first.sum()))
+    return lo[first], hi[first], merged.astype(np.float64, copy=False)
+
+
 class WGraph:
     """Undirected weighted graph with weighted nodes.
 
@@ -90,65 +158,7 @@ class WGraph:
             np.ones(self._n) if node_weights is None
             else _check_node_weights(self._n, node_weights)
         )
-        self._node_weights.setflags(write=False)
-
-        # Merge duplicate / reversed edges by summing weights.
-        merged: dict[tuple[int, int], float] = {}
-        for item in edges:
-            try:
-                u, v, w = item
-            except (TypeError, ValueError) as exc:
-                raise GraphError(f"edge {item!r} is not a (u, v, w) triple") from exc
-            u, v = int(u), int(v)
-            w = float(w)
-            if not (0 <= u < self._n and 0 <= v < self._n):
-                raise GraphError(
-                    f"edge ({u}, {v}) out of range for n={self._n}"
-                )
-            if u == v:
-                raise GraphError(f"self loop on node {u} is not allowed")
-            if not np.isfinite(w):
-                raise GraphError(f"edge ({u}, {v}) has non-finite weight {w}")
-            if w < 0:
-                raise GraphError(f"edge ({u}, {v}) has negative weight {w}")
-            key = (u, v) if u < v else (v, u)
-            merged[key] = merged.get(key, 0.0) + w
-
-        m = len(merged)
-        eu = np.empty(m, dtype=np.int64)
-        ev = np.empty(m, dtype=np.int64)
-        ew = np.empty(m, dtype=np.float64)
-        for i, ((u, v), w) in enumerate(sorted(merged.items())):
-            eu[i], ev[i], ew[i] = u, v, w
-        self._edge_u, self._edge_v, self._edge_w = eu, ev, ew
-        for a in (eu, ev, ew):
-            a.setflags(write=False)
-
-        # CSR adjacency (both directions).
-        deg = np.zeros(self._n, dtype=np.int64)
-        np.add.at(deg, eu, 1)
-        np.add.at(deg, ev, 1)
-        indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.empty(2 * m, dtype=np.int64)
-        weights = np.empty(2 * m, dtype=np.float64)
-        adj_edge_id = np.empty(2 * m, dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for i in range(m):
-            u, v, w = eu[i], ev[i], ew[i]
-            indices[cursor[u]] = v
-            weights[cursor[u]] = w
-            adj_edge_id[cursor[u]] = i
-            cursor[u] += 1
-            indices[cursor[v]] = u
-            weights[cursor[v]] = w
-            adj_edge_id[cursor[v]] = i
-            cursor[v] += 1
-        self._indptr, self._indices, self._weights = indptr, indices, weights
-        self._adj_edge_id = adj_edge_id
-        for a in (indptr, indices, weights, adj_edge_id):
-            a.setflags(write=False)
-        self._digest: str | None = None
+        self._set_edges(*_canonical_edges(self._n, edges))
 
     @classmethod
     def _from_canonical(
@@ -163,12 +173,11 @@ class WGraph:
 
         The caller guarantees what ``__init__`` normally establishes:
         ``eu[i] < ev[i]``, pairs strictly lexicographically sorted and
-        unique, endpoints in range, weights finite and non-negative.  The
-        CSR layout built here is element-for-element identical to the one
-        ``__init__`` builds from the same edges (each node's adjacency is
-        ordered by ascending canonical edge id), which the coarsening
-        differential tests assert.  Internal use only — contraction and
-        other hot paths that produce canonical arrays by construction.
+        unique, endpoints in range, weights finite and non-negative.
+        ``__init__`` builds through the same :meth:`_set_edges`, so the
+        graph equals the one ``__init__`` builds from the same edges.
+        Internal use only — contraction and other hot paths that produce
+        canonical arrays by construction.
         """
         self = object.__new__(cls)
         self._n = int(n)
@@ -176,19 +185,24 @@ class WGraph:
         if nw.shape != (self._n,):
             raise GraphError(f"expected {self._n} node weights, got {nw.shape}")
         self._node_weights = nw
-        eu = np.ascontiguousarray(eu, dtype=np.int64)
-        ev = np.ascontiguousarray(ev, dtype=np.int64)
-        ew = np.ascontiguousarray(ew, dtype=np.float64).copy()
+        self._set_edges(
+            np.ascontiguousarray(eu, dtype=np.int64),
+            np.ascontiguousarray(ev, dtype=np.int64),
+            np.ascontiguousarray(ew, dtype=np.float64).copy(),
+        )
+        return self
+
+    def _set_edges(self, eu: np.ndarray, ev: np.ndarray, ew: np.ndarray) -> None:
+        """Store canonical edge arrays and build the CSR adjacency."""
         m = eu.size
         self._edge_u, self._edge_v, self._edge_w = eu, ev, ew
-
         deg = np.bincount(eu, minlength=self._n) + np.bincount(
             ev, minlength=self._n
         )
         indptr = np.zeros(self._n + 1, dtype=np.int64)
         np.cumsum(deg, out=indptr[1:])
-        # directed entries: edge i contributes (u -> v) and (v -> u); sorting
-        # by (endpoint, edge id) reproduces __init__'s fill order exactly
+        # directed entries: edge i contributes (u -> v) and (v -> u); each
+        # node's adjacency is ordered by ascending canonical edge id
         ends = np.concatenate([eu, ev])
         partners = np.concatenate([ev, eu])
         eid = np.concatenate([np.arange(m), np.arange(m)])
@@ -209,7 +223,6 @@ class WGraph:
         ):
             a.setflags(write=False)
         self._digest = None
-        return self
 
     def content_digest(self) -> str:
         """Stable hex digest of the full graph content (structure + weights).

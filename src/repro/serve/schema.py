@@ -31,12 +31,11 @@ cannot change the result, so they must not fragment the cache.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from repro.core.api import METHODS
-from repro.graph.io import graph_from_json
+from repro.graph.io import graph_from_doc
 from repro.graph.wgraph import WGraph
 from repro.util.errors import ReproError
 
@@ -144,7 +143,7 @@ def parse_request(doc) -> ServeRequest:
                 "(see repro.graph.io.graph_to_json)"
             )
         try:
-            graph = graph_from_json(json.dumps(graph_doc))
+            graph = graph_from_doc(graph_doc)
         except ReproError as exc:
             raise BadRequest(f"bad 'graph' payload: {exc}") from exc
 

@@ -9,23 +9,28 @@ Stdlib-only (``http.server`` / ``socketserver``): one
    persistent :class:`~repro.util.diskcache.DiskCache`),
 3. on a miss, enters the :class:`~repro.serve.singleflight.SingleFlight`
    — concurrent identical requests compute once — and the flight leader
-   runs :func:`repro.core.api.partition_graph` and writes the cache.
+   hands :func:`repro.core.api.partition_graph` to the compute worker,
+   then writes the cache.
 
-The daemon also injects the disk store under the library's own memo
-cache (:func:`repro.core.api.configure_cache_backend`) and keeps a warm
-``parallel_map`` worker pool across requests
-(:func:`repro.util.parallel.start_warm_pool`), so the
-*library-level* caching and racing the CLI gets per process become
-persistent and warm here.  Endpoints, schema and operational notes:
-``docs/serve.md``.
+Computes run in one worker process, so a compute never holds the
+interpreter lock that the request threads answering cache hits need.
+The worker backs the library's own memo cache with the same disk store
+(:func:`repro.core.api.configure_cache_backend`) and, with
+``n_jobs > 1``, keeps a warm ``parallel_map`` pool across requests
+(:func:`repro.util.parallel.start_warm_pool`).  Endpoints, schema and
+operational notes: ``docs/serve.md``.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import threading
 import time
 import urllib.parse
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -45,6 +50,9 @@ from repro.util.diskcache import DiskCache
 from repro.util.errors import ReproError
 from repro.util.parallel import (
     KeyedCache,
+    _run_task,
+    _unwrap,
+    exit_with_parent,
     memo_cache,
     resolve_jobs,
     start_warm_pool,
@@ -146,6 +154,58 @@ class ServerMetrics:
         }
 
 
+def _init_worker(n_jobs: int, cache_dir, cache_bytes: int,
+                 warm_pool: bool) -> None:
+    """Compute-worker initializer: the memo store, the warm pool, and an
+    exit when the daemon dies."""
+    configure_cache_backend(
+        DiskCache(cache_dir, max_bytes=cache_bytes, name="serve-disk")
+        if cache_dir is not None
+        else None
+    )
+    if warm_pool and n_jobs > 1:
+        start_warm_pool(n_jobs)
+    exit_with_parent()
+
+
+def _memo_counts() -> dict:
+    """The memo cache's counters, without :meth:`DiskCache.stats`'s scan."""
+    out = {"size": len(memo_cache), "hits": memo_cache.hits,
+           "misses": memo_cache.misses}
+    if memo_cache.backend is not None:
+        out["backend_hits"] = memo_cache.backend_hits
+    return out
+
+
+def _worker_facts() -> tuple[int, int, dict]:
+    return os.getpid(), warm_pool_size(), _memo_counts()
+
+
+def _partition(n_jobs: int, req: ServeRequest) -> tuple[dict, dict]:
+    """One compute, run in the worker."""
+    result = partition_graph(
+        req.graph,
+        req.k,
+        bmax=req.bmax,
+        rmax=req.rmax,
+        method=req.method,
+        seed=req.seed,
+        n_jobs=n_jobs,
+    )
+    return result_payload(req, result), _memo_counts()
+
+
+def _stop_worker(worker: ProcessPoolExecutor) -> None:
+    """Stop a compute worker once the computes it accepted finish."""
+    try:
+        # a worker exits by joining its child processes, so its warm pool
+        # must stop before it does
+        worker.submit(stop_warm_pool)
+    except BrokenProcessPool:
+        pass  # it died; its pool's workers exit with it
+    worker.shutdown(wait=True)
+
+
 class _HTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
@@ -171,8 +231,11 @@ class ReproServer:
         Worker processes every request may race its work across (a
         method with nothing to race runs serially).  By the determinism
         contract the value cannot change any result.  With
-        ``n_jobs > 1`` a warm pool is started once and reused across
-        requests.
+        ``n_jobs > 1`` the compute worker starts a warm pool once and
+        reuses it across requests.
+    warm_pool:
+        ``False`` leaves the warm pool out (each racing call then forks
+        a pool of its own).
     """
 
     def __init__(
@@ -193,8 +256,6 @@ class ReproServer:
         self.results = KeyedCache(
             maxsize=memory_entries, backend=self.disk, name="results"
         )
-        # the library's own memos persist through the same store
-        configure_cache_backend(self.disk)
         self.flight = SingleFlight()
         # library-level metrics (FM stats, cache rates, pool utilization)
         # stay on for the daemon's lifetime so /metrics can report them
@@ -202,14 +263,47 @@ class ReproServer:
         _obs.enable(metrics=True, tracing=self._prev_obs[1])
         self.metrics = ServerMetrics()
         self.n_jobs = resolve_jobs(n_jobs)
-        self.pool_workers = (
-            start_warm_pool(self.n_jobs)
-            if (warm_pool and self.n_jobs > 1)
-            else 0
-        )
-        self.httpd = _HTTPServer((host, port), _Handler)
-        self.httpd.repro = self
+        self._worker_args = (self.n_jobs, cache_dir, cache_bytes, warm_pool)
+        self._worker_lock = threading.Lock()
         self._closed = False
+        # before the socket and the request threads exist: the worker's
+        # fork copies neither
+        self._start_worker()
+        try:
+            self.httpd = _HTTPServer((host, port), _Handler)
+        except BaseException:
+            _stop_worker(self._worker)
+            _obs.enable(metrics=self._prev_obs[0], tracing=self._prev_obs[1])
+            raise
+        self.httpd.repro = self
+
+    def _start_worker(self) -> None:
+        """Start the compute worker and wait until it answers.
+
+        The first worker forks while the daemon is still single-threaded.
+        A replacement, started while request threads run, spawns a fresh
+        interpreter instead: a fork copies every lock some other thread
+        holds at that instant, and no thread in the child would release it.
+        """
+        method = (
+            "fork"
+            if threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
+        worker = ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=multiprocessing.get_context(method),
+            initializer=_init_worker,
+            initargs=self._worker_args,
+        )
+        try:
+            facts = worker.submit(_worker_facts).result()
+        except BaseException:
+            worker.shutdown(wait=True, cancel_futures=True)
+            raise
+        self.worker_pid, self.pool_workers, self._memo_stats = facts
+        self._worker = worker
 
     # ------------------------------------------------------------------ #
     @property
@@ -228,13 +322,17 @@ class ReproServer:
         self.httpd.shutdown()
 
     def close(self) -> None:
-        """Release the socket, the warm pool and the backend injection."""
+        """Release the socket and stop the compute worker.
+
+        Computes the worker has accepted finish first.
+        """
         if self._closed:
             return
         self._closed = True
         self.httpd.server_close()
-        stop_warm_pool()
-        configure_cache_backend(None)
+        with self._worker_lock:
+            worker, self._worker = self._worker, None
+        _stop_worker(worker)
         _obs.enable(metrics=self._prev_obs[0], tracing=self._prev_obs[1])
 
     # ------------------------------------------------------------------ #
@@ -258,19 +356,51 @@ class ReproServer:
                 status=404,
             )
         self.metrics.note_compute()
-        result = partition_graph(
-            req.graph,
-            req.k,
-            bmax=req.bmax,
-            rmax=req.rmax,
-            method=req.method,
-            seed=req.seed,
-            n_jobs=self.n_jobs,
-        )
-        return result_payload(req, result)
+        payload, self._memo_stats = self._in_worker(req)
+        return payload
+
+    def _in_worker(self, req: ServeRequest) -> tuple[dict, dict]:
+        """Run :func:`_partition` in the compute worker.
+
+        The task runs inside an observability capture there, so its
+        ``fm.*``, ``cache.*`` and ``pool.*`` series merge into this
+        process's registry with the answer.  A worker that dies answers
+        503 and is replaced for the requests after this one.
+        """
+        with self._worker_lock:
+            worker, pid = self._worker, self.worker_pid
+        if worker is None:
+            raise ServeError("the daemon is shutting down", status=503)
+        try:
+            return _unwrap(
+                worker.submit(
+                    _run_task, _partition, self.n_jobs, req, _obs.tracing_on()
+                ).result()
+            )
+        except BrokenProcessPool as exc:
+            try:
+                self._replace_worker(worker)
+                then = "a new worker has started, retry the request"
+            except Exception as err:  # the next request tries again
+                then = f"starting a new worker failed: {err!r}"
+            raise ServeError(
+                f"the compute worker (pid {pid}) died before answering; "
+                f"{then}",
+                status=503,
+            ) from exc
+
+    def _replace_worker(self, broken: ProcessPoolExecutor) -> None:
+        with self._worker_lock:
+            if self._worker is not broken:
+                return  # closed, or another request replaced it already
+            broken.shutdown(wait=True)
+            self._start_worker()
 
     def metrics_payload(self) -> dict:
-        caches = {"results": self.results.stats(), "memo": memo_cache.stats()}
+        memo = dict(self._memo_stats)
+        if self.disk is not None:
+            memo["backend"] = self.disk.stats()
+        caches = {"results": self.results.stats(), "memo": memo}
         out = self.metrics.snapshot()
         out.update(
             {
@@ -278,7 +408,7 @@ class ReproServer:
                 "single_flight": self.flight.stats(),
                 # queue depth == requests currently inside a handler
                 "queue_depth": out["in_flight"],
-                "warm_pool_workers": warm_pool_size(),
+                "warm_pool_workers": self.pool_workers,
                 "caches": caches,
                 # library-level series from the shared obs registry:
                 # FM pass stats, unified cache rates, pool utilization
@@ -394,6 +524,9 @@ class _Handler(BaseHTTPRequestHandler):
                 with server.metrics.track("/partition"):
                     status, payload = server.handle_partition(self._read_body())
                 self._send_json(status, payload)
+            except ConnectionError:
+                # the client hung up; a computed answer is already cached
+                self.close_connection = True
             except ServeError as exc:
                 self._send_json(exc.status, {"error": str(exc)})
             except ReproError as exc:

@@ -30,8 +30,9 @@ builds on (see ``docs/parallel.md``):
 
 ``start_warm_pool`` / ``stop_warm_pool``
     A long-lived shared worker pool that ``parallel_map`` reuses across
-    calls instead of forking a fresh pool per call — the daemon keeps one
-    warm across requests.
+    calls instead of forking a fresh pool per call — the serve daemon's
+    compute worker keeps one warm across requests.  Its workers exit
+    when the process that started them dies (:func:`exit_with_parent`).
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "start_warm_pool",
     "stop_warm_pool",
     "warm_pool_size",
+    "exit_with_parent",
 ]
 
 
@@ -211,23 +213,52 @@ def start_warm_pool(n_jobs: int | None = -1) -> int:
     *context* payloads then ship with every task rather than once per
     worker (a long-lived pool cannot take a per-call initializer); the
     determinism contract is unaffected because submission order and
-    result order are unchanged.  Returns the worker count, or ``0`` when
-    no pool could be created (serial platforms).  Replaces any previous
-    warm pool.
+    result order are unchanged.  The workers start before this returns.
+    Returns the worker count, or ``0`` when no pool could be created
+    (serial platforms).  Replaces any previous warm pool.
     """
     global _WARM_POOL, _WARM_POOL_JOBS
     stop_warm_pool()
     n = resolve_jobs(n_jobs)
     if n <= 1:
         return 0
-    try:
-        from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=n)
+    try:
+        pool = ProcessPoolExecutor(max_workers=n, initializer=exit_with_parent)
     except Exception:  # pragma: no cover - platform-dependent
+        return 0
+    try:
+        # start the workers now, before any later thread of this process
+        # exists for them to inherit
+        pool.submit(int).result()
+    except BrokenExecutor:  # pragma: no cover - a worker failed to start
+        pool.shutdown(wait=True)
         return 0
     _WARM_POOL, _WARM_POOL_JOBS = pool, n
     return n
+
+
+def exit_with_parent() -> None:
+    """Pool initializer: end this worker process when its parent dies.
+
+    An idle pool worker blocks reading its task queue, and a fork-started
+    one holds that queue's write end itself, so a killed parent leaves it
+    waiting forever.  A daemon thread waits on the parent's sentinel
+    instead and exits the worker when it fires.
+    """
+    import multiprocessing.connection
+    import threading
+
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="exit-with-parent", daemon=True).start()
 
 
 def stop_warm_pool() -> None:

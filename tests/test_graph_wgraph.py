@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import WGraph, check_graph
 from repro.util.errors import GraphError
@@ -213,3 +215,160 @@ class TestValidation:
         check_graph(triangle())
         check_graph(WGraph(0))
         check_graph(WGraph(5))
+
+
+# --------------------------------------------------------------------- #
+# differential: the numpy constructor against the per-edge loop it replaced
+# --------------------------------------------------------------------- #
+def _loop_wgraph(n, edges, node_weights=None):
+    """The per-edge ``WGraph.__init__`` the numpy build replaced, frozen as
+    the reference: a dict merge in input order, then a CSR fill loop.
+    Returns the arrays and the content digest it would produce."""
+    import hashlib
+
+    nw = np.ones(n) if node_weights is None else np.array(
+        list(node_weights), dtype=np.float64
+    )
+    merged = {}
+    for item in edges:
+        try:
+            u, v, w = item
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"edge {item!r} is not a (u, v, w) triple") from exc
+        u, v = int(u), int(v)
+        w = float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self loop on node {u} is not allowed")
+        if not np.isfinite(w):
+            raise GraphError(f"edge ({u}, {v}) has non-finite weight {w}")
+        if w < 0:
+            raise GraphError(f"edge ({u}, {v}) has negative weight {w}")
+        key = (u, v) if u < v else (v, u)
+        merged[key] = merged.get(key, 0.0) + w
+    m = len(merged)
+    eu = np.empty(m, dtype=np.int64)
+    ev = np.empty(m, dtype=np.int64)
+    ew = np.empty(m, dtype=np.float64)
+    for i, ((u, v), w) in enumerate(sorted(merged.items())):
+        eu[i], ev[i], ew[i] = u, v, w
+    deg = np.zeros(n, dtype=np.int64)
+    np.add.at(deg, eu, 1)
+    np.add.at(deg, ev, 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.empty(2 * m, dtype=np.int64)
+    weights = np.empty(2 * m, dtype=np.float64)
+    adj_edge_id = np.empty(2 * m, dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for i in range(m):
+        u, v, w = eu[i], ev[i], ew[i]
+        indices[cursor[u]] = v
+        weights[cursor[u]] = w
+        adj_edge_id[cursor[u]] = i
+        cursor[u] += 1
+        indices[cursor[v]] = u
+        weights[cursor[v]] = w
+        adj_edge_id[cursor[v]] = i
+        cursor[v] += 1
+    h = hashlib.sha256()
+    h.update(str(n).encode())
+    for a in (nw, eu, ev, ew):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return {
+        "edge_array": (eu, ev, ew),
+        "csr": (indptr, indices, weights),
+        "adj_edge_id": adj_edge_id,
+        "digest": h.hexdigest(),
+    }
+
+
+def _same_arrays(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_ENDPOINT_FORMS = (int, np.int64, np.int32, str)
+
+
+@st.composite
+def _multigraphs(draw):
+    """``(n, edges)`` with duplicate and reversed edges, float and zero
+    weights, and endpoints as ints, numpy scalars or numeric strings."""
+    n = draw(st.integers(0, 9))
+    if n < 2:
+        return n, []
+    weight = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+        st.integers(0, 50).map(float),
+    )
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    raw = draw(st.lists(st.tuples(pairs, weight), max_size=40))
+    edges = []
+    for (u, v), w in raw:
+        form = draw(st.sampled_from(_ENDPOINT_FORMS))
+        edges.append((form(u), form(v), w))
+    return n, edges
+
+
+_BAD_EDGES = (
+    lambda n: (0, n, 1.0),            # out of range
+    lambda n: (-1, 0, 1.0),
+    lambda n: (0, 10**30, 1.0),       # beyond int64
+    lambda n: (1, 1, 1.0),            # self loop
+    lambda n: (0, 1, float("nan")),
+    lambda n: (0, 1, float("inf")),
+    lambda n: (0, 1, -0.5),
+    lambda n: (0, "x", 1.0),          # int("x"): plain ValueError
+    lambda n: (None, 1, 1.0),         # int(None): TypeError
+    lambda n: (0, 1),                 # not a triple
+    lambda n: 7,
+)
+
+
+class TestNumpyConstructionDifferential:
+    @given(case=_multigraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_edge_loop(self, case):
+        n, edges = case
+        ref = _loop_wgraph(n, edges)
+        g = WGraph(n, iter(edges))  # any iterable, consumed once
+        for got, want in zip(
+            (*g.edge_array, *g.csr, g._adj_edge_id),
+            (*ref["edge_array"], *ref["csr"], ref["adj_edge_id"]),
+        ):
+            assert _same_arrays(got, want)
+        assert g.content_digest() == ref["digest"]
+
+    @given(
+        case=_multigraphs(),
+        bad=st.lists(
+            st.tuples(st.integers(0, len(_BAD_EDGES) - 1), st.integers(0, 50)),
+            min_size=1, max_size=3,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_first_bad_edge_raises_the_same_error(self, case, bad):
+        n, edges = case
+        n = max(n, 2)
+        edges = list(edges)
+        for kind, pos in bad:
+            edges.insert(min(pos, len(edges)), _BAD_EDGES[kind](n))
+        with pytest.raises(Exception) as want:
+            _loop_wgraph(n, edges)
+        with pytest.raises(Exception) as got:
+            WGraph(n, edges)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_int_of_a_word_is_a_plain_value_error(self):
+        with pytest.raises(ValueError, match="invalid literal") as exc:
+            WGraph(3, [(0, 1, 1.0), (0, "x", 1.0)])
+        assert not isinstance(exc.value, GraphError)
+
+    def test_earlier_bad_edge_wins_over_a_later_conversion_error(self):
+        with pytest.raises(GraphError, match="out of range"):
+            WGraph(3, [(0, 5, 1.0), (0, "x", 1.0)])

@@ -5,8 +5,9 @@ end-to-end (in-process ``ReproServer`` on an ephemeral port, spoken to
 through :class:`~repro.serve.client.ServeClient`): compute → cache hit →
 digest-only fetch → 404/400 paths → metrics, concurrent identical
 requests deduplicating to a single compute, and warm-restart persistence
-through the disk store.  The subprocess variant of the same story runs
-in CI (``scripts/serve_smoke.py``).
+through the disk store.  Fault tests kill the compute worker mid-compute
+and drop a client mid-compute.  The subprocess variant of the same story
+runs in CI (``scripts/serve_smoke.py``).
 """
 
 import errno
@@ -313,17 +314,20 @@ class TestServerEndToEnd:
     ):
         """Two clients racing the same cold request: one compute, both
         answered identically, one flagged deduped."""
-        import repro.serve.server as server_mod
-
-        real = server_mod.partition_graph
+        real = server._in_worker
         entered = threading.Event()
 
-        def slow_partition(*args, **kwargs):
+        def held_handoff(req):
+            # hold the flight open at the hand-off to the compute worker
+            # until the second request has joined it
             entered.set()
-            time.sleep(0.6)  # hold the flight open so the race overlaps
-            return real(*args, **kwargs)
+            deadline = time.monotonic() + 10
+            while (server.flight.stats()["shared"] < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            return real(req)
 
-        monkeypatch.setattr(server_mod, "partition_graph", slow_partition)
+        monkeypatch.setattr(server, "_in_worker", held_handoff)
 
         g = random_process_network(30, 60, seed=3)
         client = self._client(server)
@@ -393,3 +397,117 @@ class TestServerEndToEnd:
             srv.shutdown()
             thread.join(5)
             srv.close()
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition not reached in time")
+        time.sleep(0.005)
+
+
+def _running(pid):
+    """True while *pid* runs; a zombie waiting for its reaper has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _children(pid):
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as fh:
+            return [int(p) for p in fh.read().split()]
+    except OSError:
+        return []
+
+
+#: a constrained gp compute of about a second: long enough to interrupt
+SLOW_GRAPH = dict(n=1000, m=3000, seed=17)
+SLOW_REQUEST = dict(k=4, bmax=6000.0, rmax=12000.0, seed=3)
+
+
+class TestServeFaults:
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+        reason="lists child processes through /proc",
+    )
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_worker_killed_mid_compute(self, tmp_path, n_jobs):
+        """SIGKILL of the compute worker answers the request in flight with
+        503, leaves nothing in flight, and the daemon's next request for
+        the key computes on a new worker and equals the direct call."""
+        import signal
+
+        g = random_process_network(**SLOW_GRAPH)
+        srv = ReproServer(port=0, cache_dir=tmp_path / "cache", n_jobs=n_jobs)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        killed = srv.worker_pid
+        descendants = [killed, *_children(killed)]
+        assert len(descendants) == (1 + n_jobs if n_jobs > 1 else 1)
+        try:
+            client = ServeClient(f"http://{srv.host}:{srv.port}", timeout=60)
+            errs = []
+
+            def call():
+                try:
+                    client.partition(g, **SLOW_REQUEST)
+                except ServeError as exc:
+                    errs.append(exc)
+
+            t = threading.Thread(target=call)
+            t.start()
+            _wait_for(lambda: srv.metrics.snapshot()["computes"] == 1)
+            os.kill(killed, signal.SIGKILL)
+            t.join(60)
+            assert not t.is_alive()
+            assert len(errs) == 1 and errs[0].status == 503
+            assert f"compute worker (pid {killed}) died" in str(errs[0])
+            assert srv.metrics.snapshot()["in_flight"] == 0
+            assert srv.flight.in_flight() == 0
+            assert srv.worker_pid != killed
+
+            out = client.partition(g, **SLOW_REQUEST)
+            assert out["cached"] is False
+            assert srv.metrics.snapshot()["computes"] == 2
+            direct = partition_graph(g, **SLOW_REQUEST)
+            np.testing.assert_array_equal(out["assign"], direct.assign)
+            assert out["cut"] == direct.metrics.cut
+            descendants += [srv.worker_pid, *_children(srv.worker_pid)]
+        finally:
+            srv.shutdown()
+            thread.join(5)
+            srv.close()
+        _wait_for(lambda: not any(map(_running, descendants)), timeout=10)
+
+    def test_client_drop_mid_compute(self, server, capsys):
+        """A client that hangs up while its request computes leaves nothing
+        in flight and no traceback; the result is still cached and a
+        digest-only repeat hits."""
+        from repro.graph.io import graph_to_json
+
+        g = random_process_network(**SLOW_GRAPH)
+        body = json.dumps(
+            {"graph": json.loads(graph_to_json(g)), **SLOW_REQUEST}
+        ).encode()
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+        conn.request("POST", "/partition", body=body,
+                     headers={"Content-Type": "application/json"})
+        _wait_for(lambda: server.metrics.snapshot()["computes"] == 1)
+        conn.close()  # hang up before the answer
+
+        _wait_for(lambda: server.flight.in_flight() == 0
+                  and server.metrics.snapshot()["in_flight"] == 0)
+        client = self._client(server)
+        out = client.partition(digest=g.content_digest(), **SLOW_REQUEST)
+        assert out["cached"] is True
+        assert server.metrics.snapshot()["computes"] == 1
+        direct = partition_graph(g, **SLOW_REQUEST)
+        np.testing.assert_array_equal(out["assign"], direct.assign)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def _client(self, srv):
+        return ServeClient(f"http://{srv.host}:{srv.port}", timeout=60)
