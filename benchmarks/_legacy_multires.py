@@ -3,7 +3,7 @@
 Verbatim snapshot of the algorithm drivers of ``repro.partition.multires``
 as of the commit preceding the vector-resource engine unification — the
 hand-rolled violation-lexicographic FM loop over
-:class:`~repro.partition.base.PartitionState`, the greedy vector-aware
+:class:`_legacy_refine.PartitionState`, the greedy vector-aware
 initial growing (including its original leftover-placement rule), and the
 multilevel cyclic-retry partitioner, all with their per-step Python-loop
 move selection.  ``benchmarks/bench_multires_engine.py`` times these
@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.wgraph import WGraph
-from repro.partition.base import PartitionState
 from repro.partition.coarsen import build_hierarchy
 from repro.partition.metrics import check_assignment
 from repro.partition.multires import (
@@ -33,6 +32,8 @@ from repro.partition.multires import (
 from repro.util.errors import InfeasibleError, PartitionError
 from repro.util.rng import as_rng, spawn_seeds
 from repro.util.stopwatch import Stopwatch
+
+from _legacy_refine import PartitionState
 
 __all__ = [
     "legacy_mr_constrained_fm",

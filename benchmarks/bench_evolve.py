@@ -6,9 +6,9 @@ Every instance is partitioned three ways with the same seed:
   evolutionary run's total evaluation budget (so restart-only search gets
   at least as many coarsen/partition/refine attempts as the EA gets
   evaluations — a deliberately generous baseline).
-* **portfolio** — the four-config GP portfolio (graph instances; it is
-  the EA's own seeding, so the delta isolates what the evolutionary loop
-  adds on top).
+* **portfolio** — the four-config GP portfolio (graph instances): a
+  seeding-only evolve run (:data:`~repro.evolve.ea.SEEDING_CONFIG`), so
+  the delta isolates what the evolutionary loop adds on top.
 * **evolve** — :func:`~repro.evolve.evolve_partition` under
   ``max_evals`` equal to the GP cycle cap.
 
@@ -29,14 +29,13 @@ import dataclasses
 
 from conftest import emit
 
-from repro.evolve import EvolveConfig, evolve_partition
+from repro.evolve import SEEDING_CONFIG, EvolveConfig, evolve_partition
 from repro.graph.generators import multicast_network, random_process_network
 from repro.hypergraph.partition import hyper_partition
 from repro.kpn.traffic import ppn_to_mapped_graph
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.portfolio import portfolio_partition
 from repro.polyhedral.gallery import fir_filter, lu
 from repro.polyhedral.ppn import derive_ppn
 from repro.util.tables import format_table
@@ -62,7 +61,7 @@ def _graph_instance_rows(name, g, k, cons, rows, keys):
     gp = gp_partition(
         g, k, cons, GPConfig(max_cycles=GP_CYCLES), seed=SEED
     )
-    pf = portfolio_partition(g, k, cons, seed=SEED, cache=False)
+    pf = evolve_partition(g, k, cons, SEEDING_CONFIG, seed=SEED, cache=False)
     ea = evolve_partition(g, k, cons, EA_CFG, seed=SEED, cache=False)
     k_gp = goodness_key(gp.metrics, cons)
     k_pf = goodness_key(pf.metrics, cons)

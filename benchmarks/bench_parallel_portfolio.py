@@ -3,8 +3,10 @@
 Three measurements, one artefact (``artifacts/x11_parallel_portfolio.txt``):
 
 * **portfolio** — the default 4-config GP portfolio on a PN-shaped
-  generator graph, serial vs ``n_jobs=4`` process racing.  Outputs are
-  asserted bit-identical (assignment, metrics, per-member summaries);
+  generator graph, raced by a seeding-only evolve run
+  (:data:`~repro.evolve.ea.SEEDING_CONFIG`), serial vs ``n_jobs=4``
+  process racing.  Outputs are asserted bit-identical (assignment,
+  metrics, ``info``);
   the wall-clock ratio is recorded together with the visible CPU count,
   because racing cannot beat serial on a single-core host — the ≥2×
   acceptance bar is asserted only when ≥4 CPUs are actually available.
@@ -27,11 +29,11 @@ import numpy as np
 from conftest import emit, emit_bench
 
 import _legacy_coarsen as legacy
+from repro.evolve import SEEDING_CONFIG, evolve_partition
 from repro.graph import random_process_network
 from repro.obs.benchdb import BenchMetric
 from repro.partition.coarsen import coarsen_once
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.portfolio import default_portfolio, portfolio_partition
 from repro.util.parallel import memo_cache
 from repro.util.rng import as_rng
 from repro.util.tables import format_table
@@ -87,14 +89,13 @@ def test_parallel_portfolio_and_coarsening(benchmark):
             bmax=0.35 * g.total_edge_weight,
             rmax=0.4 * g.total_node_weight,
         )
-        configs = default_portfolio()
         serial, t_serial = _timed(
-            portfolio_partition, g, PORTFOLIO_K, cons,
-            configs=configs, seed=0, cache=False, repeats=1,
+            evolve_partition, g, PORTFOLIO_K, cons, SEEDING_CONFIG,
+            seed=0, cache=False, repeats=1,
         )
         parallel, t_parallel = _timed(
-            portfolio_partition, g, PORTFOLIO_K, cons,
-            configs=configs, seed=0, cache=False, n_jobs=N_JOBS, repeats=1,
+            evolve_partition, g, PORTFOLIO_K, cons, SEEDING_CONFIG,
+            seed=0, cache=False, n_jobs=N_JOBS, repeats=1,
         )
         assert np.array_equal(serial.assign, parallel.assign)
         assert serial.metrics == parallel.metrics
@@ -122,12 +123,9 @@ def test_parallel_portfolio_and_coarsening(benchmark):
 
         # ---- portfolio result cache -------------------------------------
         memo_cache.clear()
-        portfolio_partition(
-            g, PORTFOLIO_K, cons, configs=configs, seed=0
-        )
+        evolve_partition(g, PORTFOLIO_K, cons, SEEDING_CONFIG, seed=0)
         hit, t_hit = _timed(
-            portfolio_partition, g, PORTFOLIO_K, cons,
-            configs=configs, seed=0,
+            evolve_partition, g, PORTFOLIO_K, cons, SEEDING_CONFIG, seed=0,
         )
         assert hit.info.get("cache_hit") is True
         assert np.array_equal(hit.assign, serial.assign)

@@ -13,14 +13,16 @@
 # (REPRO_TEST_JOBS=2: parallel==serial bit-identity for every
 # parallel_map submit shape and for the partitioners, cache behaviour,
 # vectorized-vs-legacy coarsening, the multilevel driver corpus on all
-# three engines, the pinned MLKP rows on the same driver) so a
+# three engines, the pinned MLKP rows on the same driver, and the pinned
+# portfolio corpus: a seeding-only evolve run must reproduce the former
+# portfolio_partition's assignments at n_jobs 1 and 2) so a
 # determinism break is named even
 # when stage 1 already caught it, plus the X8 V-cycle ablation on the
 # graph, hypergraph and vector engines (gated: 2 V-cycles never worse
 # than 0 in goodness at the same seed; artefact x8_vcycle_ablation.txt);
 # stage 5 runs the evolutionary-search suite with real workers plus the
-# X12 equal-budget smoke benchmark (evolve vs restart-only GP vs
-# portfolio on LU + multicast synthetics; the gated asserts fail the
+# X12 equal-budget smoke benchmark (evolve vs restart-only GP vs the
+# portfolio, a seeding-only evolve run, on LU + multicast synthetics; the gated asserts fail the
 # stage if the EA ever loses to GP; artefact x12_evolve_quality.txt);
 # stage 6 runs the vector-resource engine suites with real workers
 # (REPRO_TEST_JOBS=2 for the mr_gp/evolve serial==parallel bit-identity

@@ -297,9 +297,9 @@ def smoke_suite(seed: int = 0) -> list[BenchMetric]:
     not the absolute load, so it must be cheap enough to run in CI and
     as part of the test suite.
     """
+    from repro.evolve.ea import SEEDING_CONFIG, evolve_partition
     from repro.hypergraph.partition import hyper_partition
     from repro.partition.multires import mr_gp_partition
-    from repro.partition.portfolio import portfolio_partition
     from repro.fpga.resources import random_device_matrix
     from repro.partition.vector_state import VectorConstraints
 
@@ -316,8 +316,8 @@ def smoke_suite(seed: int = 0) -> list[BenchMetric]:
         p, seed,
     )
     out += _run_metrics(
-        "portfolio", lambda: portfolio_partition(
-            g, 3, cons, seed=seed, cache=False
+        "portfolio", lambda: evolve_partition(
+            g, 3, cons, SEEDING_CONFIG, seed=seed, cache=False
         ), p, seed,
     )
     hg = multicast_network(40, seed=seed, fanout=4)
@@ -365,11 +365,11 @@ def _x9_suite(seed: int = 0) -> list[BenchMetric]:
 
 @register_suite(
     "x11_portfolio",
-    description="study X11 workload: the GP config portfolio, cold run "
-                "plus the memo-cache hit",
+    description="study X11 workload: the GP config portfolio (evolve's "
+                "seeding), cold run plus the memo-cache hit",
 )
 def _x11_suite(seed: int = 0) -> list[BenchMetric]:
-    from repro.partition.portfolio import portfolio_partition
+    from repro.evolve.ea import SEEDING_CONFIG, evolve_partition
     from repro.util.parallel import memo_cache
 
     g, cons = tight_instance(180, 4, seed=seed)
@@ -377,10 +377,11 @@ def _x11_suite(seed: int = 0) -> list[BenchMetric]:
     memo_cache.clear()
     out = _run_metrics(
         "x11.portfolio",
-        lambda: portfolio_partition(g, 4, cons, seed=seed), p, seed,
+        lambda: evolve_partition(g, 4, cons, SEEDING_CONFIG, seed=seed),
+        p, seed,
     )
     t0 = time.perf_counter()
-    portfolio_partition(g, 4, cons, seed=seed)
+    evolve_partition(g, 4, cons, SEEDING_CONFIG, seed=seed)
     out.append(BenchMetric(
         "x11.cache_hit", time.perf_counter() - t0, "s", dict(p), seed,
     ))

@@ -19,7 +19,7 @@ Usage (see ``python -m repro --help``):
   ``--resources res.json`` a device-shaped per-node resource matrix is
   written alongside the graph.
 * ``python -m repro cache [--stats] [--clear] [--dir DIR]`` — inspect (or
-  drop) the in-process memo cache (portfolio, evolve, vector GP), and with
+  drop) the in-process memo cache (evolve, vector GP), and with
   ``--dir`` a persistent on-disk cache; ``partition --no-cache`` forces
   a cold run.
 * ``python -m repro serve --port 8077 --cache-dir ~/.cache/repro`` — run
@@ -228,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the memo's size and hit/miss stats "
                         "(the default action)")
     c.add_argument("--clear", action="store_true",
-                   help="drop every memoised portfolio, evolve and "
-                        "multires result (with --dir: the disk store too)")
+                   help="drop every memoised evolve and multires "
+                        "result (with --dir: the disk store too)")
     c.add_argument("--dir", metavar="DIR", default=None,
                    help="also inspect/clear the persistent disk cache at "
                         "DIR (the directory `repro serve --cache-dir` "

@@ -18,7 +18,6 @@ from repro.core.report import comparison_report, result_table
 from repro.evolve.ea import EvolveConfig, evolve_partition
 from repro.partition.gp import GPConfig
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.portfolio import portfolio_partition
 
 __all__ = [
     "partition_graph",
@@ -30,7 +29,6 @@ __all__ = [
     "EvolveConfig",
     "ConstraintSpec",
     "evolve_partition",
-    "portfolio_partition",
     "configure_cache_backend",
     "enable_disk_cache",
     "disable_disk_cache",

@@ -26,7 +26,7 @@
 
 ``enable_disk_cache`` / ``disable_disk_cache`` / ``configure_cache_backend``
     Inject a persistent :class:`~repro.util.diskcache.DiskCache` under
-    the in-process memo cache (portfolio, evolve, vector GP), so memoised
+    the in-process memo cache (evolve, vector GP), so memoised
     runs survive the process (the seam ``repro serve`` stands on — see
     ``docs/serve.md``).
 """
@@ -81,13 +81,13 @@ def configure_cache_backend(backend) -> None:
     KeyedCache` backend protocol (``lookup``/``put``/``stats``) —
     canonically a :class:`~repro.util.diskcache.DiskCache`.  One shared
     store is safe: the memo keys are namespaced tuples
-    (``"portfolio"``/``"evolve"``/``"mr_gp"``-prefixed).
+    (``"evolve"``/``"mr_gp"``-prefixed).
     """
     memo_cache.set_backend(backend)
 
 
 def enable_disk_cache(path, max_bytes: int = 256 * 1024 * 1024):
-    """Back the memo cache (portfolio, evolve, vector GP) with a
+    """Back the memo cache (evolve, vector GP) with a
     persistent store.
 
     Returns the :class:`~repro.util.diskcache.DiskCache` so callers can

@@ -1,8 +1,10 @@
 """Evolutionary partitioning subsystem (memetic search over both engines).
 
 The paper's GP search is restart-only: randomized coarsen/partition/refine
-cycles that never share information.  The portfolio layer races such runs
-but still never *combines* them.  This subpackage closes the loop with a
+cycles that never share information.  Seeding races such runs across a
+portfolio of configurations (a zero-generation run is that portfolio,
+:data:`~repro.evolve.ea.SEEDING_CONFIG`) but never *combines* them.  This
+subpackage closes the loop with a
 memetic search in the style of Moreira/Popp/Schulz's evolutionary acyclic
 partitioner and KaHyPar-E: a small population of high-quality partitions
 is improved by **cut-preserving multilevel recombination** (coarsen with
@@ -29,7 +31,12 @@ Entry points: ``partition_graph(method="evolve")``,
 ``--pop-size`` / ``--no-cache``.  See ``docs/evolve.md``.
 """
 
-from repro.evolve.ea import EvolveConfig, evolve_partition
+from repro.evolve.ea import (
+    SEEDING_CONFIG,
+    EvolveConfig,
+    default_portfolio,
+    evolve_partition,
+)
 from repro.partition.engine import (
     GraphEngine,
     HyperEngine,
@@ -41,6 +48,8 @@ from repro.evolve.population import Individual, Population, hamming
 
 __all__ = [
     "EvolveConfig",
+    "SEEDING_CONFIG",
+    "default_portfolio",
     "evolve_partition",
     "GraphEngine",
     "HyperEngine",

@@ -4,10 +4,12 @@ Search shape (KaHyPar-E / evolutionary-acyclic-partitioning style, built
 from this library's own primitives):
 
 1. **Seeding** — the initial population is the GP portfolio: the
-   :func:`~repro.partition.portfolio.default_portfolio` members (their
-   hypergraph counterparts under the connectivity objective), each with a
+   :func:`default_portfolio` members (their hypergraph counterparts under
+   the connectivity objective), each with a
    :func:`~repro.util.rng.spawn_seeds`-derived seed and a reduced cycle
-   budget, raced through :func:`~repro.util.parallel.parallel_map`.
+   budget, raced through :func:`~repro.util.parallel.parallel_map`.  A
+   zero-generation run (:data:`SEEDING_CONFIG`) is the portfolio itself:
+   the goodness-best member wins.
 2. **Generations** — per generation a batch of offspring recipes is drawn
    from the *main-process* RNG (operator choice, parents, child seed),
    the batch is evaluated through ``parallel_map``, and the children are
@@ -27,8 +29,8 @@ from this library's own primitives):
 
 Completed runs are memoised in the shared
 :data:`~repro.util.parallel.memo_cache` keyed by ``("evolve", engine
-kind, structure digest, k, constraints, config, seed)`` under the same
-policy as the portfolio (:func:`~repro.util.parallel.memoised`).
+kind, structure digest, k, constraints, config, seed)`` under the shared
+memo policy (:func:`~repro.util.parallel.memoised`).
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from repro.partition.engine import make_engine
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, run_gp
 from repro.partition.metrics import ConstraintSpec, check_k
-from repro.partition.portfolio import default_portfolio
 from repro.partition.vector_state import VectorConstraints
 from repro.util.errors import InfeasibleError, PartitionError
 import repro.obs as _obs
@@ -54,6 +55,8 @@ from repro.util.rng import as_rng, spawn_seeds
 
 __all__ = [
     "EvolveConfig",
+    "SEEDING_CONFIG",
+    "default_portfolio",
     "evolve_partition",
 ]
 
@@ -182,15 +185,30 @@ class EvolveConfig:
         return max(2, self.pop_size // 2)
 
 
+#: Seeding only: the four :func:`default_portfolio` members raced once
+#: each, the goodness-best kept.  The cycle cap of 30 leaves every
+#: member's own ``max_cycles`` as it is.
+SEEDING_CONFIG = EvolveConfig(pop_size=4, generations=0, seed_max_cycles=30)
+
+
+def default_portfolio() -> list[GPConfig]:
+    """A spread of four complementary GP configurations."""
+    return [
+        GPConfig(),  # paper defaults
+        GPConfig(restarts=20, level_candidates=4),  # wider initial search
+        GPConfig(vcycles=2),  # deeper refinement
+        GPConfig(matchings=("hem",), restarts=5, max_cycles=30),  # many cheap cycles
+    ]
+
+
 def _seed_member_configs(kind: str, config: EvolveConfig) -> list:
     """Portfolio-member configs used for seeding and immigrants.
 
-    Graph runs reuse :func:`~repro.partition.portfolio.default_portfolio`
-    verbatim.  Vector and hypergraph runs use the same spread spelled as
-    the configs those engines run: one FM candidate per level, no
-    V-cycles and all three matchings for vector members, the hypergraph's
-    10-cycle budget for hypergraph members (whose engine ignores
-    ``matchings``).  Every member inherits the run's ``refine`` mode, is
+    Graph runs reuse :func:`default_portfolio` verbatim.  Vector and
+    hypergraph runs use the same spread spelled as the configs those
+    engines run: one FM candidate per level, no V-cycles and all three
+    matchings for vector members, the hypergraph's 10-cycle budget for
+    hypergraph members (whose engine ignores ``matchings``).  Every member inherits the run's ``refine`` mode, is
     neutralised to ``on_infeasible="return"`` (an infeasible seed still
     joins the pool — the EA's job is to repair it) and is capped at
     ``seed_max_cycles`` retry cycles.

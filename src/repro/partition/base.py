@@ -1,22 +1,4 @@
-"""Partition containers: the mutable refinement state and the final result.
-
-:class:`PartitionState` maintains, under single-node moves, the three
-quantities every refinement pass needs in O(deg(u)) per move:
-
-* per-partition resource weights,
-* the pairwise bandwidth matrix ``B`` (and hence global cut), and
-* per-node external-connection vectors on demand.
-
-This is the data structure that makes FM-style passes linear per pass, the
-property the paper inherits from Fiduccia-Mattheyses (Section II.A.2).
-
-The refinement passes themselves now run on the faster vectorized engine in
-:mod:`repro.partition.refine_state` (O(deg + k) moves, O(1) gain reads from
-a ``(k, n)`` connectivity matrix, rollback via a move trail — see
-``docs/refinement.md``).  :class:`PartitionState` remains the simple
-reference implementation: tests use it to cross-check the engine, and the
-vector-resource multiresolution variant still builds on it.
-"""
+"""The result container every partitioning run returns."""
 
 from __future__ import annotations
 
@@ -24,102 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.wgraph import WGraph
-from repro.partition.metrics import (
-    ConstraintSpec,
-    PartitionMetrics,
-    bandwidth_matrix,
-    check_assignment,
-    evaluate_partition,
-    part_weights,
-)
-from repro.util.errors import PartitionError
+from repro.partition.metrics import ConstraintSpec, PartitionMetrics
 
-__all__ = ["PartitionState", "PartitionResult"]
-
-
-class PartitionState:
-    """Mutable k-way assignment with incrementally-maintained metrics."""
-
-    def __init__(self, g: WGraph, assign: np.ndarray, k: int) -> None:
-        self.g = g
-        self.k = int(k)
-        self.assign = check_assignment(g, assign, k).copy()
-        self.part_weight = part_weights(g, self.assign, k)
-        self.bw = bandwidth_matrix(g, self.assign, k)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def cut(self) -> float:
-        return float(np.triu(self.bw, k=1).sum())
-
-    def copy(self) -> "PartitionState":
-        out = object.__new__(PartitionState)
-        out.g = self.g
-        out.k = self.k
-        out.assign = self.assign.copy()
-        out.part_weight = self.part_weight.copy()
-        out.bw = self.bw.copy()
-        return out
-
-    def connection_vector(self, u: int) -> np.ndarray:
-        """Weight of *u*'s edges into each part, shape ``(k,)``."""
-        conn = np.zeros(self.k, dtype=np.float64)
-        nbrs, ws = self.g.neighbor_weights(u)
-        np.add.at(conn, self.assign[nbrs], ws)
-        return conn
-
-    def gain(self, u: int, dest: int) -> float:
-        """Cut reduction if *u* moved to part *dest* (negative = worse)."""
-        conn = self.connection_vector(u)
-        src = self.assign[u]
-        if dest == src:
-            return 0.0
-        return float(conn[dest] - conn[src])
-
-    def move(self, u: int, dest: int) -> None:
-        """Move node *u* to part *dest*, updating all tracked quantities."""
-        src = int(self.assign[u])
-        if not (0 <= dest < self.k):
-            raise PartitionError(f"destination part {dest} out of range")
-        if dest == src:
-            return
-        w_u = self.g.node_weights[u]
-        self.part_weight[src] -= w_u
-        self.part_weight[dest] += w_u
-        nbrs, ws = self.g.neighbor_weights(u)
-        parts = self.assign[nbrs]
-        for c in range(self.k):
-            w_c = float(ws[parts == c].sum())
-            if w_c == 0.0:
-                continue
-            if c != src:
-                self.bw[src, c] -= w_c
-                self.bw[c, src] -= w_c
-            if c != dest:
-                self.bw[dest, c] += w_c
-                self.bw[c, dest] += w_c
-        self.assign[u] = dest
-
-    def boundary_nodes(self) -> np.ndarray:
-        """Nodes with at least one neighbour in a different part."""
-        eu, ev, _ = self.g.edge_array
-        crossing = self.assign[eu] != self.assign[ev]
-        return np.unique(np.concatenate([eu[crossing], ev[crossing]]))
-
-    def metrics(self, constraints: ConstraintSpec | None = None) -> PartitionMetrics:
-        return evaluate_partition(self.g, self.assign, self.k, constraints)
-
-    def recompute(self) -> None:
-        """Rebuild tracked quantities from scratch (used by tests/debugging)."""
-        self.part_weight = part_weights(self.g, self.assign, self.k)
-        self.bw = bandwidth_matrix(self.g, self.assign, self.k)
-
-    def __repr__(self) -> str:
-        return (
-            f"PartitionState(n={self.g.n}, k={self.k}, cut={self.cut:g}, "
-            f"max_res={self.part_weight.max() if self.k else 0:g})"
-        )
+__all__ = ["PartitionResult"]
 
 
 @dataclass

@@ -44,7 +44,6 @@ __all__ = [
     "rebalance_pass",
     "constrained_kway_fm",
     "run_constrained_fm",
-    "move_delta",
 ]
 
 _EPS = 1e-12
@@ -257,53 +256,6 @@ def greedy_kway_refine(
             break
     st.clear_trail()
     return st.assign.copy()
-
-
-def move_delta(
-    state,
-    u: int,
-    dest: int,
-    constraints: ConstraintSpec,
-    conn: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Effect of moving *u* to *dest*: ``(violation_delta, cut_delta)``.
-
-    Negative values are improvements.  Works on either a
-    :class:`~repro.partition.refine_state.RefinementState` (O(k²) vectorized)
-    or the legacy :class:`~repro.partition.base.PartitionState` (computed
-    from its bandwidth matrix in O(k) Python).
-    """
-    src = int(state.assign[u])
-    if dest == src:
-        return (0.0, 0.0)
-    if isinstance(state, RefinementState):
-        dv, dc = state.move_deltas(u, constraints)
-        return (float(dv[dest]), float(dc[dest]))
-    if conn is None:
-        conn = state.connection_vector(u)
-    w_u = float(state.g.node_weights[u])
-    rmax, bmax = constraints.rmax, constraints.bmax
-
-    dv = 0.0
-    if np.isfinite(rmax):
-        w_src, w_dest = state.part_weight[src], state.part_weight[dest]
-        dv += max(0.0, w_src - w_u - rmax) - max(0.0, w_src - rmax)
-        dv += max(0.0, w_dest + w_u - rmax) - max(0.0, w_dest - rmax)
-
-    if np.isfinite(bmax):
-        for c in range(state.k):
-            if c == src or c == dest or conn[c] == 0.0:
-                continue
-            old_sc = state.bw[src, c]
-            old_dc = state.bw[dest, c]
-            dv += max(0.0, old_sc - conn[c] - bmax) - max(0.0, old_sc - bmax)
-            dv += max(0.0, old_dc + conn[c] - bmax) - max(0.0, old_dc - bmax)
-        old_sd = state.bw[src, dest]
-        new_sd = old_sd - conn[dest] + conn[src]
-        dv += max(0.0, new_sd - bmax) - max(0.0, old_sd - bmax)
-
-    cut_delta = float(conn[src] - conn[dest])
-    return (float(dv), cut_delta)
 
 
 def constrained_kway_fm(

@@ -41,9 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.wgraph import WGraph
-from repro.partition.base import PartitionState
 from repro.partition.kway_refine import run_constrained_fm
-from repro.partition.metrics import check_assignment
+from repro.partition.metrics import bandwidth_matrix, check_assignment
 from repro.partition.multilevel import (
     GPConfig,
     multilevel_partition,
@@ -126,11 +125,10 @@ def evaluate_multires(
     w = check_weight_matrix(g, weights)
     _match_resources(w, cons)
     a = check_assignment(g, assign, k)
-    state = PartitionState(g, a, k)
     loads = _loads(w, a, k)
     rmax = np.asarray(cons.rmax)
     res_violation = float(np.maximum(loads - rmax, 0.0).sum())
-    bw = state.bw
+    bw = bandwidth_matrix(g, a, k)
     if np.isfinite(cons.bmax):
         bw_violation = float(
             np.triu(np.maximum(bw - cons.bmax, 0.0), k=1).sum()
@@ -139,7 +137,7 @@ def evaluate_multires(
         bw_violation = 0.0
     return MultiResMetrics(
         k=k,
-        cut=state.cut,
+        cut=float(np.triu(bw, k=1).sum()),
         max_local_bandwidth=float(bw.max()) if k > 1 else 0.0,
         max_loads=tuple(float(x) for x in loads.max(axis=0)),
         bandwidth_violation=bw_violation,

@@ -16,8 +16,9 @@ same four quantities kept current under single-node moves:
   (never a float comparison).
 
 :class:`RefinementState` maintains all of them in **O(deg(u) + k)** numpy
-work per move (the predecessor, :class:`~repro.partition.base.PartitionState`,
-paid O(k·deg(u)) in Python per move and O(m) per boundary query).  It also
+work per move (the per-node predecessor, frozen in
+``benchmarks/_legacy_refine.py``, paid O(k·deg(u)) in Python per move and
+O(m) per boundary query).  It also
 keeps a move trail so a pass can rewind to its best prefix in O(moves·deg)
 instead of rebuilding state from a saved assignment copy.
 

@@ -89,7 +89,7 @@ class MultiResMetrics:
     Field-compatible with :class:`~repro.partition.metrics.
     PartitionMetrics` where it matters: the goodness key reads
     ``total_violation`` / ``bandwidth_violation`` / ``resource_violation``
-    / ``cut``, so population search and portfolio ranking work on either.
+    / ``cut``, so population search and its seeding race work on either.
     """
 
     k: int

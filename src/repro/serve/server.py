@@ -55,6 +55,7 @@ from repro.util.parallel import (
     exit_with_parent,
     memo_cache,
     resolve_jobs,
+    start_method,
     start_warm_pool,
     stop_warm_pool,
     warm_pool_size,
@@ -154,8 +155,7 @@ class ServerMetrics:
         }
 
 
-def _init_worker(n_jobs: int, cache_dir, cache_bytes: int,
-                 warm_pool: bool) -> None:
+def _init_worker(n_jobs: int, cache_dir, cache_bytes: int) -> None:
     """Compute-worker initializer: the memo store, the warm pool, and an
     exit when the daemon dies."""
     configure_cache_backend(
@@ -163,7 +163,7 @@ def _init_worker(n_jobs: int, cache_dir, cache_bytes: int,
         if cache_dir is not None
         else None
     )
-    if warm_pool and n_jobs > 1:
+    if n_jobs > 1:
         start_warm_pool(n_jobs)
     exit_with_parent()
 
@@ -233,9 +233,6 @@ class ReproServer:
         contract the value cannot change any result.  With
         ``n_jobs > 1`` the compute worker starts a warm pool once and
         reuses it across requests.
-    warm_pool:
-        ``False`` leaves the warm pool out (each racing call then forks
-        a pool of its own).
     """
 
     def __init__(
@@ -246,7 +243,6 @@ class ReproServer:
         cache_bytes: int = 256 * 1024 * 1024,
         memory_entries: int = 256,
         n_jobs: int | None = 1,
-        warm_pool: bool = True,
     ) -> None:
         self.disk = (
             DiskCache(cache_dir, max_bytes=cache_bytes, name="serve-disk")
@@ -263,7 +259,7 @@ class ReproServer:
         _obs.enable(metrics=True, tracing=self._prev_obs[1])
         self.metrics = ServerMetrics()
         self.n_jobs = resolve_jobs(n_jobs)
-        self._worker_args = (self.n_jobs, cache_dir, cache_bytes, warm_pool)
+        self._worker_args = (self.n_jobs, cache_dir, cache_bytes)
         self._worker_lock = threading.Lock()
         self._closed = False
         # before the socket and the request threads exist: the worker's
@@ -282,18 +278,12 @@ class ReproServer:
 
         The first worker forks while the daemon is still single-threaded.
         A replacement, started while request threads run, spawns a fresh
-        interpreter instead: a fork copies every lock some other thread
-        holds at that instant, and no thread in the child would release it.
+        interpreter instead (:func:`~repro.util.parallel.start_method`);
+        either one, single-threaded, forks its warm pool.
         """
-        method = (
-            "fork"
-            if threading.active_count() == 1
-            and "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
         worker = ProcessPoolExecutor(
             max_workers=1,
-            mp_context=multiprocessing.get_context(method),
+            mp_context=multiprocessing.get_context(start_method()),
             initializer=_init_worker,
             initargs=self._worker_args,
         )

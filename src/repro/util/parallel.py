@@ -1,7 +1,7 @@
 """Deterministic process-pool racing and result memoisation.
 
-The paper's GP partitioner is a race of randomized attempts: portfolio
-configurations, coarsen/partition retry cycles, per-level refinement
+The paper's GP partitioner is a race of randomized attempts: evolve's
+seeding members, coarsen/partition retry cycles, per-level refinement
 candidates.  Every attempt is independent given its seed, and all seeds
 are derived up front with :func:`repro.util.rng.spawn_seeds` — so racing
 attempts across worker processes cannot change any result, only the
@@ -59,6 +59,7 @@ __all__ = [
     "stop_warm_pool",
     "warm_pool_size",
     "exit_with_parent",
+    "start_method",
 ]
 
 
@@ -222,10 +223,15 @@ def start_warm_pool(n_jobs: int | None = -1) -> int:
     n = resolve_jobs(n_jobs)
     if n <= 1:
         return 0
+    import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     try:
-        pool = ProcessPoolExecutor(max_workers=n, initializer=exit_with_parent)
+        pool = ProcessPoolExecutor(
+            max_workers=n,
+            mp_context=multiprocessing.get_context(start_method()),
+            initializer=exit_with_parent,
+        )
     except Exception:  # pragma: no cover - platform-dependent
         return 0
     try:
@@ -237,6 +243,26 @@ def start_warm_pool(n_jobs: int | None = -1) -> int:
         return 0
     _WARM_POOL, _WARM_POOL_JOBS = pool, n
     return n
+
+
+def start_method() -> str:
+    """``"fork"`` while this process has one thread and can fork, else
+    ``"spawn"``.
+
+    A fork copies every lock some other thread holds at that instant, and
+    no thread in the child would release it.  The rule reads the process
+    itself, not multiprocessing's default, which a spawn-started process
+    inherits as ``"spawn"``.
+    """
+    import multiprocessing
+    import threading
+
+    if (
+        threading.active_count() == 1
+        and "fork" in multiprocessing.get_all_start_methods()
+    ):
+        return "fork"
+    return "spawn"
 
 
 def exit_with_parent() -> None:
@@ -598,10 +624,9 @@ class KeyedCache:
 
 
 #: The one in-process memo of completed partitioning runs
-#: (:func:`~repro.partition.portfolio.portfolio_partition`,
-#: :func:`~repro.evolve.ea.evolve_partition` and
+#: (:func:`~repro.evolve.ea.evolve_partition` and
 #: :func:`~repro.partition.multires.mr_gp_partition`).  Keys are tuples
-#: namespaced by their first element, so the three share one LRU and one
+#: namespaced by their first element, so the two share one LRU and one
 #: persistent backend (``repro.core.api.configure_cache_backend``).
 memo_cache = KeyedCache(maxsize=128, name="memo")
 

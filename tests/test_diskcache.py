@@ -22,10 +22,9 @@ from repro.core.api import (
     enable_disk_cache,
     partition_graph,
 )
+from repro.evolve import SEEDING_CONFIG, EvolveConfig, evolve_partition
 from repro.graph.generators import random_process_network
-from repro.partition.gp import GPConfig
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.portfolio import portfolio_partition
 from repro.util.diskcache import DiskCache
 from repro.util.errors import ReproError
 from repro.util.parallel import KeyedCache, memo_cache
@@ -34,7 +33,7 @@ from repro.util.parallel import KeyedCache, memo_cache
 class TestDiskCache:
     def test_roundtrip(self, tmp_path):
         d = DiskCache(tmp_path)
-        key = ("portfolio", "a" * 64, 4, ConstraintSpec(bmax=16.0, rmax=165.0))
+        key = ("evolve", "a" * 64, 4, ConstraintSpec(bmax=16.0, rmax=165.0))
         value = {"assign": [0, 1, 1, 0], "cut": 12.5}
         assert d.lookup(key) == (False, None)
         d.put(key, value)
@@ -247,24 +246,27 @@ def clean_caches():
 class TestDiskBackedMemoisation:
     """Differential: disk-backed module memos == in-memory == direct."""
 
-    def test_portfolio_disk_hit_is_byte_identical(self, tmp_path, clean_caches):
+    def test_seeding_disk_hit_is_byte_identical(self, tmp_path, clean_caches):
         g = random_process_network(40, 90, seed=11)
         # a feasible instance: an infeasible one makes every member burn
         # all its cycles, for the same disk round trip
         cons = ConstraintSpec(bmax=64.0, rmax=600.0)
 
-        reference = portfolio_partition(g, 3, cons, seed=4, cache=False)
+        def run(**kw):
+            return evolve_partition(g, 3, cons, SEEDING_CONFIG, seed=4, **kw)
+
+        reference = run(cache=False)
         assert reference.feasible
 
         enable_disk_cache(tmp_path)
-        computed = portfolio_partition(g, 3, cons, seed=4)
+        computed = run()
         assert not computed.info.get("cache_hit")
 
         # "restart": drop the in-memory level entirely, attach a fresh
         # DiskCache instance — everything must come back from disk
         memo_cache.clear()
         configure_cache_backend(DiskCache(tmp_path))
-        restored = portfolio_partition(g, 3, cons, seed=4)
+        restored = run()
         assert restored.info.get("cache_hit")
         assert memo_cache.backend_hits == 1
 
@@ -284,8 +286,6 @@ class TestDiskBackedMemoisation:
     ):
         """The full api path: an evolve run memoised through the disk
         backend is served (bit-identically) after a simulated restart."""
-        from repro.evolve.ea import EvolveConfig
-
         memo_cache.clear()
         g = random_process_network(24, 50, seed=2)
         cfg = EvolveConfig(pop_size=4, generations=2)
@@ -335,15 +335,14 @@ class TestWriteFailures:
     ):
         g = random_process_network(40, 90, seed=11)
         cons = ConstraintSpec(bmax=64.0, rmax=400.0)
-        configs = [GPConfig(max_cycles=2)]
-        reference = portfolio_partition(g, 3, cons, configs, seed=4,
-                                        cache=False)
+        config = EvolveConfig(pop_size=2, generations=0, seed_max_cycles=2)
+        reference = evolve_partition(g, 3, cons, config, seed=4, cache=False)
         backend = enable_disk_cache(tmp_path)
         monkeypatch.setattr(os, "replace", _refuse(errno.ENOSPC))
-        result = portfolio_partition(g, 3, cons, configs, seed=4)
+        result = evolve_partition(g, 3, cons, config, seed=4)
         np.testing.assert_array_equal(result.assign, reference.assign)
         assert result.metrics == reference.metrics
         assert backend.stats()["errors"] == 1
         # the in-memory level still took the entry
-        hit = portfolio_partition(g, 3, cons, configs, seed=4)
+        hit = evolve_partition(g, 3, cons, config, seed=4)
         assert hit.info["cache_hit"]

@@ -1,7 +1,7 @@
 """Tests for the hypergraph substrate: HGraph structure, PPN export,
 connectivity metrics, the multicast generator, and end-to-end wiring
 (`partition_graph` on an `HGraph`, `partition_ppn(model="hypergraph")`,
-`race_models`, CLI `--model hypergraph`)."""
+CLI `--model hypergraph`)."""
 
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from repro.hypergraph.coarsen import (
     heavy_pin_matching,
 )
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.portfolio import race_models
 from repro.polyhedral.gallery import chain, fir_filter, lu, split_merge
 from repro.polyhedral.ppn import derive_ppn
 from repro.util.errors import GraphError, PartitionError
@@ -363,31 +362,6 @@ class TestEndToEndWiring:
         traffic_g = evaluate_hyper_partition(hg, res_g.assign, k, cons)
         assert traffic_h.feasible
         assert traffic_h.cut < traffic_g.cut
-
-    def test_race_models_prefers_connectivity_winner(self):
-        cons = ConstraintSpec(rmax=200.0)
-        res = race_models(fir_filter(6, 48), 3, cons, seed=0)
-        assert res.algorithm == "model-portfolio"
-        assert res.info["winner"] in ("graph", "hypergraph")
-        best = min(
-            res.info["graph"]["connectivity"],
-            res.info["hypergraph"]["connectivity"],
-        )
-        assert res.metrics.cut == best
-
-    def test_race_models_never_raises_per_member(self):
-        """A raise-configured member must lose the race, not abort it."""
-        from repro.partition.gp import GPConfig
-
-        cons = ConstraintSpec(rmax=1.0)  # infeasible for every model
-        res = race_models(
-            chain(4, 8), 2, cons, seed=0,
-            gp_config=GPConfig(max_cycles=1, restarts=1, on_infeasible="raise"),
-            hyper_config=GPConfig(
-                max_cycles=1, restarts=1, on_infeasible="raise"
-            ),
-        )
-        assert not res.feasible  # returned, with violations reported
 
     def test_hyper_partition_infeasible_raise(self):
         from repro.partition.gp import GPConfig

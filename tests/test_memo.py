@@ -1,7 +1,7 @@
 """Tests for the shared memo policy (``repro.util.parallel.memoised``).
 
-Portfolio, evolve and vector GP memoise through one helper into one
-``memo_cache``: the same seeds are cacheable everywhere (``None`` and
+Evolve (seeding-only or not) and vector GP memoise through one helper
+into one ``memo_cache``: the same seeds are cacheable everywhere (``None`` and
 integers, numpy integers included), unhashable keys run uncached, and
 hits come back as flagged copies.
 """
@@ -11,12 +11,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.evolve import EvolveConfig, evolve_partition
+from repro.evolve import SEEDING_CONFIG, EvolveConfig, evolve_partition
 from repro.graph.generators import random_process_network
-from repro.partition.gp import GPConfig
 from repro.partition.metrics import ConstraintSpec
 from repro.partition.multires import MR_GP_CONFIG, mr_gp_partition
-from repro.partition.portfolio import portfolio_partition
 from repro.partition.vector_state import VectorConstraints
 from repro.util.parallel import memo_cache, memoised
 
@@ -28,11 +26,9 @@ def _clean_memo():
     memo_cache.clear()
 
 
-def _portfolio(seed):
+def _seeding(seed):
     g = random_process_network(24, 50, seed=2)
-    return portfolio_partition(
-        g, 3, ConstraintSpec(), [GPConfig(max_cycles=2)], seed=seed
-    )
+    return evolve_partition(g, 3, ConstraintSpec(), SEEDING_CONFIG, seed=seed)
 
 
 def _evolve(seed):
@@ -53,8 +49,8 @@ def _mr_gp(seed):
     return mr_gp_partition(g, w, 3, cons, config, seed=seed)
 
 
-@pytest.mark.parametrize("run", [_portfolio, _evolve, _mr_gp],
-                         ids=["portfolio", "evolve", "mr_gp"])
+@pytest.mark.parametrize("run", [_seeding, _evolve, _mr_gp],
+                         ids=["seeding", "evolve", "mr_gp"])
 def test_numpy_integer_seed_hits(run):
     cold = run(np.int64(0))
     assert "cache_hit" not in cold.info

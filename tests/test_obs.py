@@ -462,7 +462,7 @@ class TestServeMetrics:
     def test_server_metrics_keep_shape_and_add_library_series(self):
         from repro.serve.server import ReproServer
 
-        server = ReproServer(port=0, warm_pool=False)
+        server = ReproServer(port=0)
         try:
             assert obs.metrics_on()  # daemon keeps library metrics on
             with server.metrics.track("/test"):
@@ -482,11 +482,11 @@ class TestServeMetrics:
     def test_two_servers_isolate_their_counters(self):
         from repro.serve.server import ReproServer
 
-        s1 = ReproServer(port=0, warm_pool=False)
+        s1 = ReproServer(port=0)
         try:
             with s1.metrics.track("/a"):
                 pass
-            s2 = ReproServer(port=0, warm_pool=False)
+            s2 = ReproServer(port=0)
             try:
                 assert "/a" not in s2.metrics.snapshot()["requests"]
                 assert s2.metrics.snapshot()["computes"] == 0

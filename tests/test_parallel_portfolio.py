@@ -1,38 +1,46 @@
-"""Tests for the parallel execution layer (util.parallel + portfolio/GP).
+"""Tests for the parallel execution layer (util.parallel + GP and the
+portfolio race of evolve's seeding).
 
 The load-bearing property is the determinism contract of
 ``docs/parallel.md``: for every ``n_jobs``, ``parallel_map`` returns the
-same list a serial loop would, and therefore ``gp_partition``,
-``portfolio_partition`` and ``race_models`` return bit-identical
+same list a serial loop would, and therefore ``gp_partition`` and a
+seeding-only ``evolve_partition`` (the GP portfolio) return bit-identical
 partitions (assignments, metrics, goodness keys, ``info`` minus measured
 runtime) whether raced across processes or run in-process.  The
-differential corpus below pins exactly that, alongside cache-hit
-behaviour and the serial fallback taken on platforms without a usable
-process pool.
+differential and pinned corpora below hold exactly that, alongside
+cache-hit behaviour and the serial fallback taken on platforms without a
+usable process pool.
 
 Worker counts honour ``REPRO_TEST_JOBS`` (default 2) so CI can raise the
 parallelism without editing the suite.
 """
 
 import dataclasses
+import hashlib
 import os
+import threading
 
 import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.evolve import SEEDING_CONFIG, EvolveConfig, evolve_partition
 from repro.graph.generators import paper_graph, random_process_network
+from repro.kpn.traffic import ppn_to_mapped_graph
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.portfolio import portfolio_partition, race_models
-from repro.polyhedral.gallery import GALLERY
+from repro.partition.multires import MR_GP_CONFIG, mr_gp_partition
+from repro.partition.vector_state import VectorConstraints
+from repro.polyhedral.gallery import fir_filter, lu
+from repro.polyhedral.ppn import derive_ppn
 from repro.util.errors import InfeasibleError, ReproError
 from repro.util.parallel import (
     KeyedCache,
     memo_cache,
     parallel_map,
     resolve_jobs,
+    start_method,
     start_warm_pool,
     stop_warm_pool,
     warm_pool_size,
@@ -162,6 +170,13 @@ class TestParallelMap:
         # with cancel_futures only tasks already in flight may finish
         done = list(tmp_path.glob("*.done"))
         assert len(done) <= 2, [p.name for p in done]
+
+    def test_start_method_forks_only_single_threaded(self, monkeypatch):
+        """One thread forks, more spawn (fork is available on Linux)."""
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        assert start_method() == "fork"
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        assert start_method() == "spawn"
 
     def test_warm_pool_reused_across_calls(self):
         """A shared warm pool serves repeated calls (the daemon seam) and
@@ -360,43 +375,6 @@ class TestParallelEqualsSerial:
             parallel = gp_partition(g, k, cons, cfg, seed=i, n_jobs=N_JOBS)
             assert_same_result(serial, parallel, cons)
 
-    def test_portfolio_differential(self):
-        configs = [
-            GPConfig(max_cycles=2, restarts=2),
-            GPConfig(max_cycles=2, restarts=2, matchings=("hem",)),
-            GPConfig(max_cycles=1, restarts=4, level_candidates=2),
-        ]
-        for i, (g, k, cons) in enumerate(differential_corpus()):
-            serial = portfolio_partition(
-                g, k, cons, configs=configs, seed=i, cache=False
-            )
-            parallel = portfolio_partition(
-                g, k, cons, configs=configs, seed=i, n_jobs=N_JOBS, cache=False
-            )
-            assert_same_result(serial, parallel, cons)
-
-    def test_portfolio_stop_on_feasible_differential(self):
-        g, spec = paper_graph(1)
-        cons = ConstraintSpec(bmax=spec.bmax, rmax=spec.rmax)
-        serial = portfolio_partition(
-            g, spec.k, cons, seed=0, stop_on_feasible=True, cache=False
-        )
-        parallel = portfolio_partition(
-            g, spec.k, cons, seed=0, stop_on_feasible=True,
-            n_jobs=N_JOBS, cache=False,
-        )
-        assert_same_result(serial, parallel, cons)
-        assert serial.info["members"] <= 4
-
-    def test_race_models_differential(self):
-        prog = GALLERY["split_merge"]()
-        cons = ConstraintSpec()
-        serial = race_models(prog, 2, cons, seed=0)
-        parallel = race_models(prog, 2, cons, seed=0, n_jobs=N_JOBS)
-        assert np.array_equal(serial.assign, parallel.assign)
-        assert serial.metrics == parallel.metrics
-        assert serial.info["winner"] == parallel.info["winner"]
-
     def test_gp_n_jobs_minus_one(self):
         g, spec = paper_graph(1)
         cons = ConstraintSpec(bmax=spec.bmax, rmax=spec.rmax)
@@ -406,7 +384,94 @@ class TestParallelEqualsSerial:
         assert_same_result(a, b, cons)
 
 
-class TestPortfolioCache:
+#: (digest of the assignment, goodness key) of the old
+#: ``portfolio_partition(g, k, cons, seed=seed)`` with the four
+#: ``default_portfolio()`` members, on the X11 graph
+#: (``benchmarks/bench_parallel_portfolio.py``) and the X12 graph instances
+#: (``benchmarks/bench_evolve.py``); a seeding-only evolve run reproduces
+#: each one bit for bit
+SEEDING_EXPECTED = {
+    ("x11", 0): ("c6fd930ac32281d2", (0.0, 0.0, 0.0, 193.0)),
+    ("x11", 1): ("f52f791207fe613a", (0.0, 0.0, 0.0, 178.0)),
+    ("x11", 2): ("8c6fd65fb1683033", (0.0, 0.0, 0.0, 178.0)),
+    ("x11", 3): ("38884880317d6795", (0.0, 0.0, 0.0, 191.0)),
+    ("x11", 4): ("af298506ff61d0b6", (0.0, 0.0, 0.0, 192.0)),
+    ("lu(10)", 0): ("01c84f606ffe38ee", (0.0, 0.0, 0.0, 358.0)),
+    ("lu(10)", 1): ("01c84f606ffe38ee", (0.0, 0.0, 0.0, 358.0)),
+    ("lu(10)", 2): ("01c84f606ffe38ee", (0.0, 0.0, 0.0, 358.0)),
+    ("lu(10)", 3): ("01c84f606ffe38ee", (0.0, 0.0, 0.0, 358.0)),
+    ("lu(10)", 4): ("01c84f606ffe38ee", (0.0, 0.0, 0.0, 358.0)),
+    ("fir(8,64)", 0): ("6fdcd540420e2a7a", (0.0, 0.0, 0.0, 633.0)),
+    ("fir(8,64)", 1): ("6fdcd540420e2a7a", (0.0, 0.0, 0.0, 633.0)),
+    ("fir(8,64)", 2): ("e5965012cd758726", (0.0, 0.0, 0.0, 633.0)),
+    ("fir(8,64)", 3): ("6fdcd540420e2a7a", (0.0, 0.0, 0.0, 633.0)),
+    ("fir(8,64)", 4): ("e5965012cd758726", (0.0, 0.0, 0.0, 633.0)),
+    ("rand96", 0): ("f3e55ee720534ddd", (0.0, 0.0, 0.0, 132.0)),
+    ("rand96", 1): ("f3e55ee720534ddd", (0.0, 0.0, 0.0, 132.0)),
+    ("rand96", 2): ("17567267cfb37899", (0.0, 0.0, 0.0, 132.0)),
+    ("rand96", 3): ("17567267cfb37899", (0.0, 0.0, 0.0, 132.0)),
+    ("rand96", 4): ("f3e55ee720534ddd", (0.0, 0.0, 0.0, 132.0)),
+    ("rand120", 0): ("dcf086e6c296954f", (0.0, 0.0, 0.0, 155.0)),
+    ("rand120", 1): ("204a469b6af74a1c", (0.0, 0.0, 0.0, 143.0)),
+    ("rand120", 2): ("d9d10097b23022be", (0.0, 0.0, 0.0, 152.0)),
+    ("rand120", 3): ("61b126dc5a38fc6d", (0.0, 0.0, 0.0, 151.0)),
+    ("rand120", 4): ("79e3b3ed8f2d0e68", (0.0, 0.0, 0.0, 150.0)),
+    ("rand150", 0): ("61b41e3c768ee2a6", (0.0, 0.0, 0.0, 202.0)),
+    ("rand150", 1): ("1bb68ad450287b1e", (0.0, 0.0, 0.0, 215.0)),
+    ("rand150", 2): ("e04761b6147a6fa5", (0.0, 0.0, 0.0, 216.0)),
+    ("rand150", 3): ("4807adc184a7e3aa", (0.0, 0.0, 0.0, 207.0)),
+    ("rand150", 4): ("ae42214f75cbab22", (0.0, 0.0, 0.0, 204.0)),
+}
+
+
+def _x12_constraints(g, k, bmax=float("inf")):
+    return ConstraintSpec(
+        rmax=float(round(1.15 * g.total_node_weight / k)), bmax=bmax
+    )
+
+
+def seeding_instance(name):
+    """``(graph, k, constraints)`` of one pinned seeding instance."""
+    if name == "x11":
+        g = random_process_network(180, 420, seed=7)
+        return g, 4, ConstraintSpec(
+            bmax=0.35 * g.total_edge_weight, rmax=0.4 * g.total_node_weight
+        )
+    if name in ("lu(10)", "fir(8,64)"):
+        prog, k = (lu(10), 2) if name == "lu(10)" else (fir_filter(8, 64), 3)
+        g, _ = ppn_to_mapped_graph(derive_ppn(prog), mode="tokens")
+        return g, k, _x12_constraints(g, k)
+    n, m, k, bmax, graph_seed = {
+        "rand96": (96, 220, 4, float("inf"), 11),
+        "rand120": (120, 280, 4, 260.0, 12),
+        "rand150": (150, 360, 5, float("inf"), 13),
+    }[name]
+    g = random_process_network(n, m, seed=graph_seed)
+    return g, k, _x12_constraints(g, k, bmax)
+
+
+@pytest.mark.parametrize("n_jobs", [1, N_JOBS])
+@pytest.mark.parametrize(
+    "name", sorted({name for name, _ in SEEDING_EXPECTED})
+)
+def test_seeding_corpus_pinned(name, n_jobs):
+    g, k, cons = seeding_instance(name)
+    for seed in range(5):
+        res = evolve_partition(
+            g, k, cons, SEEDING_CONFIG, seed=seed, n_jobs=n_jobs, cache=False
+        )
+        digest = hashlib.sha256(
+            np.asarray(res.assign, dtype=np.int64).tobytes()
+        ).hexdigest()[:16]
+        assert (digest, goodness_key(res.metrics, cons)) == (
+            SEEDING_EXPECTED[name, seed]
+        )
+
+
+class TestMemoCache:
+    """The shared memo (:func:`~repro.util.parallel.memoised`) seen through
+    a seeding-only evolve run."""
+
     def setup_method(self):
         memo_cache.clear()
 
@@ -419,10 +484,9 @@ class TestPortfolioCache:
 
     def test_hit_returns_identical_flagged_copy(self):
         g, k, cons = self._instance()
-        configs = [GPConfig(max_cycles=2, restarts=2)]
-        first = portfolio_partition(g, k, cons, configs=configs, seed=0)
+        first = evolve_partition(g, k, cons, SEEDING_CONFIG, seed=0)
         assert "cache_hit" not in first.info
-        second = portfolio_partition(g, k, cons, configs=configs, seed=0)
+        second = evolve_partition(g, k, cons, SEEDING_CONFIG, seed=0)
         assert second.info["cache_hit"] is True
         assert np.array_equal(first.assign, second.assign)
         assert first.metrics == second.metrics
@@ -432,67 +496,50 @@ class TestPortfolioCache:
     def test_equal_graph_rebuild_hits(self):
         """The key is the graph *content*, not the object identity."""
         g, k, cons = self._instance()
-        configs = [GPConfig(max_cycles=1, restarts=2)]
-        portfolio_partition(g, k, cons, configs=configs, seed=0)
+        evolve_partition(g, k, cons, SEEDING_CONFIG, seed=0)
         g2, _ = paper_graph(1)
-        res = portfolio_partition(g2, k, cons, configs=configs, seed=0)
+        res = evolve_partition(g2, k, cons, SEEDING_CONFIG, seed=0)
         assert res.info.get("cache_hit") is True
 
     def test_different_parameters_miss(self):
         g, k, cons = self._instance()
-        configs = [GPConfig(max_cycles=1, restarts=2)]
-        portfolio_partition(g, k, cons, configs=configs, seed=0)
-        for kwargs in (
-            {"seed": 1},
-            {"seed": 0, "stop_on_feasible": True},
-            {"seed": 0, "configs": [GPConfig(max_cycles=1, restarts=3)]},
+        evolve_partition(g, k, cons, SEEDING_CONFIG, seed=0)
+        for config, seed in (
+            (SEEDING_CONFIG, 1),
+            (dataclasses.replace(SEEDING_CONFIG, seed_max_cycles=2), 0),
         ):
-            kwargs.setdefault("configs", configs)
-            res = portfolio_partition(g, k, cons, **kwargs)
+            res = evolve_partition(g, k, cons, config, seed=seed)
             assert "cache_hit" not in res.info
         assert memo_cache.stats()["hits"] == 0
 
     def test_list_matchings_config_is_cacheable(self):
         """GPConfig normalises matchings to a tuple, so a list-spelled
         config must neither crash the cache key nor miss against the
-        tuple spelling."""
-        g, k, cons = self._instance()
-        res = portfolio_partition(
-            g, k, cons,
-            configs=[GPConfig(max_cycles=1, restarts=2, matchings=["hem"])],
-            seed=0,
-        )
+        tuple spelling (vector GP keys its runs by the GPConfig)."""
+        g, _, _ = self._instance()
+        w = np.ones((g.n, 2))
+        cons = VectorConstraints(bmax=float("inf"), rmax=(6.0, 6.0))
+
+        def run(matchings):
+            config = dataclasses.replace(
+                MR_GP_CONFIG, max_cycles=1, restarts=2, matchings=matchings
+            )
+            return mr_gp_partition(g, w, 2, cons, config, seed=0)
+
+        res = run(["hem"])
         assert "cache_hit" not in res.info
-        res2 = portfolio_partition(
-            g, k, cons,
-            configs=[GPConfig(max_cycles=1, restarts=2, matchings=("hem",))],
-            seed=0,
-        )
+        res2 = run(("hem",))
         assert res2.info.get("cache_hit") is True
         assert np.array_equal(res.assign, res2.assign)
-
-    def test_generator_seed_not_cached(self):
-        g, k, cons = self._instance()
-        configs = [GPConfig(max_cycles=1, restarts=2)]
-        rng = np.random.default_rng(0)
-        portfolio_partition(g, k, cons, configs=configs, seed=rng)
-        assert len(memo_cache) == 0
-
-    def test_cache_false_bypasses(self):
-        g, k, cons = self._instance()
-        configs = [GPConfig(max_cycles=1, restarts=2)]
-        portfolio_partition(g, k, cons, configs=configs, seed=0, cache=False)
-        assert len(memo_cache) == 0
 
     def test_cached_infeasible_still_raises(self):
         g = random_process_network(8, 14, seed=0, node_weight_range=(10, 20))
         cons = ConstraintSpec(bmax=0.0, rmax=1.0)
-        configs = [GPConfig(max_cycles=1, restarts=1)]
-        res = portfolio_partition(g, 2, cons, configs=configs, seed=0)
-        assert not res.feasible
-        with pytest.raises(InfeasibleError):
-            portfolio_partition(
-                g, 2, cons, configs=configs, seed=0, on_infeasible="raise"
-            )
-        # and the raising path reused the cached run
+        config = EvolveConfig(
+            pop_size=2, generations=0, seed_max_cycles=1, on_infeasible="raise"
+        )
+        for _ in range(2):
+            with pytest.raises(InfeasibleError):
+                evolve_partition(g, 2, cons, config, seed=0)
+        # and the second raise came from the cached run
         assert memo_cache.stats()["hits"] == 1

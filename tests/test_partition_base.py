@@ -1,19 +1,30 @@
-"""Tests for PartitionState incremental maintenance and PartitionResult."""
+"""Tests for PartitionState incremental maintenance and PartitionResult.
+
+``PartitionState`` is the frozen per-node reference state of
+``benchmarks/_legacy_refine.py``; the differential corpora were produced on
+it, so its bookkeeping stays under test.
+"""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import WGraph, random_process_network
-from repro.partition.base import PartitionResult, PartitionState
-from repro.partition.metrics import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from _legacy_refine import PartitionState  # noqa: E402
+
+from repro.graph import WGraph, random_process_network  # noqa: E402
+from repro.partition.base import PartitionResult  # noqa: E402
+from repro.partition.metrics import (  # noqa: E402
     ConstraintSpec,
     bandwidth_matrix,
     evaluate_partition,
     part_weights,
 )
-from repro.util.errors import PartitionError
+from repro.util.errors import PartitionError  # noqa: E402
 
 
 def sample_state():

@@ -1,25 +1,34 @@
-"""Tests for k-way refinement (both flavours) and the goodness function."""
+"""Tests for k-way refinement (both flavours) and the goodness function.
+
+``TestMoveDelta`` checks the frozen per-node reference of
+``benchmarks/_legacy_refine.py``; the live engine's move deltas are checked
+in ``tests/test_refine_invariants.py``.
+"""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import WGraph, paper_graph, random_process_network
-from repro.partition.base import PartitionState
-from repro.partition.goodness import goodness_key, is_better
-from repro.partition.kway_refine import (
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from _legacy_refine import PartitionState, move_delta  # noqa: E402
+
+from repro.graph import WGraph, paper_graph, random_process_network  # noqa: E402
+from repro.partition.goodness import goodness_key, is_better  # noqa: E402
+from repro.partition.kway_refine import (  # noqa: E402
     constrained_kway_fm,
     greedy_kway_refine,
-    move_delta,
 )
-from repro.partition.metrics import (
+from repro.partition.metrics import (  # noqa: E402
     ConstraintSpec,
     cut_value,
     evaluate_partition,
     part_weights,
 )
-from repro.util.errors import PartitionError
+from repro.util.errors import PartitionError  # noqa: E402
 
 
 class TestGoodness:

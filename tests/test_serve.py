@@ -424,6 +424,11 @@ def _children(pid):
         return []
 
 
+def _cmdline(pid):
+    with open(f"/proc/{pid}/cmdline", "rb") as fh:
+        return fh.read()
+
+
 #: a constrained gp compute of about a second: long enough to interrupt
 SLOW_GRAPH = dict(n=1000, m=3000, seed=17)
 SLOW_REQUEST = dict(k=4, bmax=6000.0, rmax=12000.0, seed=3)
@@ -438,7 +443,8 @@ class TestServeFaults:
     def test_worker_killed_mid_compute(self, tmp_path, n_jobs):
         """SIGKILL of the compute worker answers the request in flight with
         503, leaves nothing in flight, and the daemon's next request for
-        the key computes on a new worker and equals the direct call."""
+        the key computes on a new worker and equals the direct call.  The
+        new worker is spawned but forks its warm pool."""
         import signal
 
         g = random_process_network(**SLOW_GRAPH)
@@ -476,7 +482,14 @@ class TestServeFaults:
             direct = partition_graph(g, **SLOW_REQUEST)
             np.testing.assert_array_equal(out["assign"], direct.assign)
             assert out["cut"] == direct.metrics.cut
-            descendants += [srv.worker_pid, *_children(srv.worker_pid)]
+            pool = _children(srv.worker_pid)
+            assert len(pool) == (n_jobs if n_jobs > 1 else 0)
+            # a forked process keeps its parent's command line; a spawned
+            # one runs a spawn_main line of its own
+            assert [_cmdline(p) for p in pool] == [
+                _cmdline(srv.worker_pid)
+            ] * len(pool)
+            descendants += [srv.worker_pid, *pool]
         finally:
             srv.shutdown()
             thread.join(5)

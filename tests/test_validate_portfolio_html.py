@@ -1,13 +1,13 @@
-"""Tests for SANLP static validation, the GP portfolio, and HTML reports."""
+"""Tests for SANLP static validation, the GP portfolio (evolve's seeding),
+and HTML reports."""
 
-import numpy as np
 import pytest
 
-from repro.graph import paper_graph, random_process_network
+from repro.evolve import SEEDING_CONFIG, default_portfolio, evolve_partition
+from repro.graph import paper_graph
 from repro.partition.goodness import goodness_key
 from repro.partition.gp import GPConfig, gp_partition
 from repro.partition.metrics import ConstraintSpec
-from repro.partition.portfolio import default_portfolio, portfolio_partition
 from repro.polyhedral import SANLP, Statement, domain, read, write
 from repro.polyhedral.gallery import GALLERY, matmul, producer_consumer
 from repro.polyhedral.validate import (
@@ -15,7 +15,6 @@ from repro.polyhedral.validate import (
     check_single_assignment,
     program_report,
 )
-from repro.util.errors import InfeasibleError, PartitionError
 from repro.viz.html_report import experiment_html, write_experiment_report
 
 
@@ -78,59 +77,18 @@ class TestSingleAssignment:
 
 
 class TestPortfolio:
-    def _instance(self):
-        g, spec = paper_graph(1)
-        return g, spec, ConstraintSpec(bmax=spec.bmax, rmax=spec.rmax)
-
     def test_never_worse_than_single_default(self):
-        g, spec, cons = self._instance()
+        """Seeding only, evolve races the default portfolio and keeps the
+        goodness-best member."""
+        g, spec = paper_graph(1)
+        cons = ConstraintSpec(bmax=spec.bmax, rmax=spec.rmax)
         single = gp_partition(g, spec.k, cons, GPConfig(), seed=0)
-        port = portfolio_partition(g, spec.k, cons, seed=0)
+        port = evolve_partition(g, spec.k, cons, SEEDING_CONFIG, seed=0)
         assert goodness_key(port.metrics, cons) <= goodness_key(
             single.metrics, cons
         )
-        assert port.algorithm == "GP-portfolio"
-        assert port.info["members"] == len(default_portfolio())
-
-    def test_stop_on_feasible_shortcuts(self):
-        g, spec, cons = self._instance()
-        port = portfolio_partition(g, spec.k, cons, seed=0, stop_on_feasible=True)
-        assert port.feasible
-        assert port.info["members"] <= len(default_portfolio())
-
-    def test_custom_configs(self):
-        g, spec, cons = self._instance()
-        port = portfolio_partition(
-            g, spec.k, cons,
-            configs=[GPConfig(max_cycles=2, restarts=2)], seed=0,
-        )
-        assert port.info["members"] == 1
-
-    def test_empty_portfolio_rejected(self):
-        g, spec, cons = self._instance()
-        with pytest.raises(PartitionError):
-            portfolio_partition(g, spec.k, cons, configs=[])
-
-    def test_infeasible_raise(self):
-        g = random_process_network(8, 14, seed=0, node_weight_range=(10, 20))
-        cons = ConstraintSpec(bmax=0.0, rmax=1.0)
-        with pytest.raises(InfeasibleError):
-            portfolio_partition(
-                g, 2, cons,
-                configs=[GPConfig(max_cycles=1, restarts=1)],
-                seed=0, on_infeasible="raise",
-            )
-
-    def test_member_raise_configs_are_neutralised(self):
-        """A member with on_infeasible='raise' must not abort the portfolio."""
-        g = random_process_network(8, 14, seed=0, node_weight_range=(10, 20))
-        cons = ConstraintSpec(bmax=0.0, rmax=1.0)
-        port = portfolio_partition(
-            g, 2, cons,
-            configs=[GPConfig(max_cycles=1, restarts=1, on_infeasible="raise")],
-            seed=0,
-        )
-        assert not port.feasible  # returned, not raised
+        assert port.info["evals"] == len(default_portfolio())
+        assert port.info["generations"] == 0
 
 
 class TestHtmlReport:
