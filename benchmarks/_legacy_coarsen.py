@@ -19,6 +19,10 @@ references here are verbatim snapshots:
   locally-dominant edge selection.
 * ``contract_legacy`` — dict-merge contraction; the vectorized version
   reproduces the identical coarse ``WGraph`` (same arrays, same CSR).
+  It builds that graph through ``loop_wgraph``, the per-edge
+  ``WGraph.__init__`` of the same commit (the numpy constructor that
+  replaced it is pinned to it by ``tests/test_graph_wgraph.py``), so the
+  reference's cost stays frozen when ``WGraph`` gets faster.
 * ``heavy_pin_matching_legacy`` — sequential greedy over static pair
   ratings; the visit permutation is the only randomness, so the vectorized
   rounds formulation is exact.
@@ -39,10 +43,13 @@ Do not "fix" or optimise this module: its value is that it does not change.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.graph.wgraph import WGraph
 from repro.hypergraph.hgraph import HGraph
+from repro.util.errors import GraphError
 from repro.util.rng import as_rng
 
 __all__ = [
@@ -52,6 +59,7 @@ __all__ = [
     "matching_quality_legacy",
     "contract_legacy",
     "heavy_pin_matching_legacy",
+    "loop_wgraph",
 ]
 
 
@@ -158,7 +166,92 @@ def contract_legacy(g: WGraph, match: np.ndarray) -> tuple[WGraph, np.ndarray]:
         key = (cu, cv) if cu < cv else (cv, cu)
         merged[key] = merged.get(key, 0.0) + w
     edges = [(u, v, w) for (u, v), w in merged.items()]
-    return WGraph(next_id, edges, node_weights=coarse_w), node_map
+    coarse = _wgraph_from_loop(next_id, loop_wgraph(next_id, edges, coarse_w))
+    return coarse, node_map
+
+
+def _wgraph_from_loop(n: int, ref: dict) -> WGraph:
+    """A ``WGraph`` holding :func:`loop_wgraph`'s arrays, read-only as the
+    constructor leaves them, without running the numpy build."""
+    g = object.__new__(WGraph)
+    g._n = n
+    g._node_weights = ref["node_weights"]
+    g._edge_u, g._edge_v, g._edge_w = ref["edge_array"]
+    g._indptr, g._indices, g._weights = ref["csr"]
+    g._adj_edge_id = ref["adj_edge_id"]
+    g._digest = None
+    for a in (g._node_weights, *ref["edge_array"], *ref["csr"],
+              g._adj_edge_id):
+        a.setflags(write=False)
+    return g
+
+
+def loop_wgraph(n, edges, node_weights=None):
+    """The per-edge ``WGraph.__init__`` the numpy build replaced, frozen as
+    the reference: a dict merge in input order, then a CSR fill loop.
+    Returns the arrays and the content digest it would produce.
+
+    ``tests/test_graph_wgraph.py`` pins the numpy constructor to it, and
+    :func:`contract_legacy` builds its coarse graph through it, so the
+    X11 coarsening reference keeps its per-edge cost when ``WGraph``
+    gets faster."""
+    nw = np.ones(n) if node_weights is None else np.array(
+        list(node_weights), dtype=np.float64
+    )
+    merged = {}
+    for item in edges:
+        try:
+            u, v, w = item
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"edge {item!r} is not a (u, v, w) triple") from exc
+        u, v = int(u), int(v)
+        w = float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self loop on node {u} is not allowed")
+        if not np.isfinite(w):
+            raise GraphError(f"edge ({u}, {v}) has non-finite weight {w}")
+        if w < 0:
+            raise GraphError(f"edge ({u}, {v}) has negative weight {w}")
+        key = (u, v) if u < v else (v, u)
+        merged[key] = merged.get(key, 0.0) + w
+    m = len(merged)
+    eu = np.empty(m, dtype=np.int64)
+    ev = np.empty(m, dtype=np.int64)
+    ew = np.empty(m, dtype=np.float64)
+    for i, ((u, v), w) in enumerate(sorted(merged.items())):
+        eu[i], ev[i], ew[i] = u, v, w
+    deg = np.zeros(n, dtype=np.int64)
+    np.add.at(deg, eu, 1)
+    np.add.at(deg, ev, 1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.empty(2 * m, dtype=np.int64)
+    weights = np.empty(2 * m, dtype=np.float64)
+    adj_edge_id = np.empty(2 * m, dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for i in range(m):
+        u, v, w = eu[i], ev[i], ew[i]
+        indices[cursor[u]] = v
+        weights[cursor[u]] = w
+        adj_edge_id[cursor[u]] = i
+        cursor[u] += 1
+        indices[cursor[v]] = u
+        weights[cursor[v]] = w
+        adj_edge_id[cursor[v]] = i
+        cursor[v] += 1
+    h = hashlib.sha256()
+    h.update(str(n).encode())
+    for a in (nw, eu, ev, ew):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return {
+        "node_weights": nw,
+        "edge_array": (eu, ev, ew),
+        "csr": (indptr, indices, weights),
+        "adj_edge_id": adj_edge_id,
+        "digest": h.hexdigest(),
+    }
 
 
 def heavy_pin_matching_legacy(hg: HGraph, seed=None) -> np.ndarray:

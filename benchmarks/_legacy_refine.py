@@ -6,8 +6,11 @@ engine.  ``benchmarks/bench_refine_engine.py`` times these against the new
 engine, and ``tests/test_refine_differential.py``'s pinned corpus values were
 produced by them.  :class:`PartitionState`, the per-node state they run on,
 lives here too (formerly ``repro.partition.base.PartitionState``, moved
-verbatim); ``_legacy_multires.py`` imports it from here.  Do not "fix" or
-optimise this module: its value is that it does not change.
+verbatim); ``_legacy_multires.py`` imports it from here.  The last
+section freezes the vectorized engine's single-node evaluator paths as
+they were before their scalar-cost rewrite (the reference of
+``tests/test_refine_scalar_paths.py``).  Do not "fix" or optimise this
+module: its value is that it does not change.
 """
 
 from __future__ import annotations
@@ -37,6 +40,12 @@ __all__ = [
     "legacy_constrained_kway_fm",
     "legacy_fm_pass_bisection",
     "legacy_fm_refine_bisection",
+    "legacy_node_entries",
+    "legacy_node_move",
+    "legacy_move_deltas",
+    "legacy_select_escape",
+    "legacy_escape_move",
+    "legacy_dense_apply_move",
 ]
 
 _EPS = 1e-12
@@ -530,3 +539,147 @@ def legacy_fm_refine_bisection(
             break
         a, key = new_a, new_key
     return a
+
+
+# --------------------------------------------------------------------- #
+# The engine's single-node paths before their scalar-cost rewrite
+# --------------------------------------------------------------------- #
+# Verbatim snapshots of ``RefinementState._node_move`` (with the store's
+# ``node_entries``, ``_node_bandwidth_deltas`` and both states'
+# ``_node_resource_deltas``), ``RefinementState._escape_move`` (with
+# ``move_deltas``' resource call on index arrays and the tuple-min
+# selection) and ``DenseConnStore.apply_move``, as of the commit that
+# preceded the rewrite, made functions of the state or store they ran
+# on.  ``tests/test_refine_scalar_paths.py`` holds the rewritten paths
+# to them bit for bit under fractional weights.
+
+
+def legacy_node_entries(store, u: int) -> list[tuple[int, float]]:
+    """``node_entries`` of either connectivity store."""
+    if store.format == "dense":
+        col = store.conn[:, u]
+        nz = (col > 0.0).nonzero()[0]
+        return list(zip(nz.tolist(), col[nz].tolist()))
+    lo = int(store.indptr[u])
+    hi = lo + int(store.nnz[u])
+    live = zip(store.parts[lo:hi].tolist(), store.weights[lo:hi].tolist())
+    return sorted(e for e in live if e[1] > 0.0)
+
+
+def legacy_select_best_move(dv, dc, dests):
+    """Min ``(dv[i], dc[i], dests[i])`` over Python lists."""
+    return min(zip(dv, dc, dests), default=None)
+
+
+def _legacy_node_bandwidth_deltas(view, src, cu_src, dests, cus, bmax):
+    bsrc = view.bw_row(src)
+    shed = []
+    for c, x in zip(dests, cus):
+        t, o = bsrc[c] - x - bmax, bsrc[c] - bmax
+        shed.append((t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0))
+    total = 0.0
+    for v in shed:
+        total += v
+    out = []
+    for i, d in enumerate(dests):
+        bd = view.bw_row(d)
+        add = 0.0
+        for c, x in zip(dests, cus):
+            if c != d:
+                t, o = bd[c] + x - bmax, bd[c] - bmax
+                add += (t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)
+        t, o = bsrc[d] - cus[i] + cu_src - bmax, bsrc[d] - bmax
+        sd = (t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)
+        out.append(((total - shed[i]) + add) + sd)
+    return out
+
+
+def _legacy_node_resource_deltas(state, u, src, dests, constraints, view):
+    if hasattr(state, "loads"):  # the vector-resource state's hook
+        return state._resource_deltas(
+            np.array([u]), np.array([src]),
+            np.zeros(len(dests), dtype=np.int64), np.array(dests),
+            constraints,
+        ).tolist()
+    rmax = constraints.rmax
+    if not np.isfinite(rmax):
+        return None
+    pw = view.pw
+    w_u = float(state.g.node_weights[u])
+    shed = max(pw[src] - w_u - rmax, 0.0) - max(pw[src] - rmax, 0.0)
+    out = []
+    for d in dests:
+        t, o = pw[d] + w_u - rmax, pw[d] - rmax
+        out.append(shed + ((t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)))
+    return out
+
+
+def legacy_node_move(state, u: int, src: int, constraints, view):
+    """``RefinementState._node_move``: best move among the parts *u*
+    touches, term lists built separately, then the tuple min."""
+    cu_src, dests, cus = 0.0, [], []
+    for p, x in legacy_node_entries(state._store, u):
+        if p == src:
+            cu_src = x
+        else:
+            dests.append(p)
+            cus.append(x)
+    if not dests:
+        return None
+    dv = _legacy_node_resource_deltas(state, u, src, dests, constraints, view)
+    if dv is None:
+        dv = [0.0] * len(dests)
+    bmax = constraints.bmax
+    if np.isfinite(bmax):
+        bw = _legacy_node_bandwidth_deltas(view, src, cu_src, dests, cus, bmax)
+        dv = [a + b for a, b in zip(dv, bw)]
+    return legacy_select_best_move(dv, [cu_src - x for x in cus], dests)
+
+
+def legacy_move_deltas(state, u: int, constraints):
+    """``RefinementState.move_deltas`` with its index-array resource call."""
+    src = int(state.assign[u])
+    cu = state._store.col(u)
+    k = state.k
+    res = state._resource_deltas(
+        np.array([u]), np.array([src]), np.zeros(k, dtype=np.int64),
+        np.arange(k), constraints,
+    )
+    dv = np.zeros(k) if res is None else res
+    bmax = constraints.bmax
+    if np.isfinite(bmax):
+        relu_bw = state._relu_bw(bmax)
+        bws = state.bw[src]
+        relu_src = relu_bw[src]
+        t = bws - cu
+        shed_c = np.maximum(t - bmax, 0.0) - relu_src
+        shed_c[src] = 0.0
+        add = np.maximum(state.bw + cu[None, :] - bmax, 0.0) - relu_bw
+        add[:, src] = 0.0
+        add_d = add.sum(axis=1) - np.diagonal(add)
+        sd = np.maximum(t + cu[src] - bmax, 0.0) - relu_src
+        dv += (shed_c.sum() - shed_c) + add_d + sd
+    dc = cu[src] - cu
+    dv[src] = 0.0
+    dc[src] = 0.0
+    return dv, dc
+
+
+def legacy_select_escape(dv, dc, src: int):
+    """The escape selection: tuple min over every part but *src*."""
+    dests = [d for d in range(dv.size) if d != src]
+    return legacy_select_best_move(dv[dests].tolist(), dc[dests].tolist(), dests)
+
+
+def legacy_escape_move(state, u: int, src: int, constraints):
+    """``RefinementState._escape_move``."""
+    dv, dc = legacy_move_deltas(state, u, constraints)
+    return legacy_select_escape(dv, dc, src)
+
+
+def legacy_dense_apply_move(store, src: int, dest: int, nbrs, ws) -> None:
+    """``DenseConnStore.apply_move``: four fancy-index updates."""
+    store.conn[src, nbrs] -= ws
+    store.conn[dest, nbrs] += ws
+    store.ncnt[src, nbrs] -= 1
+    store.ncnt[dest, nbrs] += 1

@@ -19,7 +19,11 @@
 # determinism break is named even
 # when stage 1 already caught it, plus the X8 V-cycle ablation on the
 # graph, hypergraph and vector engines (gated: 2 V-cycles never worse
-# than 0 in goodness at the same seed; artefact x8_vcycle_ablation.txt);
+# than 0 in goodness at the same seed; artefact x8_vcycle_ablation.txt)
+# and the X11 driver (gated: the raced seeding equals the serial one,
+# races >= 2x faster where 4 CPUs exist, and 10k-node coarsening is
+# >= 5x faster than the frozen per-edge reference in
+# benchmarks/_legacy_coarsen.py; artefact x11_parallel_portfolio.txt);
 # stage 5 runs the evolutionary-search suite with real workers plus the
 # X12 equal-budget smoke benchmark (evolve vs restart-only GP vs the
 # portfolio, a seeding-only evolve run, on LU + multicast synthetics; the gated asserts fail the
@@ -108,7 +112,8 @@ REPRO_TEST_JOBS=2 python -m pytest -q \
   tests/test_coarsen_vectorized.py \
   tests/test_multilevel.py \
   "tests/test_partition_algorithms.py::test_mlkp_pinned"
-python -m pytest -q benchmarks/bench_ablation_vcycle.py --artifacts-dir "$ART"
+python -m pytest -q benchmarks/bench_ablation_vcycle.py \
+  benchmarks/bench_parallel_portfolio.py --artifacts-dir "$ART"
 
 echo "== stage 5: evolutionary search suite + equal-budget smoke =="
 REPRO_TEST_JOBS=2 python -m pytest -q \

@@ -52,6 +52,7 @@ from repro.partition.refine_state import (
     constrained_key,
     metrics_from_matrices,
     select_best_move,
+    select_escape_move,
     upper_flat_index,
 )
 from repro.util.errors import PartitionError
@@ -562,9 +563,7 @@ class HyperRefinementState:
 
     def _escape_move(self, u: int, src: int, constraints) -> tuple | None:
         """The escape rule: every part but *src* is a candidate."""
-        dests = [d for d in range(self.k) if d != src]
-        dv, dc = self.move_deltas(u, constraints)
-        return select_best_move(dv[dests].tolist(), dc[dests].tolist(), dests)
+        return select_escape_move(*self.move_deltas(u, constraints), src)
 
     def _node_move(
         self, u: int, src: int, constraints, view: _EpochView

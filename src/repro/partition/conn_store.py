@@ -13,10 +13,11 @@ interchangeable implementations:
 
 :class:`DenseConnStore`
     The historical layout, verbatim: ``conn`` float64 and ``ncnt`` int64
-    of shape ``(k, n)``.  Every query and update is the exact numpy
-    expression the engine used inline, so the dense path is
-    **bit-identical** to the pre-store engine (pinned by the existing
-    differential corpora).
+    of shape ``(k, n)``.  Every query and update computes what the numpy
+    expression the engine used inline computed, value for value (a move
+    of a low-degree node writes the same cells through memoryviews), so
+    the dense path is **bit-identical** to the pre-store engine (pinned
+    by the existing differential corpora).
 
 :class:`SparseConnStore`
     A packed CSR-of-slices layout sized by *degree*, not by *k*: node
@@ -94,6 +95,12 @@ def make_conn_store(g, assign: np.ndarray, k: int, conn_format: str = "auto"):
     return SparseConnStore(g, assign, k)
 
 
+#: :meth:`DenseConnStore.apply_move` updates a node with fewer
+#: neighbours than this through Python scalars; see docs/refinement.md
+#: ("Move evaluation") for the measurement.
+_SCALAR_MOVE_MAX_DEG = 24
+
+
 def _flat_slice_indices(
     lo: np.ndarray, ln: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -155,15 +162,11 @@ class DenseConnStore:
         rows, parts = np.nonzero(cols > 0.0)
         return rows, parts, cols[rows, parts]
 
-    def count_entries(self, nodes: np.ndarray) -> int:
-        """Size of :meth:`entries` of *nodes*."""
-        return int(np.count_nonzero(self.gather_cols(nodes) > 0.0))
-
     def node_entries(self, u: int) -> list[tuple[int, float]]:
         """:meth:`entries` of the single node *u*, as ``(part, weight)``."""
-        col = self.conn[:, u]
-        nz = (col > 0.0).nonzero()[0]
-        return list(zip(nz.tolist(), col[nz].tolist()))
+        return [
+            (p, x) for p, x in enumerate(self.conn[:, u].tolist()) if x > 0.0
+        ]
 
     def gain_pair(self, u: int, src: int, dest: int) -> float:
         return float(self.conn[dest, u] - self.conn[src, u])
@@ -194,7 +197,24 @@ class DenseConnStore:
     def apply_move(
         self, src: int, dest: int, nbrs: np.ndarray, ws: np.ndarray
     ) -> None:
-        """Account a *src*→*dest* move of a node with neighbours *nbrs*."""
+        """Account a *src*→*dest* move of a node with neighbours *nbrs*.
+
+        Below :data:`_SCALAR_MOVE_MAX_DEG` neighbours, Python scalars
+        through memoryviews of the flattened matrices beat the four
+        fancy-index updates; each cell gets the same single float
+        operation either way (*nbrs* holds no repeats).
+        """
+        if nbrs.size < _SCALAR_MOVE_MAX_DEG:
+            n = self.n
+            conn = memoryview(self.conn.reshape(-1))
+            ncnt = memoryview(self.ncnt.reshape(-1))
+            s, d = src * n, dest * n
+            for v, w in zip(nbrs.tolist(), ws.tolist()):
+                conn[s + v] -= w
+                conn[d + v] += w
+                ncnt[s + v] -= 1
+                ncnt[d + v] += 1
+            return
         self.conn[src, nbrs] -= ws
         self.conn[dest, nbrs] += ws
         self.ncnt[src, nbrs] -= 1
@@ -298,17 +318,15 @@ class SparseConnStore:
         order = np.lexsort((parts, rows))
         return rows[order], parts[order], self.weights[flat[order]]
 
-    def count_entries(self, nodes: np.ndarray) -> int:
-        """Upper bound on the size of :meth:`entries` of *nodes* (counts
-        zero-weight live entries too)."""
-        return int(self.nnz[nodes].sum())
-
     def node_entries(self, u: int) -> list[tuple[int, float]]:
         """:meth:`entries` of the single node *u*, as ``(part, weight)``."""
         lo = int(self.indptr[u])
         hi = lo + int(self.nnz[u])
-        live = zip(self.parts[lo:hi].tolist(), self.weights[lo:hi].tolist())
-        return sorted(e for e in live if e[1] > 0.0)
+        ws = self.weights[lo:hi].tolist()
+        live = sorted(zip(self.parts[lo:hi].tolist(), ws))
+        if ws and min(ws) <= 0.0:  # live entries of zero weight
+            live = [e for e in live if e[1] > 0.0]
+        return live
 
     def gain_pair(self, u: int, src: int, dest: int) -> float:
         sl = self._slice(u)

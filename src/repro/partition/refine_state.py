@@ -54,6 +54,7 @@ __all__ = [
     "RefinementState",
     "BucketQueue",
     "select_best_move",
+    "select_escape_move",
     "constrained_key",
     "upper_flat_index",
     "metrics_from_matrices",
@@ -129,51 +130,41 @@ def select_best_move(
     """Min ``(dv[i], dc[i], dests[i])`` — one node's best move.
 
     *dests* are the candidate destinations (never the node's own part),
-    *dv*/*dc* their deltas in the same order.  Shared by the graph engine
-    and the hypergraph Φ engine so both pick moves under exactly the same
-    lexicographic tie-breaking.  ``None`` when there is no candidate.
+    *dv*/*dc* their deltas in the same order.  The hypergraph Φ engine's
+    per-node selection; the graph engine's :meth:`RefinementState._node_move`
+    keeps the same minimum as it scores, and :func:`select_escape_move`
+    takes it over k-wide rows, so every path breaks ties alike.  ``None``
+    when there is no candidate.
     """
     return min(zip(dv, dc, dests), default=None)
 
 
+def select_escape_move(
+    dv: np.ndarray, dc: np.ndarray, src: int
+) -> tuple[float, float, int] | None:
+    """:func:`select_best_move` over every part but *src* — the escape
+    rule's selection over the k-wide ``move_deltas`` rows *dv*/*dc*.
+
+    One masked lexicographic min in numpy: the least ``dv``, among its
+    ties the least ``dc``, among those the smallest part (``argmin``
+    returns the first).  Overwrites the rows' *src* entries; ``dc`` is
+    always finite, so a masked entry never wins a tie.  Shared by both
+    engines' escape paths.
+    """
+    if dv.size < 2:
+        return None
+    dv[src] = np.inf
+    dc[src] = np.inf
+    tie = (dv == dv.min()).nonzero()[0]
+    i = int(tie[0] if tie.size == 1 else tie[dc[tie].argmin()])
+    return (float(dv[i]), float(dc[i]), i)
+
+
 #: :meth:`RefinementState.best_moves` scores a batch with one numpy pass
-#: from this many live connectivity entries on; below it, a Python loop
-#: per node is cheaper than the pass's fixed cost (nodes on a
-#: bounded-degree graph touch few parts, so neighbour batches rarely
-#: reach it).
-_VECTOR_MIN_ENTRIES = 32
-
-
-def _node_bandwidth_deltas(
-    view: "_EpochView",
-    src: int,
-    cu_src: float,
-    dests: list[int],
-    cus: list[float],
-    bmax: float,
-) -> list[float]:
-    """One node's :meth:`RefinementState._bandwidth_deltas`, in Python
-    floats, term for term."""
-    bsrc = view.bw_row(src)
-    shed = []
-    for c, x in zip(dests, cus):
-        t, o = bsrc[c] - x - bmax, bsrc[c] - bmax
-        shed.append((t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0))
-    total = 0.0
-    for v in shed:
-        total += v
-    out = []
-    for i, d in enumerate(dests):
-        bd = view.bw_row(d)
-        add = 0.0
-        for c, x in zip(dests, cus):
-            if c != d:
-                t, o = bd[c] + x - bmax, bd[c] - bmax
-                add += (t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)
-        t, o = bsrc[d] - cus[i] + cu_src - bmax, bsrc[d] - bmax
-        sd = (t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)
-        out.append(((total - shed[i]) + add) + sd)
-    return out
+#: from this many nodes on; below it, the per-node loop is cheaper than
+#: the pass's fixed cost.  See docs/refinement.md ("Move evaluation")
+#: for the measurement.
+_BATCH_MIN_NODES = 11
 
 
 class _EpochView:
@@ -571,7 +562,9 @@ class RefinementState:
     ) -> np.ndarray | None:
         """Resource-violation delta of moving ``nodes[rows[i]]`` from its
         part ``srcs[rows[i]]`` to ``dests[i]``, for every *i*; ``None``
-        when resources are unconstrained.
+        when resources are unconstrained.  Any of the four may be a basic
+        slice (the vector-resource state's single-node forms pass one
+        node), which broadcasts to the same per-entry arithmetic.
 
         The evaluator's per-destination hook: the vector-resource state
         overrides it with the componentwise load term and inherits
@@ -589,22 +582,13 @@ class RefinementState:
             np.maximum(pd + w[rows] - rmax, 0.0) - np.maximum(pd - rmax, 0.0)
         )
 
-    def _node_resource_deltas(
-        self, u: int, src: int, dests: list[int], constraints, view
-    ) -> list[float] | None:
-        """:meth:`_resource_deltas` of the single node *u*, in Python
-        floats, term for term (the second half of the hook)."""
-        rmax = constraints.rmax
-        if not math.isfinite(rmax):
-            return None
-        pw = view.pw
-        w_u = float(self.g.node_weights[u])
-        shed = max(pw[src] - w_u - rmax, 0.0) - max(pw[src] - rmax, 0.0)
-        out = []
-        for d in dests:
-            t, o = pw[d] + w_u - rmax, pw[d] - rmax
-            out.append(shed + ((t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)))
-        return out
+    #: The single-node half of the resource hook: ``None`` here, where
+    #: :meth:`_node_move` and :meth:`move_deltas` compute
+    #: :meth:`_resource_deltas`' scalar term inline in Python floats,
+    #: term for term; the vector-resource state sets it to a method
+    #: ``(u, src, dests, constraints, view) -> list[float]``, and
+    #: :meth:`move_deltas` then calls its :meth:`_resource_deltas`.
+    _node_resource_deltas = None
 
     def move_deltas(
         self, u: int, constraints: ConstraintSpec
@@ -619,11 +603,26 @@ class RefinementState:
         src = int(self.assign[u])
         cu = self._store.col(u)
         k = self.k
-        res = self._resource_deltas(
-            np.array([u]), np.array([src]), np.zeros(k, dtype=np.int64),
-            np.arange(k), constraints,
-        )
-        dv = np.zeros(k) if res is None else res
+        if self._node_resource_deltas is not None:
+            # the overriding state's hook on basic slices (one node, every
+            # part): the same per-entry arithmetic, without the gathers
+            every = slice(None)
+            dv = self._resource_deltas(
+                slice(u, u + 1), slice(src, src + 1), every, every,
+                constraints,
+            )
+        elif math.isfinite(constraints.rmax):
+            # the scalar term of _resource_deltas, its shed in Python floats
+            rmax = constraints.rmax
+            pw = self.part_weight
+            w_u = float(self.g.node_weights[u])
+            ps = float(pw[src])
+            shed = max(ps - w_u - rmax, 0.0) - max(ps - rmax, 0.0)
+            dv = shed + (
+                np.maximum(pw + w_u - rmax, 0.0) - np.maximum(pw - rmax, 0.0)
+            )
+        else:
+            dv = np.zeros(k)
         bmax = constraints.bmax
         if np.isfinite(bmax):
             relu_bw = self._relu_bw(bmax)
@@ -668,24 +667,26 @@ class RefinementState:
 
         The degree-local evaluator: every violation and cut term of a part
         a node does not touch is exactly zero, so only the nodes' live
-        connectivity entries are scored — one numpy pass over O(Σ deg)
-        entries and O(Σ deg²) bandwidth pairs, never a ``(k,)`` row per
-        node.  Escape nodes score all k parts through :meth:`move_deltas`.
+        connectivity entries are scored — from ``_BATCH_MIN_NODES`` nodes
+        on, one numpy pass over O(Σ deg) entries and O(Σ deg²) bandwidth
+        pairs, never a ``(k,)`` row per node; smaller batches run
+        :meth:`_node_move` per node.  Escape nodes score all k parts
+        through :meth:`move_deltas`.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.size < _BATCH_MIN_NODES:
+            view = self._view(constraints)
+            over = view.over
+            return [
+                self._escape_move(u, src, constraints) if over[src]
+                else self._node_move(u, src, constraints, view)
+                for u, src in zip(nodes.tolist(), self.assign[nodes].tolist())
+            ]
         out: list = [None] * nodes.size
-        if nodes.size == 0:
-            return out
         srcs = self.assign[nodes]
         escape = self.overloaded_mask(constraints)[srcs]
         for i in np.flatnonzero(escape).tolist():
             out[i] = self._escape_move(int(nodes[i]), int(srcs[i]), constraints)
-        if self._store.count_entries(nodes) < _VECTOR_MIN_ENTRIES:
-            view = self._view(constraints)
-            for i, (u, src) in enumerate(zip(nodes.tolist(), srcs.tolist())):
-                if not view.over[src]:
-                    out[i] = self._node_move(u, src, constraints, view)
-            return out
         rows, parts, ws = self._store.entries(nodes)
         own = parts == srcs[rows]
         cu_src = np.zeros(nodes.size)
@@ -709,16 +710,21 @@ class RefinementState:
 
     def _escape_move(self, u: int, src: int, constraints) -> tuple | None:
         """The escape rule: every part but *src* is a candidate."""
-        dests = [d for d in range(self.k) if d != src]
-        dv, dc = self.move_deltas(u, constraints)
-        return select_best_move(dv[dests].tolist(), dc[dests].tolist(), dests)
+        return select_escape_move(*self.move_deltas(u, constraints), src)
 
     def _node_move(
         self, u: int, src: int, constraints, view: _EpochView
     ) -> tuple[float, float, int] | None:
         """Best move of the single node *u* among the parts it touches —
         the Python-float twin of :meth:`_candidate_deltas` plus the
-        selection, for calls too small to pay a numpy pass."""
+        selection, for calls too small to pay a numpy pass.
+
+        One loop scores and selects: per candidate, the resource term,
+        the bandwidth term with the same float operations in the same
+        order as the numpy pass, and the running lexicographic minimum.
+        Candidates come in ascending part order, so keeping the first of
+        equal ``(dv, dc)`` pairs is the smallest-part tie-break.
+        """
         cu_src, dests, cus = 0.0, [], []
         for p, x in self._store.node_entries(u):
             if p == src:
@@ -728,14 +734,47 @@ class RefinementState:
                 cus.append(x)
         if not dests:
             return None
-        dv = self._node_resource_deltas(u, src, dests, constraints, view)
-        if dv is None:
-            dv = [0.0] * len(dests)
+        hook = self._node_resource_deltas
+        res = None if hook is None else hook(u, src, dests, constraints, view)
+        scalar = hook is None and math.isfinite(constraints.rmax)
+        if scalar:
+            rmax = constraints.rmax
+            pw = view.pw
+            w_u = float(self.g.node_weights[u])
+            shed_r = max(pw[src] - w_u - rmax, 0.0) - max(pw[src] - rmax, 0.0)
         bmax = constraints.bmax
-        if math.isfinite(bmax):
-            bw = _node_bandwidth_deltas(view, src, cu_src, dests, cus, bmax)
-            dv = [a + b for a, b in zip(dv, bw)]
-        return select_best_move(dv, [cu_src - x for x in cus], dests)
+        bounded = math.isfinite(bmax)
+        if bounded:
+            bw_row = view.bw_row
+            bsrc = bw_row(src)
+            shed = []
+            for c, x in zip(dests, cus):
+                t, o = bsrc[c] - x - bmax, bsrc[c] - bmax
+                shed.append((t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0))
+            total = 0.0
+            for v in shed:
+                total += v
+        best = None
+        for i, d in enumerate(dests):
+            if scalar:
+                t, o = pw[d] + w_u - rmax, pw[d] - rmax
+                v = shed_r + ((t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0))
+            else:
+                v = 0.0 if res is None else res[i]
+            if bounded:
+                bd = bw_row(d)
+                add = 0.0
+                for c, x in zip(dests, cus):
+                    if c != d:
+                        t, o = bd[c] + x - bmax, bd[c] - bmax
+                        add += (t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)
+                t, o = bsrc[d] - cus[i] + cu_src - bmax, bsrc[d] - bmax
+                sd = (t if t > 0.0 else 0.0) - (o if o > 0.0 else 0.0)
+                v = v + (((total - shed[i]) + add) + sd)
+            dc = cu_src - cus[i]
+            if best is None or v < best_dv or (v == best_dv and dc < best_dc):
+                best, best_dv, best_dc = d, v, dc
+        return (best_dv, best_dc, best)
 
     def _candidate_deltas(
         self,

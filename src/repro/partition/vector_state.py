@@ -317,8 +317,8 @@ class VectorRefinementState(RefinementState):
     def _node_resource_deltas(self, u, src, dests, constraints, view):
         """One node's :meth:`_resource_deltas`, as a list."""
         return self._resource_deltas(
-            np.array([u]), np.array([src]), np.zeros(len(dests), dtype=np.int64),
-            np.array(dests), constraints,
+            slice(u, u + 1), slice(src, src + 1), slice(None), dests,
+            constraints,
         ).tolist()
 
     def copy(self) -> "VectorRefinementState":

@@ -1,12 +1,18 @@
 """Unit tests for repro.graph.wgraph.WGraph."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import WGraph, check_graph
-from repro.util.errors import GraphError
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from _legacy_coarsen import loop_wgraph  # noqa: E402
+
+from repro.graph import WGraph, check_graph  # noqa: E402
+from repro.util.errors import GraphError  # noqa: E402
 
 
 def triangle():
@@ -219,71 +225,8 @@ class TestValidation:
 
 # --------------------------------------------------------------------- #
 # differential: the numpy constructor against the per-edge loop it replaced
+# (frozen as ``loop_wgraph`` in benchmarks/_legacy_coarsen.py)
 # --------------------------------------------------------------------- #
-def _loop_wgraph(n, edges, node_weights=None):
-    """The per-edge ``WGraph.__init__`` the numpy build replaced, frozen as
-    the reference: a dict merge in input order, then a CSR fill loop.
-    Returns the arrays and the content digest it would produce."""
-    import hashlib
-
-    nw = np.ones(n) if node_weights is None else np.array(
-        list(node_weights), dtype=np.float64
-    )
-    merged = {}
-    for item in edges:
-        try:
-            u, v, w = item
-        except (TypeError, ValueError) as exc:
-            raise GraphError(f"edge {item!r} is not a (u, v, w) triple") from exc
-        u, v = int(u), int(v)
-        w = float(w)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise GraphError(f"self loop on node {u} is not allowed")
-        if not np.isfinite(w):
-            raise GraphError(f"edge ({u}, {v}) has non-finite weight {w}")
-        if w < 0:
-            raise GraphError(f"edge ({u}, {v}) has negative weight {w}")
-        key = (u, v) if u < v else (v, u)
-        merged[key] = merged.get(key, 0.0) + w
-    m = len(merged)
-    eu = np.empty(m, dtype=np.int64)
-    ev = np.empty(m, dtype=np.int64)
-    ew = np.empty(m, dtype=np.float64)
-    for i, ((u, v), w) in enumerate(sorted(merged.items())):
-        eu[i], ev[i], ew[i] = u, v, w
-    deg = np.zeros(n, dtype=np.int64)
-    np.add.at(deg, eu, 1)
-    np.add.at(deg, ev, 1)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(2 * m, dtype=np.int64)
-    weights = np.empty(2 * m, dtype=np.float64)
-    adj_edge_id = np.empty(2 * m, dtype=np.int64)
-    cursor = indptr[:-1].copy()
-    for i in range(m):
-        u, v, w = eu[i], ev[i], ew[i]
-        indices[cursor[u]] = v
-        weights[cursor[u]] = w
-        adj_edge_id[cursor[u]] = i
-        cursor[u] += 1
-        indices[cursor[v]] = u
-        weights[cursor[v]] = w
-        adj_edge_id[cursor[v]] = i
-        cursor[v] += 1
-    h = hashlib.sha256()
-    h.update(str(n).encode())
-    for a in (nw, eu, ev, ew):
-        h.update(np.ascontiguousarray(a).tobytes())
-    return {
-        "edge_array": (eu, ev, ew),
-        "csr": (indptr, indices, weights),
-        "adj_edge_id": adj_edge_id,
-        "digest": h.hexdigest(),
-    }
-
-
 def _same_arrays(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -334,7 +277,7 @@ class TestNumpyConstructionDifferential:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_edge_loop(self, case):
         n, edges = case
-        ref = _loop_wgraph(n, edges)
+        ref = loop_wgraph(n, edges)
         g = WGraph(n, iter(edges))  # any iterable, consumed once
         for got, want in zip(
             (*g.edge_array, *g.csr, g._adj_edge_id),
@@ -358,7 +301,7 @@ class TestNumpyConstructionDifferential:
         for kind, pos in bad:
             edges.insert(min(pos, len(edges)), _BAD_EDGES[kind](n))
         with pytest.raises(Exception) as want:
-            _loop_wgraph(n, edges)
+            loop_wgraph(n, edges)
         with pytest.raises(Exception) as got:
             WGraph(n, edges)
         assert type(got.value) is type(want.value)

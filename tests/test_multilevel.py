@@ -14,7 +14,10 @@ bandwidth_violation, resource_violation, cut)`` tuple.
   loops the driver replaced, so they prove scalar GP bit-identical.
 * **Scalar GP on the sparse store at k=64** — perfbench's ``ring1500``
   calls, recorded before the sparse store's per-neighbour update loop
-  was added, so they prove the store rewrite bit-identical.
+  was added, so they prove the store rewrite bit-identical.  Next to
+  them, the FM work counters (moves tried and kept, revalidations,
+  re-pushes) of the first ``ring1500`` and ``tight400`` inputs, recorded
+  before the single-node evaluator's scalar-cost rewrite.
 * **Hypergraph GP, first cycle feasible** — recorded the same way.  The
   driver draws four seeds per cycle where the hypergraph loop drew three;
   the first three of four equal the three, so a run that stops after its
@@ -146,6 +149,43 @@ def test_ring_sparse_pinned(seed):
                    matchings=("hem",), conn_format="sparse")
     res = gp_partition(g, k, cons, cfg, seed=seed)
     assert fingerprint(res) == RING_EXPECTED[seed]
+
+
+#: FM work counters, summed over engines, of the first ``ring1500`` input
+#: above and of perfbench's first ``tight400`` input
+#: (``tight_instance(400, 8, 0)``, paper-default config with the flow
+#: polish, the same partitioner seed).  Recorded before the single-node
+#: evaluator's scalar-cost rewrite: a change that keeps every move,
+#: tie-break and queue entry leaves them exactly as they are.
+FM_WORK_EXPECTED = {
+    "ring1500": {"fm.moves_tried": 2833, "fm.moves_kept": 932,
+                 "fm.revalidations": 5948, "fm.repushed": 4275},
+    "tight400": {"fm.moves_tried": 3178, "fm.moves_kept": 337,
+                 "fm.revalidations": 3731, "fm.repushed": 2272},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(FM_WORK_EXPECTED))
+def test_fm_work_counters_pinned(workload):
+    import repro.obs as obs
+    from repro.bench.suites import bounded_degree_graph, tight_instance
+
+    seed = 1081993679
+    if workload == "ring1500":
+        k = 64
+        g = bounded_degree_graph(1500)
+        cons = ConstraintSpec(rmax=float(np.ceil(1.05 * g.n / k)))
+        cfg = GPConfig(max_cycles=1, restarts=2, level_candidates=1,
+                       matchings=("hem",), conn_format="sparse")
+    else:
+        k = 8
+        g, cons = tight_instance(400, k, 0)
+        cfg = GPConfig(refine="fm+flow")
+    with obs.capture(tracing=False) as cap:
+        gp_partition(g, k, cons, cfg, seed=seed)
+    counters = cap.metrics["counters"]
+    expected = FM_WORK_EXPECTED[workload]
+    assert {name: sum(counters[name].values()) for name in expected} == expected
 
 
 # --------------------------------------------------------------------- #

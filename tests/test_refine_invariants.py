@@ -132,12 +132,12 @@ class TestStateIncrementalEqualsScratch:
 
 @contextlib.contextmanager
 def _vector_threshold(value):
-    saved = refine_state._VECTOR_MIN_ENTRIES
-    refine_state._VECTOR_MIN_ENTRIES = value
+    saved = refine_state._BATCH_MIN_NODES
+    refine_state._BATCH_MIN_NODES = value
     try:
         yield
     finally:
-        refine_state._VECTOR_MIN_ENTRIES = saved
+        refine_state._BATCH_MIN_NODES = saved
 
 
 def _brute_best_move(state, u, cons):
